@@ -8,7 +8,7 @@ algorithms, and `experiment` ties everything into reproducible artifact-
 producing runs. The `contractfl` console script exposes the same pipeline.
 """
 
-from .baselines import fedprox_step, local_sgd_run, run_fedavg, run_fedprox
+from .baselines import local_sgd_run, run_sync
 from .config import ExperimentConfig, PRESETS, apply_overrides, load_config, resolve_config
 from .contracts import (AccuracyCurveParams, ContractEntry, ContractMenu,
                         ContractReport, MarketModel, QualityParams,
@@ -25,9 +25,8 @@ from .errors import (ConfigurationError, ContractViolation, DataFormatError,
 from .experiment import (partition_report, prepare, run_async_experiment,
                          run_baseline_experiment, select_attackers)
 from .fitting import FitResult, fit_curve, predict
-from .nn import (Batch, Model, aggregate, evaluate, forward, init_model,
-                 load_model, loss_and_gradient, mean_cross_entropy, save_model,
-                 train_epochs)
+from .nn import (Model, aggregate, evaluate, init_model, load_model,
+                 loss_and_gradient, save_model, train_epochs_tracked)
 from .seeds import child_seed
 from .simulation import (AccessDecision, AsyncSimulation, ClientState,
                          RoundLedger, TimingParams, access_control,
@@ -36,7 +35,7 @@ from .simulation import (AccessDecision, AsyncSimulation, ClientState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessDecision", "AccuracyCurveParams", "AsyncSimulation", "Batch",
+    "AccessDecision", "AccuracyCurveParams", "AsyncSimulation",
     "ClientDataset", "ClientState", "ConfigurationError", "ContractEntry",
     "ContractMenu", "ContractReport", "ContractViolation", "Dataset",
     "DataFormatError", "ExperimentConfig", "FitResult", "InfeasibleEffort",
@@ -44,14 +43,14 @@ __all__ = [
     "RoundLedger", "TimingParams", "TrainingDiverged", "access_control",
     "access_indicator", "accuracy_curve", "aggregate", "apply_overrides",
     "child_seed", "client_utility", "data_quality", "effort_cost_coeffs",
-    "emd", "evaluate", "fedprox_step", "fit_curve", "flip_labels", "forward",
-    "init_model", "largest_remainder", "load_config", "load_idx_pair",
-    "load_model", "local_epochs", "local_sgd_run", "loss_and_gradient",
-    "mean_cross_entropy", "parse_idx", "partition", "partition_report",
-    "per_level_objective", "predict", "prepare", "publisher_constant",
-    "quality_level", "resolve_config", "rewards_from_efforts", "round_costs",
-    "run_async_experiment", "run_baseline_experiment", "run_fedavg",
-    "run_fedprox", "save_model", "select_attackers", "settle_rewards",
-    "solve_contract", "split_holdout", "synthetic_pair", "train_epochs",
-    "uniform_benchmark", "verify_contract", "zipf_counts",
+    "emd", "evaluate", "fit_curve", "flip_labels", "init_model",
+    "largest_remainder", "load_config", "load_idx_pair", "load_model",
+    "local_epochs", "local_sgd_run", "loss_and_gradient", "parse_idx",
+    "partition", "partition_report", "per_level_objective", "predict",
+    "prepare", "publisher_constant", "quality_level", "resolve_config",
+    "rewards_from_efforts", "round_costs", "run_async_experiment",
+    "run_baseline_experiment", "run_sync", "save_model", "select_attackers",
+    "settle_rewards", "solve_contract", "split_holdout", "synthetic_pair",
+    "train_epochs_tracked", "uniform_benchmark", "verify_contract",
+    "zipf_counts",
 ]

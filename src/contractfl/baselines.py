@@ -1,60 +1,18 @@
 """Synchronous reference algorithms: FedAvg, FedProx, centralized local SGD.
 
-All three share the async simulator's model engine and seed fan-out, so a
-baseline run on the same partition and master seed is directly comparable.
-FedAvg with proximal weight mu = 0 takes the exact same code path as plain
-FedAvg; the two produce bit-identical trajectories by construction.
+Every client trains through nn.train_epochs_tracked, the same local SGD loop
+the async simulator runs, with the same seed fan-out, so a baseline run on
+the same partition and master seed is directly comparable. FedProx is
+run_sync with the kernel's proximal weight mu > 0; with mu = 0 it is FedAvg,
+bit for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import nn
 from .datasets import Dataset
-from .errors import ConfigurationError, TrainingDiverged
+from .errors import ConfigurationError
 from .seeds import STREAM_TRAIN, child_seed
-
-
-def fedprox_step(model: nn.Model, anchor: nn.Model, batch: nn.Batch, lr: float,
-                 mu: float) -> nn.Model:
-    """One SGD step with a proximal pull toward the anchor parameters.
-
-    The gradient gains mu * (w - w_anchor); mu = 0 reduces to a plain step.
-    """
-    if mu < 0:
-        raise ConfigurationError(f"mu must be >= 0, got {mu}")
-    _, grad = nn.loss_and_gradient(model.layer_dims, model.params,
-                                   batch.features, batch.labels)
-    if mu:
-        grad = grad + mu * (model.params - anchor.params)
-    return nn.Model(model.layer_dims, model.params - lr * grad)
-
-
-def _train_client(model: nn.Model, data, epochs: int, lr: float, batch_size: int,
-                  seed: int, anchor: nn.Model | None = None,
-                  mu: float = 0.0) -> nn.Model:
-    """Local training; with mu = 0 this IS nn.train_epochs, same bits."""
-    if mu == 0.0:
-        return nn.train_epochs(model, data, epochs, lr, batch_size, seed)
-    x = np.asarray(data.features, dtype=np.float64)
-    y = np.asarray(data.labels, dtype=np.int64)
-    n = x.shape[0]
-    params = model.params.copy()
-    anchor_params = (anchor or model).params
-    rng = np.random.default_rng(seed)
-    step = 0
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            loss, grad = nn.loss_and_gradient(model.layer_dims, params, x[idx], y[idx])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(step, loss)
-            grad += mu * (params - anchor_params)
-            params -= lr * grad
-            step += 1
-    return nn.Model(model.layer_dims, params)
 
 
 def fedavg_round(model: nn.Model, clients, epochs: int, lr: float,
@@ -62,14 +20,15 @@ def fedavg_round(model: nn.Model, clients, epochs: int, lr: float,
     """One synchronous round: every client trains, deltas merge by data share.
 
     seed_for_client maps a client id to that client's shuffle seed for this
-    round. Aggregation weights are d_k / D.
+    round. Aggregation weights are d_k / D. With mu > 0 each client's SGD is
+    pulled toward this round's starting model (FedProx).
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
     total = sum(c.d_k for c in ordered)
     deltas, weights = [], []
     for c in ordered:
-        trained = _train_client(model, c, epochs, lr, batch_size,
-                                seed_for_client(c.client_id), anchor=model, mu=mu)
+        trained, _ = nn.train_epochs_tracked(model, c, epochs, lr, batch_size,
+                                             seed_for_client(c.client_id), mu=mu)
         deltas.append(trained.params - model.params)
         weights.append(c.d_k / total)
     return nn.aggregate(model, deltas, weights)
@@ -95,19 +54,6 @@ def run_sync(model: nn.Model, clients, rounds: int, epochs: int, lr: float,
     return model, history
 
 
-def run_fedavg(model, clients, rounds, epochs, lr, batch_size, master_seed, test_data):
-    return run_sync(model, clients, rounds, epochs, lr, batch_size, master_seed,
-                    test_data, mu=0.0)
-
-
-def run_fedprox(model, clients, rounds, epochs, lr, batch_size, master_seed,
-                test_data, mu):
-    if mu < 0:
-        raise ConfigurationError(f"mu must be >= 0, got {mu}")
-    return run_sync(model, clients, rounds, epochs, lr, batch_size, master_seed,
-                    test_data, mu=mu)
-
-
 def local_sgd_run(model: nn.Model, pool: Dataset, rounds: int, epochs: int,
                   lr: float, batch_size: int, master_seed: int,
                   test_data: Dataset) -> tuple[nn.Model, list[tuple[int, float, float, int]]]:
@@ -117,7 +63,7 @@ def local_sgd_run(model: nn.Model, pool: Dataset, rounds: int, epochs: int,
     history = []
     for r in range(rounds):
         seed = child_seed(master_seed, STREAM_TRAIN, 0, r)
-        model = nn.train_epochs(model, pool, epochs, lr, batch_size, seed)
+        model, _ = nn.train_epochs_tracked(model, pool, epochs, lr, batch_size, seed)
         loss, acc = nn.evaluate(model, test_data)
         history.append((r, loss, acc, 1))
     return model, history

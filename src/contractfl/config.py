@@ -149,9 +149,8 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def to_timing(self) -> TimingParams:
-        return TimingParams.from_market(
-            self.market.to_market(), delay_lo=self.timing.delay_lo,
-            delay_hi=self.timing.delay_hi, delta_t=self.timing.delta_t)
+        return TimingParams(self.timing.delay_lo, self.timing.delay_hi,
+                            self.timing.delta_t)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -230,8 +229,7 @@ def _build_section(section_cls, value, path: str):
         raise ConfigurationError(f"bad config section {path!r}: {exc}") from exc
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file; errors name the malformed field."""
+def _read_config_file(path) -> dict:
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -239,7 +237,12 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
-    return ExperimentConfig.from_dict(raw)
+    return raw
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read a JSON config file; errors name the malformed field."""
+    return ExperimentConfig.from_dict(_read_config_file(path))
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
@@ -327,13 +330,7 @@ def resolve_config(preset: str | None, config_path: str | None,
         cfg = PRESETS[preset]()
         if config_path is not None:
             base = cfg.to_dict()
-            with open(config_path) as fh:
-                try:
-                    patch = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigurationError(
-                        f"config file {config_path} is not valid JSON: {exc}") from exc
-            _deep_update(base, patch, "")
+            _deep_update(base, _read_config_file(config_path), "")
             cfg = ExperimentConfig.from_dict(base)
     elif config_path is not None:
         cfg = load_config(config_path)

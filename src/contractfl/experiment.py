@@ -318,14 +318,11 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
         final, history = baselines.local_sgd_run(
             model, prep.pool, cfg.rounds, epochs, cfg.training.lr,
             cfg.training.batch_size, cfg.seed, prep.test)
-    elif algorithm == "fedprox":
-        final, history = baselines.run_fedprox(
-            model, prep.client_data, cfg.rounds, epochs, cfg.training.lr,
-            cfg.training.batch_size, cfg.seed, prep.test, mu=cfg.baseline.prox_mu)
     else:
-        final, history = baselines.run_fedavg(
+        mu = cfg.baseline.prox_mu if algorithm == "fedprox" else 0.0
+        final, history = baselines.run_sync(
             model, prep.client_data, cfg.rounds, epochs, cfg.training.lr,
-            cfg.training.batch_size, cfg.seed, prep.test)
+            cfg.training.batch_size, cfg.seed, prep.test, mu=mu)
     last = history[-1]
     result = {
         "algorithm": algorithm,

@@ -45,26 +45,6 @@ class Model:
         return self.params.size
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A features/labels pair with matching first dimension."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels)
-        if x.ndim != 2:
-            raise ConfigurationError(f"features must be 2-D, got shape {x.shape}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ConfigurationError(
-                f"labels shape {y.shape} does not match {x.shape[0]} feature rows"
-            )
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y.astype(np.int64))
-
-
 def param_count(layer_dims) -> int:
     d0, d1, d2, d3 = layer_dims
     return d0 * d1 + d1 + d1 * d2 + d2 + d2 * d3 + d3
@@ -73,14 +53,17 @@ def param_count(layer_dims) -> int:
 def _views(layer_dims, params):
     """Reshape the flat vector into (W1, b1, W2, b2, W3, b3) without copying."""
     d0, d1, d2, d3 = layer_dims
-    sizes = [d0 * d1, d1, d1 * d2, d2, d2 * d3, d3]
-    offs = np.cumsum([0] + sizes)
-    w1 = params[offs[0]:offs[1]].reshape(d0, d1)
-    b1 = params[offs[1]:offs[2]]
-    w2 = params[offs[2]:offs[3]].reshape(d1, d2)
-    b2 = params[offs[3]:offs[4]]
-    w3 = params[offs[4]:offs[5]].reshape(d2, d3)
-    b3 = params[offs[5]:offs[6]]
+    o1 = d0 * d1
+    o2 = o1 + d1
+    o3 = o2 + d1 * d2
+    o4 = o3 + d2
+    o5 = o4 + d2 * d3
+    w1 = params[:o1].reshape(d0, d1)
+    b1 = params[o1:o2]
+    w2 = params[o2:o3].reshape(d1, d2)
+    b2 = params[o3:o4]
+    w3 = params[o4:o5].reshape(d2, d3)
+    b3 = params[o5:o5 + d3]
     return w1, b1, w2, b2, w3, b3
 
 
@@ -113,38 +96,19 @@ def _forward_raw(layer_dims, params, x):
     return z1, a1, z2, a2, logits
 
 
-def forward(model: Model, batch: Batch) -> np.ndarray:
-    """Return raw logits for a batch; softmax is applied only inside the loss."""
-    if batch.features.shape[1] != model.layer_dims[0]:
-        raise ConfigurationError(
-            f"feature dim {batch.features.shape[1]} does not match input dim {model.layer_dims[0]}"
-        )
-    return _forward_raw(model.layer_dims, model.params, batch.features)[-1]
-
-
 def _log_softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    log_p = _log_softmax(logits)
-    return float(-log_p[np.arange(labels.shape[0]), labels].mean())
-
-
-def loss_and_gradient(model_or_dims, params_or_x, x=None, y=None):
+def loss_and_gradient(layer_dims, params, x, y):
     """Mean cross-entropy loss and its gradient in the flat parameter layout.
 
-    Callable either as loss_and_gradient(model, x, y) or with explicit
-    (layer_dims, params, x, y); the latter avoids Model construction in
-    inner training loops.
+    Takes the layer sizes and a bare parameter vector rather than a Model,
+    so the training loop never builds a Model per step.
     """
-    if isinstance(model_or_dims, Model):
-        dims, params, x, y = model_or_dims.layer_dims, model_or_dims.params, params_or_x, x
-    else:
-        dims, params = model_or_dims, params_or_x
     n = x.shape[0]
-    z1, a1, z2, a2, logits = _forward_raw(dims, params, x)
+    z1, a1, z2, a2, logits = _forward_raw(layer_dims, params, x)
     log_p = _log_softmax(logits)
     loss = float(-log_p[np.arange(n), y].mean())
 
@@ -152,9 +116,9 @@ def loss_and_gradient(model_or_dims, params_or_x, x=None, y=None):
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
 
-    w1, b1, w2, b2, w3, b3 = _views(dims, params)
+    w1, b1, w2, b2, w3, b3 = _views(layer_dims, params)
     grad = np.empty_like(params)
-    gw1, gb1, gw2, gb2, gw3, gb3 = _views(dims, grad)
+    gw1, gb1, gw2, gb2, gw3, gb3 = _views(layer_dims, grad)
 
     gw3[:] = a2.T @ d_logits
     gb3[:] = d_logits.sum(axis=0)
@@ -169,25 +133,25 @@ def loss_and_gradient(model_or_dims, params_or_x, x=None, y=None):
     return loss, grad
 
 
-def train_epochs(model: Model, data, epochs: int, lr: float, batch_size: int,
-                 rng_seed: int) -> Model:
-    """Run plain mini-batch SGD and return the trained model.
-
-    The caller's model is never mutated. Sample order is reshuffled once per
-    epoch from a generator seeded with rng_seed, so equal seeds reproduce the
-    exact trajectory. The final partial batch of each epoch is included.
-    """
-    trained, _ = train_epochs_tracked(model, data, epochs, lr, batch_size, rng_seed)
-    return trained
-
-
 def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size: int,
-                         rng_seed: int) -> tuple[Model, np.ndarray]:
-    """Like train_epochs but also returns the per-epoch mean training loss."""
+                         rng_seed: int, mu: float = 0.0) -> tuple[Model, np.ndarray]:
+    """Run mini-batch SGD; return the trained model and per-epoch mean loss.
+
+    This is the one local-training loop: the async simulator and every
+    baseline train through it. The caller's model is never mutated. Sample
+    order is reshuffled once per epoch from a generator seeded with
+    rng_seed, so equal seeds reproduce the exact trajectory. The final
+    partial batch of each epoch is included.
+
+    With mu > 0 every gradient gains mu * (w - w0), FedProx's proximal pull
+    toward the starting parameters w0; mu = 0 is plain SGD, bit for bit.
+    """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if not mu >= 0:
+        raise ConfigurationError(f"mu must be >= 0, got {mu}")
     x = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels, dtype=np.int64)
     n = x.shape[0]
@@ -209,6 +173,8 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
             loss, grad = loss_and_gradient(model.layer_dims, params, x[idx], y[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(step, loss)
+            if mu:
+                grad += mu * (params - model.params)
             params -= lr * grad
             total += loss * idx.shape[0]
             step += 1

@@ -14,12 +14,10 @@ import numpy as np
 STREAM_PARTITION = 1
 STREAM_INIT = 2
 STREAM_DELAY = 3
-STREAM_ATTACKER = 4
 STREAM_TRAIN = 5
 STREAM_DATA = 6
 STREAM_HOLDOUT = 7
 STREAM_FLIP = 8
-STREAM_FIT = 9
 
 
 def child_seed(master: int, *path: int) -> int:

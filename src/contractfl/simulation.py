@@ -40,32 +40,18 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TimingParams:
-    """Cost constants plus the simulated-delay distribution."""
+    """The simulated-delay distribution and the aggregation period."""
 
-    c: float = 5.0
-    f: float = 1.0
-    xi: float = 2.0
-    t_com: float = 10.0
-    e_com: float = 20.0
     delay_lo: float = 0.5
     delay_hi: float = 2.0
     delta_t: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0 or self.f <= 0 or self.xi <= 0:
-            raise ConfigurationError("c, f, xi must be positive")
         if not 0 < self.delay_lo <= self.delay_hi:
             raise ConfigurationError(
                 f"need 0 < delay_lo <= delay_hi, got ({self.delay_lo}, {self.delay_hi})")
         if self.delta_t <= 0:
             raise ConfigurationError(f"delta_t must be positive, got {self.delta_t}")
-
-    @classmethod
-    def from_market(cls, market: MarketModel, delay_lo: float = 0.5,
-                    delay_hi: float = 2.0, delta_t: float = 1.0) -> "TimingParams":
-        return cls(c=market.c, f=market.f, xi=market.xi, t_com=market.t_com,
-                   e_com=market.e_com, delay_lo=delay_lo, delay_hi=delay_hi,
-                   delta_t=delta_t)
 
 
 @dataclass
@@ -145,17 +131,18 @@ class RoundLedger:
     test_accuracy: float
 
 
-def round_costs(client: ClientState, tp: TimingParams) -> RoundCosts:
+def round_costs(client: ClientState, market: MarketModel) -> RoundCosts:
     """Price one full training cycle for a client.
 
     Simulated wall time is tau * per_epoch_delay (communication adds no
     simulated seconds). The analytic books record tau * c * d / f compute
-    seconds and tau * xi * c * d * f^2 + E_com energy units.
+    seconds and tau * xi * c * d * f^2 + E_com energy units, with the
+    constants the contract was priced with.
     """
     d = client.data.d_k
     sim = client.tau * client.per_epoch_delay
-    analytic = client.tau * tp.c * d / tp.f
-    energy = client.tau * tp.xi * tp.c * d * tp.f ** 2 + tp.e_com
+    analytic = client.tau * market.c * d / market.f
+    energy = client.tau * market.xi * market.c * d * market.f ** 2 + market.e_com
     return RoundCosts(sim, analytic, energy)
 
 
@@ -280,7 +267,7 @@ class AsyncSimulation:
         client.pending_delta = trained.params - self.model.params
         client.pending_loss = float(epoch_losses[-1])
         client.received_round = round_idx
-        client.busy_until = start_time + round_costs(client, self.timing).sim_seconds
+        client.busy_until = start_time + round_costs(client, self.market).sim_seconds
 
     def run_round(self) -> RoundLedger:
         """Process one aggregation window and return its ledger entry."""
@@ -319,7 +306,7 @@ class AsyncSimulation:
             for r in records
         ]
         for c in uploaders:
-            c.cumulative_energy += round_costs(c, self.timing).energy
+            c.cumulative_energy += round_costs(c, self.market).energy
             if c.client_id in admitted_set:
                 c.rewards_earned += c.reward_rate
                 c.admitted_count += 1

@@ -225,7 +225,7 @@ def test_backprop_matches_central_differences():
                                                           seeded.params.size))
         x = rng.normal(size=(8, dims[0]))
         y = rng.integers(0, dims[-1], size=8)
-        _, grad = nn.loss_and_gradient(model, x, y)
+        _, grad = nn.loss_and_gradient(dims, model.params, x, y)
         eps = 1e-6
         fd = np.empty_like(grad)
         for j in range(model.params.size):

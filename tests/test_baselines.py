@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from common import blob_data, make_client
+from common import blob_data, make_client, make_dataset
 from contractfl import baselines, nn
 from contractfl.errors import ConfigurationError
 from contractfl.seeds import STREAM_TRAIN, child_seed
@@ -22,42 +22,49 @@ def _blob_arrays(n, seed):
     return x, y
 
 
+# One FedProx step: the kernel with epochs=1 and one batch that holds every
+# sample, replayed with the kernel's own shuffle of that batch.
+
+def _one_batch(n, seed, model, lr, mu, epochs=1):
+    data = make_dataset(*_blob_arrays(n, seed), num_classes=2)
+    trained, _ = nn.train_epochs_tracked(model, data, epochs, lr, batch_size=n,
+                                         rng_seed=seed, mu=mu)
+    return data, trained
+
+
 def test_fedprox_step_mu_zero_is_plain_sgd():
     model = nn.init_model(DIMS, seed=1)
-    anchor = nn.init_model(DIMS, seed=2)
-    x, y = _blob_arrays(8, 3)
-    batch = nn.Batch(x, y)
-    stepped = baselines.fedprox_step(model, anchor, batch, lr=0.1, mu=0.0)
-    _, grad = nn.loss_and_gradient(model.layer_dims, model.params, x, y)
+    data, stepped = _one_batch(8, 3, model, lr=0.1, mu=0.0)
+    perm = np.random.default_rng(3).permutation(8)
+    _, grad = nn.loss_and_gradient(model.layer_dims, model.params,
+                                   data.features[perm], data.labels[perm])
     assert np.array_equal(stepped.params, model.params - 0.1 * grad)
 
 
 def test_fedprox_step_adds_exact_proximal_pull():
+    # the anchor is the starting model, so the pull first acts on step 2:
+    # both runs share step 1, then differ by exactly -lr * mu * (w1 - w0)
     model = nn.init_model(DIMS, seed=1)
-    anchor = nn.init_model(DIMS, seed=2)
-    x, y = _blob_arrays(8, 3)
-    batch = nn.Batch(x, y)
-    plain = baselines.fedprox_step(model, anchor, batch, lr=0.1, mu=0.0)
-    prox = baselines.fedprox_step(model, anchor, batch, lr=0.1, mu=0.5)
-    # step difference is exactly -lr * mu * (w - w_anchor)
-    want = plain.params - 0.1 * 0.5 * (model.params - anchor.params)
+    _, w1 = _one_batch(8, 3, model, lr=0.1, mu=0.0)
+    _, plain = _one_batch(8, 3, model, lr=0.1, mu=0.0, epochs=2)
+    _, prox = _one_batch(8, 3, model, lr=0.1, mu=0.5, epochs=2)
+    want = plain.params - 0.1 * 0.5 * (w1.params - model.params)
     assert np.allclose(prox.params, want, rtol=1e-12, atol=1e-14)
+    assert not np.array_equal(prox.params, plain.params)
 
 
 def test_fedprox_step_at_anchor_matches_plain():
     model = nn.init_model(DIMS, seed=4)
-    x, y = _blob_arrays(6, 1)
-    batch = nn.Batch(x, y)
-    a = baselines.fedprox_step(model, model, batch, lr=0.2, mu=0.9)
-    b = baselines.fedprox_step(model, model, batch, lr=0.2, mu=0.0)
+    _, a = _one_batch(6, 1, model, lr=0.2, mu=0.9)
+    _, b = _one_batch(6, 1, model, lr=0.2, mu=0.0)
     assert np.array_equal(a.params, b.params)
 
 
 def test_fedprox_step_rejects_negative_mu():
     model = nn.init_model(DIMS, seed=0)
-    x, y = _blob_arrays(4, 0)
-    with pytest.raises(ConfigurationError):
-        baselines.fedprox_step(model, model, nn.Batch(x, y), lr=0.1, mu=-0.1)
+    for mu in (-0.1, float("nan")):
+        with pytest.raises(ConfigurationError, match="mu"):
+            _one_batch(4, 0, model, lr=0.1, mu=mu)
 
 
 def test_fedavg_round_weights_by_data_share():
@@ -69,7 +76,7 @@ def test_fedavg_round_weights_by_data_share():
                                  seed_for_client=lambda cid: seeds[cid])
     deltas = []
     for c in clients:
-        trained = nn.train_epochs(model, c, 1, 0.1, 8, seeds[c.client_id])
+        trained, _ = nn.train_epochs_tracked(model, c, 1, 0.1, 8, seeds[c.client_id])
         deltas.append(trained.params - model.params)
     want = model.params + 0.75 * deltas[0] + 0.25 * deltas[1]
     assert np.allclose(out.params, want, rtol=0, atol=1e-12)
@@ -79,9 +86,9 @@ def test_run_fedprox_mu_zero_equals_fedavg_bitwise():
     clients = client_pool([20, 14, 9])
     model = nn.init_model(DIMS, seed=6)
     test = blob_data(40, num_classes=2, dim=2, seed=99)
-    m_avg, h_avg = baselines.run_fedavg(model, clients, 3, 2, 0.1, 8, 11, test)
-    m_prox, h_prox = baselines.run_fedprox(model, clients, 3, 2, 0.1, 8, 11, test,
-                                           mu=0.0)
+    m_avg, h_avg = baselines.run_sync(model, clients, 3, 2, 0.1, 8, 11, test)
+    m_prox, h_prox = baselines.run_sync(model, clients, 3, 2, 0.1, 8, 11, test,
+                                        mu=0.0)
     assert np.array_equal(m_avg.params, m_prox.params)
     assert m_avg.params.tobytes() == m_prox.params.tobytes()
     assert h_avg == h_prox
@@ -91,8 +98,8 @@ def test_run_fedprox_positive_mu_differs():
     clients = client_pool([20, 14])
     model = nn.init_model(DIMS, seed=6)
     test = blob_data(30, num_classes=2, dim=2, seed=98)
-    m_avg, _ = baselines.run_fedavg(model, clients, 2, 2, 0.1, 8, 11, test)
-    m_prox, _ = baselines.run_fedprox(model, clients, 2, 2, 0.1, 8, 11, test, mu=0.1)
+    m_avg, _ = baselines.run_sync(model, clients, 2, 2, 0.1, 8, 11, test)
+    m_prox, _ = baselines.run_sync(model, clients, 2, 2, 0.1, 8, 11, test, mu=0.1)
     assert not np.array_equal(m_avg.params, m_prox.params)
 
 
@@ -137,4 +144,4 @@ def test_run_sync_validation():
     with pytest.raises(ConfigurationError):
         baselines.run_sync(model, clients, 0, 1, 0.1, 4, 0, test)
     with pytest.raises(ConfigurationError):
-        baselines.run_fedprox(model, clients, 1, 1, 0.1, 4, 0, test, mu=-1.0)
+        baselines.run_sync(model, clients, 1, 1, 0.1, 4, 0, test, mu=-1.0)

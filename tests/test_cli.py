@@ -125,6 +125,25 @@ def test_bad_config_file_exits_two(capsys, tmp_path):
     rc = cli.main(["contract", "--config", str(p)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    # a file that parses but is not an object, on top of a preset or not
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for preset in ([], ["--preset", "desk"]):
+        rc = cli.main(["contract", *preset, "--config", str(listed)])
+        assert rc == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "fedprox"])
+@pytest.mark.parametrize("override,field", [
+    ("baseline.local_epochs=0", "epochs"),
+    ("training.batch_size=0", "batch_size"),
+])
+def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field):
+    rc = cli.main(["baseline", algorithm, *TINY, "--set", "rounds=1",
+                   "--set", override])
+    assert rc == 2
+    assert field in capsys.readouterr().err
 
 
 def test_seed_flag_changes_partition(capsys, tmp_path):

@@ -315,6 +315,8 @@ def test_market_validation():
         MarketModel.uniform(t_max=5.0, t_com=10.0)
     with pytest.raises(ConfigurationError):
         MarketModel.uniform(xi=-1.0)
+    with pytest.raises(ConfigurationError):
+        MarketModel.uniform(c=-1.0)
 
 
 def test_market_unit_effort_cost():

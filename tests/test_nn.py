@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,38 +72,40 @@ def test_forward_matches_loop_oracle():
     rng = np.random.default_rng(3)
     m = nn.init_model(DIMS, seed=5)
     x = rng.uniform(0.0, 1.0, size=(7, DIMS[0]))
-    batch = nn.Batch(x, np.zeros(7, dtype=np.int64))
-    got = nn.forward(m, batch)
+    got = nn._forward_raw(DIMS, m.params, x)[-1]
     want = _loop_forward(DIMS, m.params, x)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+def _identity_net(width):
+    """Identity weights, zero biases: nonnegative inputs pass through ReLU
+    untouched and come out as the logits."""
+    return nn.Model((width,) * 4,
+                    np.concatenate([np.eye(width).ravel(), np.zeros(width)] * 3))
+
+
 def test_forward_identity_network():
-    # weights = identity, biases = 0: nonnegative inputs pass through ReLU untouched
-    dims = (2, 2, 2, 2)
-    params = np.concatenate([
-        np.eye(2).ravel(), np.zeros(2),
-        np.eye(2).ravel(), np.zeros(2),
-        np.eye(2).ravel(), np.zeros(2),
-    ])
-    m = nn.Model(dims, params)
+    m = _identity_net(2)
     x = np.array([[0.3, 0.9], [0.0, 1.0]])
-    logits = nn.forward(m, nn.Batch(x, np.zeros(2, dtype=np.int64)))
+    logits = nn._forward_raw(m.layer_dims, m.params, x)[-1]
     assert np.array_equal(logits, x)
 
 
 def test_uniform_logits_loss_is_log_num_classes():
-    logits = np.zeros((6, 10))
-    labels = np.arange(6, dtype=np.int64) % 10
-    assert abs(nn.mean_cross_entropy(logits, labels) - math.log(10)) < 1e-12
+    m = nn.Model((1, 1, 1, 10), np.zeros(nn.param_count((1, 1, 1, 10))))
+    data = SimpleNamespace(features=np.ones((6, 1)),
+                           labels=np.arange(6, dtype=np.int64) % 10)
+    loss, _ = nn.evaluate(m, data)
+    assert abs(loss - math.log(10)) < 1e-12
 
 
 def test_cross_entropy_extremes_are_stable():
     logits = np.array([[1e4, 0.0], [0.0, 1e4]])
-    labels = np.array([0, 1], dtype=np.int64)
-    assert nn.mean_cross_entropy(logits, labels) < 1e-12
-    wrong = np.array([1, 0], dtype=np.int64)
-    loss = nn.mean_cross_entropy(logits, wrong)
+    m = _identity_net(2)
+    right = SimpleNamespace(features=logits, labels=np.array([0, 1]))
+    assert nn.evaluate(m, right)[0] < 1e-12
+    wrong = SimpleNamespace(features=logits, labels=np.array([1, 0]))
+    loss, _ = nn.evaluate(m, wrong)
     assert np.isfinite(loss) and abs(loss - 1e4) < 1e-6
 
 
@@ -126,24 +129,13 @@ def test_gradient_matches_central_differences():
     assert (np.abs(num - grad) / denom < 1e-4).mean() >= 0.99
 
 
-def test_loss_and_gradient_accepts_model():
-    m = nn.init_model(DIMS, seed=1)
-    rng = np.random.default_rng(0)
-    x = rng.uniform(size=(4, DIMS[0]))
-    y = rng.integers(0, DIMS[-1], size=4)
-    l1, g1 = nn.loss_and_gradient(m, x, y)
-    l2, g2 = nn.loss_and_gradient(m.layer_dims, m.params, x, y)
-    assert l1 == l2
-    assert np.array_equal(g1, g2)
-
-
 def test_train_epochs_deterministic_and_pure():
     data = blob_data(40, num_classes=2, dim=3, seed=1)
     m = nn.init_model((3, 4, 4, 2), seed=2)
     before = m.params.copy()
-    t1 = nn.train_epochs(m, data, epochs=2, lr=0.1, batch_size=8, rng_seed=42)
-    t2 = nn.train_epochs(m, data, epochs=2, lr=0.1, batch_size=8, rng_seed=42)
-    t3 = nn.train_epochs(m, data, epochs=2, lr=0.1, batch_size=8, rng_seed=43)
+    t1, _ = nn.train_epochs_tracked(m, data, epochs=2, lr=0.1, batch_size=8, rng_seed=42)
+    t2, _ = nn.train_epochs_tracked(m, data, epochs=2, lr=0.1, batch_size=8, rng_seed=42)
+    t3, _ = nn.train_epochs_tracked(m, data, epochs=2, lr=0.1, batch_size=8, rng_seed=43)
     assert np.array_equal(t1.params, t2.params)
     assert not np.array_equal(t1.params, t3.params)
     assert np.array_equal(m.params, before)  # input model untouched
@@ -153,7 +145,8 @@ def test_train_epochs_reduces_loss():
     data = blob_data(120, num_classes=2, dim=2, seed=4)
     m = nn.init_model((2, 8, 8, 2), seed=3)
     loss0, _ = nn.evaluate(m, data)
-    trained = nn.train_epochs(m, data, epochs=5, lr=0.5, batch_size=16, rng_seed=0)
+    trained, _ = nn.train_epochs_tracked(m, data, epochs=5, lr=0.5, batch_size=16,
+                                         rng_seed=0)
     loss1, acc1 = nn.evaluate(trained, data)
     assert loss1 < loss0
     assert acc1 > 0.9
@@ -193,7 +186,7 @@ def test_training_divergence_raises():
     dims = (2, 4, 4, 2)
     bad = nn.Model(dims, np.full(nn.param_count(dims), np.nan))
     with pytest.raises(TrainingDiverged) as exc:
-        nn.train_epochs(bad, data, epochs=1, lr=0.1, batch_size=4, rng_seed=0)
+        nn.train_epochs_tracked(bad, data, epochs=1, lr=0.1, batch_size=4, rng_seed=0)
     assert "non-finite training loss" in str(exc.value)
     assert exc.value.step == 0
 
@@ -202,20 +195,21 @@ def test_train_epochs_validation():
     data = blob_data(10, seed=0)
     m = nn.init_model((2, 4, 4, 2), seed=0)
     with pytest.raises(ConfigurationError):
-        nn.train_epochs(m, data, epochs=0, lr=0.1, batch_size=4, rng_seed=0)
+        nn.train_epochs_tracked(m, data, epochs=0, lr=0.1, batch_size=4, rng_seed=0)
     with pytest.raises(ConfigurationError):
-        nn.train_epochs(m, data, epochs=1, lr=0.1, batch_size=0, rng_seed=0)
+        nn.train_epochs_tracked(m, data, epochs=1, lr=0.1, batch_size=0, rng_seed=0)
     bad = blob_data(10, dim=5, seed=0)
     with pytest.raises(ConfigurationError):
-        nn.train_epochs(m, bad, epochs=1, lr=0.1, batch_size=4, rng_seed=0)
+        nn.train_epochs_tracked(m, bad, epochs=1, lr=0.1, batch_size=4, rng_seed=0)
 
 
 def test_evaluate_matches_manual():
     data = blob_data(37, num_classes=3, dim=2, seed=5)
     m = nn.init_model((2, 4, 4, 3), seed=5)
     loss, acc = nn.evaluate(m, data)
-    logits = nn.forward(m, nn.Batch(data.features, data.labels))
-    assert abs(loss - nn.mean_cross_entropy(logits, data.labels)) < 1e-12
+    logits = nn._forward_raw(m.layer_dims, m.params, data.features)[-1]
+    log_p = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    assert abs(loss + log_p[np.arange(len(data)), data.labels].mean()) < 1e-12
     assert acc == (logits.argmax(axis=1) == data.labels).mean()
 
 
@@ -277,7 +271,7 @@ def test_aggregate_validation():
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):
     m = nn.init_model(DIMS, seed=6)
-    trained = nn.train_epochs(m, blob_data(20, dim=3, seed=0), 1, 0.1, 5, 0)
+    trained, _ = nn.train_epochs_tracked(m, blob_data(20, dim=3, seed=0), 1, 0.1, 5, 0)
     path = tmp_path / "model.bin"
     nn.save_model(trained, path)
     loaded = nn.load_model(path)

@@ -60,8 +60,8 @@ def make_sim(states, rounds_seed=7, a=0.5, epsilon=2.0, phi=3.0, delta_t=1.0,
 
 def test_round_costs_hand_computed():
     c = state(0, easy_client(0, n=100), delay=1.5, tau=4)
-    tp = TimingParams(c=5.0, f=1.0, xi=2.0, t_com=10.0, e_com=20.0)
-    costs = round_costs(c, tp)
+    market = MarketModel.uniform(c=5.0, f=1.0, xi=2.0, t_com=10.0, e_com=20.0)
+    costs = round_costs(c, market)
     assert costs.sim_seconds == 6.0  # 4 epochs * 1.5 s
     assert costs.analytic_compute_seconds == 2000.0  # 4 * 5 * 100 / 1
     assert costs.energy == 4020.0  # 4 * 2 * 5 * 100 * 1 + 20
@@ -69,7 +69,7 @@ def test_round_costs_hand_computed():
 
 def test_round_costs_three_epoch_example():
     c = state(0, easy_client(0, n=100), delay=1.0, tau=3)
-    costs = round_costs(c, TimingParams())
+    costs = round_costs(c, MARKET)
     assert costs.energy == 3020.0
     assert costs.analytic_compute_seconds == 1500.0
 
@@ -267,7 +267,7 @@ def test_poor_upload_rejected_paid_nothing_and_refreshed():
     assert bad.rewards_earned == 0.0
     assert bad.rewards_withheld == bad.reward_rate
     assert bad.rejected_count == 1
-    assert bad.cumulative_energy == round_costs(bad, sim.timing).energy
+    assert bad.cumulative_energy == round_costs(bad, sim.market).energy
     # and was handed the fresh model: new base round, new cycle in flight
     assert bad.received_round == 1
     assert bad.busy_until == 1.0 + 2 * 0.45
@@ -388,5 +388,3 @@ def test_timing_params_validation():
         TimingParams(delta_t=0.0)
     with pytest.raises(ConfigurationError):
         TimingParams(delay_lo=2.0, delay_hi=0.5)
-    with pytest.raises(ConfigurationError):
-        TimingParams(c=-1.0)
