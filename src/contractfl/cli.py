@@ -25,7 +25,8 @@ import numpy as np
 from . import fitting
 from .config import PRESETS, ExperimentConfig, resolve_config
 from .contracts import solve_contract, verify_contract
-from .errors import ConfigurationError, ContractViolation, DataFormatError
+from .errors import (ConfigurationError, ContractViolation, DataFormatError,
+                     InfeasibleEffort, TrainingDiverged)
 from .experiment import (BASELINE_ALGORITHMS, partition_report,
                          run_async_experiment, run_baseline_experiment,
                          write_contracts_json, write_partition_csv)
@@ -237,7 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigurationError, ContractViolation, DataFormatError, OSError) as exc:
+    except (ConfigurationError, ContractViolation, DataFormatError,
+            InfeasibleEffort, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

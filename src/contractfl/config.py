@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .contracts import AccuracyCurveParams, MarketModel, QualityParams
@@ -61,6 +62,10 @@ class MarketConfig:
     lambda2: float = 4e5
     t_max: float = 1e5
 
+    def __post_init__(self):
+        if self.levels < 1:
+            raise ConfigurationError(f"market.levels must be >= 1, got {self.levels}")
+
     def to_market(self) -> MarketModel:
         return MarketModel.uniform(
             self.levels, xi=self.xi, c=self.c, f=self.f, t_com=self.t_com,
@@ -105,6 +110,11 @@ class TrainingConfig:
     batch_size: int = 20
     hidden1: int = 64
     hidden2: int = 32
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(
+                f"training.lr must be a positive finite number, got {self.lr}")
 
 
 @dataclass(frozen=True)

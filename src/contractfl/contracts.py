@@ -117,6 +117,8 @@ class MarketModel:
     @classmethod
     def uniform(cls, n_levels: int = 10, **kwargs) -> "MarketModel":
         """Levels at n / N for n = 1..N with equal probabilities."""
+        if n_levels < 1:
+            raise ConfigurationError(f"need at least one level, got {n_levels}")
         theta = np.arange(1, n_levels + 1, dtype=np.float64) / n_levels
         p = np.full(n_levels, 1.0 / n_levels)
         return cls(theta=theta, p=p, **kwargs)
@@ -212,11 +214,22 @@ class ContractReport:
 # Quality and accuracy response curves
 # ---------------------------------------------------------------------------
 
-def data_quality(d: float, s: float, qp: QualityParams = QualityParams()) -> float:
+def _note_clamp(clamps, kind: str, msg: str, *args) -> None:
+    """Append `kind` to the caller's list, or log a warning without one."""
+    if clamps is None:
+        logger.warning(msg, *args)
+    else:
+        clamps.append(kind)
+
+
+def data_quality(d: float, s: float, qp: QualityParams = QualityParams(),
+                 clamps: list[str] | None = None) -> float:
     """Map sample count d and skew s to a quality score in [0.01, 1].
 
     A nonpositive effective quantity d - g3 * s means the skew penalty has
-    consumed the whole sample budget; quality drops to the floor.
+    consumed the whole sample budget; quality drops to the floor. Each
+    clamp is logged as a warning, or appended to `clamps` when given, so a
+    caller scoring many clients can report them in one line.
     """
     if d < 0:
         raise ConfigurationError(f"sample count must be >= 0, got {d}")
@@ -224,26 +237,31 @@ def data_quality(d: float, s: float, qp: QualityParams = QualityParams()) -> flo
         raise ConfigurationError(f"skew score must be >= 0, got {s}")
     z = d - qp.gamma3 * s
     if z <= 0:
-        logger.warning("effective quantity %.3f <= 0 (d=%s, s=%s); quality floored", z, d, s)
+        _note_clamp(clamps, "effective quantity <= 0",
+                    "effective quantity %.3f <= 0 (d=%s, s=%s); quality floored", z, d, s)
         return THETA_FLOOR
     theta = 1.0 - qp.gamma1 * math.exp(-qp.gamma2 * z ** qp.gamma4)
     if theta < THETA_FLOOR or theta > 1.0:
-        logger.warning("quality %.4f outside [%.2f, 1]; clamped", theta, THETA_FLOOR)
+        _note_clamp(clamps, f"quality outside [{THETA_FLOOR:.2f}, 1]",
+                    "quality %.4f outside [%.2f, 1]; clamped", theta, THETA_FLOOR)
     return float(min(1.0, max(THETA_FLOOR, theta)))
 
 
-def quality_level(theta: float, market: MarketModel) -> int:
+def quality_level(theta: float, market: MarketModel,
+                  clamps: list[str] | None = None) -> int:
     """Smallest level n with theta <= theta_n (levels are 1-based).
 
-    A value above the top boundary is clamped to level N with a warning so
-    that extrapolated quality estimates stay usable.
+    A value above the top boundary is clamped to level N with a warning (or
+    an entry in `clamps`, as in data_quality) so that extrapolated quality
+    estimates stay usable.
     """
     if not np.isfinite(theta) or theta <= 0:
         raise ConfigurationError(f"quality must be a positive finite number, got {theta}")
     idx = int(np.searchsorted(market.theta, theta, side="left"))
     if idx >= market.n_levels:
-        logger.warning("quality %.4f above top level boundary %.4f; clamped to level %d",
-                       theta, market.theta[-1], market.n_levels)
+        _note_clamp(clamps, "quality above the top level",
+                    "quality %.4f above top level boundary %.4f; clamped to level %d",
+                    theta, market.theta[-1], market.n_levels)
         return market.n_levels
     return idx + 1
 

@@ -53,6 +53,10 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
+    def rows(self, order) -> np.ndarray:
+        """A fresh copy of the feature rows at positions `order`."""
+        return self.features[order]
+
 
 @dataclass(frozen=True)
 class ClientDataset:
@@ -95,8 +99,13 @@ class ClientDataset:
 
     @property
     def features(self) -> np.ndarray:
-        # materializes a copy; callers that train repeatedly should hold on to it
+        # materializes a copy; the training loop gathers through rows() instead
         return self.parent.features[self.indices]
+
+    def rows(self, order) -> np.ndarray:
+        """The client's feature rows at positions `order`, gathered straight
+        from the parent pool without materializing `features` first."""
+        return self.parent.features[self.indices[order]]
 
     @property
     def label_hist(self) -> np.ndarray:

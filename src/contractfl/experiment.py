@@ -18,6 +18,7 @@ Artifacts written into the output directory:
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
 from .simulation import (AsyncSimulation, ClientState, TimingParams,
                          settle_rewards, write_ledger_csv,
                          write_round_summary_csv)
+
+logger = logging.getLogger(__name__)
 
 BASELINE_ALGORITHMS = ("fedavg", "fedprox", "local-sgd")
 
@@ -166,11 +169,22 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
 
     benchmark = uniform_benchmark(pool.num_classes)
     base: list[ClientProfile] = []
+    clamped: dict[str, list[int]] = {}
     for cd in clients:
         skew = emd(cd.label_hist, benchmark)
-        theta = data_quality(cd.d_k, skew, qp)
-        base.append(ClientProfile(cd.client_id, cd.d_k, skew, theta,
-                                  quality_level(theta, market), malicious=False))
+        kinds: list[str] = []
+        theta = data_quality(cd.d_k, skew, qp, kinds)
+        level = quality_level(theta, market, kinds)
+        for kind in kinds:
+            clamped.setdefault(kind, []).append(cd.client_id)
+        base.append(ClientProfile(cd.client_id, cd.d_k, skew, theta, level,
+                                  malicious=False))
+    if clamped:
+        logger.warning("quality clamped for %d of %d clients: %s",
+                       len({cid for ids in clamped.values() for cid in ids}),
+                       len(clients), "; ".join(
+                           f"{kind}: {len(ids)} (clients {' '.join(map(str, ids))})"
+                           for kind, ids in clamped.items()))
 
     attackers = select_attackers(base, cfg.attack.count)
     # quality and level are assessed on the data as declared, before any

@@ -9,6 +9,7 @@ b2, W3 (h2 x out), b3.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -86,51 +87,84 @@ def init_model(layer_dims, seed: int) -> Model:
     return Model(dims, params)
 
 
+def _forward(views, x):
+    """Hidden activations and logits; each ReLU is applied in place."""
+    w1, b1, w2, b2, w3, b3 = views
+    a1 = np.matmul(x, w1)
+    a1 += b1
+    np.maximum(a1, 0.0, out=a1)
+    a2 = np.matmul(a1, w2)
+    a2 += b2
+    np.maximum(a2, 0.0, out=a2)
+    logits = np.matmul(a2, w3)
+    logits += b3
+    return a1, a2, logits
+
+
 def _forward_raw(layer_dims, params, x):
-    w1, b1, w2, b2, w3, b3 = _views(layer_dims, params)
-    z1 = x @ w1 + b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w2 + b2
-    a2 = np.maximum(z2, 0.0)
-    logits = a2 @ w3 + b3
-    return z1, a1, z2, a2, logits
+    return _forward(_views(layer_dims, params), x)
 
 
 def _log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax, computed in place over `logits`."""
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
+    return logits
 
 
-def loss_and_gradient(layer_dims, params, x, y):
+class _Workspace:
+    """Buffers for one training call: the six parameter views over `params`,
+    one gradient buffer with its views, and np.arange(n) per batch size."""
+
+    __slots__ = ("views", "grad", "grad_views", "_aranges")
+
+    def __init__(self, layer_dims, params):
+        self.views = _views(layer_dims, params)
+        self.grad = np.empty_like(params)
+        self.grad_views = _views(layer_dims, self.grad)
+        self._aranges = {}
+
+    def arange(self, n):
+        rows = self._aranges.get(n)
+        if rows is None:
+            rows = self._aranges[n] = np.arange(n)
+        return rows
+
+
+def loss_and_gradient(layer_dims, params, x, y, workspace=None):
     """Mean cross-entropy loss and its gradient in the flat parameter layout.
 
     Takes the layer sizes and a bare parameter vector rather than a Model,
-    so the training loop never builds a Model per step.
+    so the training loop never builds a Model per step. Without a workspace
+    the gradient is a fresh array. With one (built over this same `params`)
+    the gradient is the workspace's buffer, overwritten by the next call.
     """
+    ws = _Workspace(layer_dims, params) if workspace is None else workspace
+    _, _, w2, _, w3, _ = ws.views
+    gw1, gb1, gw2, gb2, gw3, gb3 = ws.grad_views
     n = x.shape[0]
-    z1, a1, z2, a2, logits = _forward_raw(layer_dims, params, x)
-    log_p = _log_softmax(logits)
-    loss = float(-log_p[np.arange(n), y].mean())
+    rows = ws.arange(n)
 
-    d_logits = np.exp(log_p)
-    d_logits[np.arange(n), y] -= 1.0
+    a1, a2, logits = _forward(ws.views, x)
+    log_p = _log_softmax(logits)
+    loss = -float(np.add.reduce(log_p[rows, y])) / n
+
+    d_logits = np.exp(log_p, out=log_p)
+    d_logits[rows, y] -= 1.0
     d_logits /= n
 
-    w1, b1, w2, b2, w3, b3 = _views(layer_dims, params)
-    grad = np.empty_like(params)
-    gw1, gb1, gw2, gb2, gw3, gb3 = _views(layer_dims, grad)
-
-    gw3[:] = a2.T @ d_logits
-    gb3[:] = d_logits.sum(axis=0)
-    d_a2 = d_logits @ w3.T
-    d_z2 = d_a2 * (z2 > 0.0)
-    gw2[:] = a1.T @ d_z2
-    gb2[:] = d_z2.sum(axis=0)
-    d_a1 = d_z2 @ w2.T
-    d_z1 = d_a1 * (z1 > 0.0)
-    gw1[:] = x.T @ d_z1
-    gb1[:] = d_z1.sum(axis=0)
-    return loss, grad
+    # a ReLU output is positive exactly where its input is
+    np.matmul(a2.T, d_logits, out=gw3)
+    np.add.reduce(d_logits, axis=0, out=gb3)
+    d_z2 = np.matmul(d_logits, w3.T)
+    d_z2 *= a2 > 0.0
+    np.matmul(a1.T, d_z2, out=gw2)
+    np.add.reduce(d_z2, axis=0, out=gb2)
+    d_z1 = np.matmul(d_z2, w2.T)
+    d_z1 *= a1 > 0.0
+    np.matmul(x.T, d_z1, out=gw1)
+    np.add.reduce(d_z1, axis=0, out=gb1)
+    return loss, ws.grad
 
 
 def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size: int,
@@ -140,8 +174,9 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
     This is the one local-training loop: the async simulator and every
     baseline train through it. The caller's model is never mutated. Sample
     order is reshuffled once per epoch from a generator seeded with
-    rng_seed, so equal seeds reproduce the exact trajectory. The final
-    partial batch of each epoch is included.
+    rng_seed, so equal seeds reproduce the exact trajectory. Each epoch
+    gathers its shuffled rows once (`data.rows`) and walks them in
+    contiguous batches; the final partial batch is included.
 
     With mu > 0 every gradient gains mu * (w - w0), FedProx's proximal pull
     toward the starting parameters w0; mu = 0 is plain SGD, bit for bit.
@@ -152,34 +187,40 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if not mu >= 0:
         raise ConfigurationError(f"mu must be >= 0, got {mu}")
-    x = np.asarray(data.features, dtype=np.float64)
+    dims = model.layer_dims
     y = np.asarray(data.labels, dtype=np.int64)
-    n = x.shape[0]
+    n = y.shape[0]
     if n == 0:
         raise ConfigurationError("cannot train on an empty dataset")
-    if x.shape[1] != model.layer_dims[0]:
-        raise ConfigurationError(
-            f"feature dim {x.shape[1]} does not match input dim {model.layer_dims[0]}"
-        )
     params = model.params.copy()
+    workspace = _Workspace(dims, params)
     rng = np.random.default_rng(rng_seed)
     epoch_losses = np.zeros(epochs)
     step = 0
     for ep in range(epochs):
         perm = rng.permutation(n)
+        # one client-sized copy at a time: the previous epoch's is released
+        x = None
+        x = data.rows(perm)
+        if x.shape[1] != dims[0]:
+            raise ConfigurationError(
+                f"feature dim {x.shape[1]} does not match input dim {dims[0]}")
+        y_ep = y[perm]
         total = 0.0
         for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            loss, grad = loss_and_gradient(model.layer_dims, params, x[idx], y[idx])
-            if not np.isfinite(loss):
+            stop = min(start + batch_size, n)
+            loss, grad = loss_and_gradient(dims, params, x[start:stop],
+                                           y_ep[start:stop], workspace)
+            if not math.isfinite(loss):
                 raise TrainingDiverged(step, loss)
             if mu:
                 grad += mu * (params - model.params)
-            params -= lr * grad
-            total += loss * idx.shape[0]
+            grad *= lr
+            params -= grad
+            total += loss * (stop - start)
             step += 1
         epoch_losses[ep] = total / n
-    return Model(model.layer_dims, params), epoch_losses
+    return Model(dims, params), epoch_losses
 
 
 def evaluate(model: Model, data) -> tuple[float, float]:
@@ -195,9 +236,9 @@ def evaluate(model: Model, data) -> tuple[float, float]:
         xs = x[start:start + _EVAL_CHUNK]
         ys = y[start:start + _EVAL_CHUNK]
         logits = _forward_raw(model.layer_dims, model.params, xs)[-1]
+        correct += int((logits.argmax(axis=1) == ys).sum())
         log_p = _log_softmax(logits)
         loss_sum += float(-log_p[np.arange(ys.shape[0]), ys].sum())
-        correct += int((logits.argmax(axis=1) == ys).sum())
     return loss_sum / n, correct / n
 
 

@@ -333,6 +333,14 @@ class AsyncSimulation:
     def run(self, rounds: int) -> list[RoundLedger]:
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
+        horizon = (self.t + rounds) * self.timing.delta_t
+        first = min((c.busy_until for c in self.clients), default=math.inf)
+        if first > horizon:
+            logger.warning(
+                "no client finishes a training cycle within the horizon of %g "
+                "simulated seconds (%d rounds of delta_t %g); the first finishes "
+                "at %g, so the run trains nothing", horizon, rounds,
+                self.timing.delta_t, first)
         for _ in range(rounds):
             self.run_round()
         return self.ledgers

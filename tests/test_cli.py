@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from contractfl import cli
+from contractfl import cli, experiment, nn
 from contractfl.contracts import AccuracyCurveParams, accuracy_curve
+from contractfl.errors import InfeasibleEffort, TrainingDiverged
 
 TINY = [
     "--set", "rounds=3",
@@ -144,6 +145,38 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
                    "--set", override])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,override,field", [
+    ("contract", "market.levels=0", "market.levels"),
+    ("contract", "market.levels=-3", "market.levels"),
+    ("simulate", "training.lr=-0.1", "training.lr"),
+    ("simulate", "training.lr=0", "training.lr"),
+    ("simulate", "training.lr=NaN", "training.lr"),
+    ("baseline", "training.lr=Infinity", "training.lr"),
+])
+def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, field):
+    args = [command, "fedavg"] if command == "baseline" else [command]
+    rc = cli.main([*args, *TINY, "--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("owner,attr,exc", [
+    (nn, "train_epochs_tracked", TrainingDiverged(17, float("nan"))),
+    (experiment, "solve_contract", InfeasibleEffort("effort past the deadline")),
+])
+def test_training_and_effort_failures_exit_two(capsys, monkeypatch, owner, attr, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(owner, attr, fail)
+    rc = cli.main(["simulate", *TINY])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {exc}\n"
 
 
 def test_seed_flag_changes_partition(capsys, tmp_path):

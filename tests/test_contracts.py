@@ -317,6 +317,8 @@ def test_market_validation():
         MarketModel.uniform(xi=-1.0)
     with pytest.raises(ConfigurationError):
         MarketModel.uniform(c=-1.0)
+    with pytest.raises(ConfigurationError):
+        MarketModel.uniform(0)
 
 
 def test_market_unit_effort_cost():

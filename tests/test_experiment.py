@@ -1,6 +1,7 @@
 import copy
 import filecmp
 import json
+import logging
 import os
 
 import numpy as np
@@ -76,6 +77,19 @@ def test_prepare_quality_assessed_before_flip():
         same = np.array_equal(clean.client_data[cid].labels,
                               attacked.client_data[cid].labels)
         assert same != (cid in flipped)
+
+
+def test_prepare_folds_quality_clamps_into_one_warning(caplog):
+    # the desk preset floors three clients' quality scores to 0.01
+    with caplog.at_level(logging.WARNING):
+        prep = experiment.prepare(config.preset_desk(), solve_menu=False)
+    floored = [p.client_id for p in prep.profiles if p.theta == 0.01]
+    assert floored
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    msg = warnings[0].message
+    assert f"quality clamped for {len(floored)} of 20 clients" in msg
+    assert f"(clients {' '.join(map(str, floored))})" in msg
 
 
 def test_prepare_contract_fields_populated():

@@ -6,6 +6,7 @@ import pytest
 
 from common import blob_data, make_dataset
 from contractfl import nn
+from contractfl.datasets import ClientDataset
 from contractfl.errors import (ConfigurationError, ContractViolation,
                                DataFormatError, TrainingDiverged)
 
@@ -178,6 +179,91 @@ def test_train_epochs_tracked_matches_manual_replay():
     assert np.array_equal(got_model.params, params)
     assert np.allclose(got_losses, want_losses, rtol=0, atol=0)
     assert len(got_losses) == epochs
+
+
+def _oracle_loss_and_gradient(dims, params, x, y):
+    # straightforward forward/backward pass: fresh arrays everywhere
+    d0, d1, d2, d3 = dims
+    ends = np.cumsum([d0 * d1, d1, d1 * d2, d2, d2 * d3, d3])
+    w1, b1, w2, b2, w3, b3 = np.split(params, ends[:-1])
+    w1, w2, w3 = w1.reshape(d0, d1), w2.reshape(d1, d2), w3.reshape(d2, d3)
+    n = x.shape[0]
+    z1 = x @ w1 + b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ w2 + b2
+    a2 = np.maximum(z2, 0.0)
+    logits = a2 @ w3 + b3
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-log_p[np.arange(n), y].mean())
+    d_logits = np.exp(log_p)
+    d_logits[np.arange(n), y] -= 1.0
+    d_logits /= n
+    d_z2 = (d_logits @ w3.T) * (z2 > 0.0)
+    d_z1 = (d_z2 @ w2.T) * (z1 > 0.0)
+    grad = np.concatenate([
+        (x.T @ d_z1).ravel(), d_z1.sum(axis=0),
+        (a1.T @ d_z2).ravel(), d_z2.sum(axis=0),
+        (a2.T @ d_logits).ravel(), d_logits.sum(axis=0)])
+    return loss, grad
+
+
+def _oracle_train(model, x, y, epochs, lr, batch_size, seed, mu):
+    # per-step row gather, fresh gradient, params -= lr * grad
+    params = model.params.copy()
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    losses = []
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            idx = perm[start:start + batch_size]
+            loss, grad = _oracle_loss_and_gradient(model.layer_dims, params,
+                                                   x[idx], y[idx])
+            if mu:
+                grad += mu * (params - model.params)
+            params -= lr * grad
+            total += loss * idx.shape[0]
+        losses.append(total / n)
+    return params, np.array(losses)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+@pytest.mark.parametrize("dims,batch_size,n,epochs,lr", [
+    ((64, 64, 32, 10), 10, 57, 3, 0.15),   # desk shape
+    ((784, 64, 32, 10), 20, 53, 2, 0.01),  # MNIST-wide input
+])
+def test_kernel_matches_independent_oracle_bitwise(dims, batch_size, n, epochs, lr, mu):
+    # a client holding a scattered subset of a larger pool, and a final
+    # partial batch in every epoch
+    assert n % batch_size
+    rng = np.random.default_rng(dims[0] + n)
+    pool = make_dataset(rng.uniform(0.0, 1.0, size=(3 * n, dims[0])),
+                        rng.integers(0, dims[-1], size=3 * n), dims[-1])
+    indices = np.sort(rng.choice(3 * n, size=n, replace=False))
+    client = ClientDataset(0, pool, indices, pool.labels[indices])
+    m = nn.init_model(dims, seed=5)
+    got_model, got_losses = nn.train_epochs_tracked(m, client, epochs, lr,
+                                                    batch_size, 31, mu=mu)
+    want_params, want_losses = _oracle_train(m, client.features, client.labels,
+                                             epochs, lr, batch_size, 31, mu)
+    assert got_model.params.tobytes() == want_params.tobytes()
+    assert got_losses.tobytes() == want_losses.tobytes()
+
+
+def test_loss_and_gradient_returns_fresh_gradients():
+    rng = np.random.default_rng(2)
+    m = nn.init_model(DIMS, seed=1)
+    x = rng.uniform(0.0, 1.0, size=(6, DIMS[0]))
+    y = rng.integers(0, DIMS[-1], size=6)
+    loss1, g1 = nn.loss_and_gradient(m.layer_dims, m.params, x, y)
+    loss2, g2 = nn.loss_and_gradient(m.layer_dims, m.params, x, y)
+    assert not np.shares_memory(g1, g2)
+    assert not np.shares_memory(g1, m.params)
+    assert loss1 == loss2 and g1.tobytes() == g2.tobytes()
+    want_loss, want_grad = _oracle_loss_and_gradient(m.layer_dims, m.params, x, y)
+    assert loss1 == want_loss and g1.tobytes() == want_grad.tobytes()
 
 
 def test_training_divergence_raises():

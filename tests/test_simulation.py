@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -222,6 +223,16 @@ def test_slow_clients_make_noop_rounds():
     assert np.array_equal(sim.model.params, before)  # bitwise unchanged
     assert len({lg.val_loss for lg in ledgers}) == 1  # carried forward
     assert ledgers[0].test_loss == ledgers[2].test_loss
+
+
+def test_run_warns_when_no_cycle_ends_inside_the_horizon(caplog):
+    with caplog.at_level(logging.WARNING, logger="contractfl.simulation"):
+        make_sim([state(0, easy_client(0), delay=30.0, tau=2)]).run(3)  # busy at 60
+    assert ["no client finishes" in r.message for r in caplog.records] == [True]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="contractfl.simulation"):
+        make_sim([state(0, easy_client(0), delay=1.4, tau=2)]).run(3)  # busy at 2.8
+    assert not any("no client finishes" in r.message for r in caplog.records)
 
 
 def test_stale_upload_scored_against_its_base_round():
