@@ -115,6 +115,9 @@ class TrainingConfig:
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError(
                 f"training.lr must be a positive finite number, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigurationError(
+                f"training.batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,10 @@ class GateConfig:
 class AttackConfig:
     count: int = 0
     flip_fraction: float = 0.5
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ConfigurationError(f"attack.count must be >= 0, got {self.count}")
 
 
 @dataclass(frozen=True)

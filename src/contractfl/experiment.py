@@ -132,6 +132,8 @@ def select_attackers(profiles: list[ClientProfile], count: int) -> set[int]:
     level per pass (largest d_k first within a level), so attackers land in
     every stratum instead of clustering at the bottom. Deterministic.
     """
+    if count < 0:
+        raise ConfigurationError(f"attacker count must be >= 0, got {count}")
     if count == 0:
         return set()
     if count > len(profiles):

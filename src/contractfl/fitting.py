@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConfigurationError
 
@@ -65,6 +64,10 @@ def fit_curve(samples: np.ndarray, model_id: str, init: np.ndarray | None = None
     parameters over all starts along with the residual RMSE; `converged`
     reports whether the winning simplex run terminated normally.
     """
+    # imported here, not at module load: scipy.optimize costs about 0.5 s and
+    # 40 MB in every process, and only this function uses it
+    from scipy import optimize
+
     if model_id not in PARAM_NAMES:
         raise ConfigurationError(
             f"unknown curve model {model_id!r}; choose from {sorted(PARAM_NAMES)}")

@@ -9,6 +9,7 @@ b2, W3 (h2 x out), b3.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -266,7 +267,15 @@ def aggregate(base: Model, deltas: list[np.ndarray], weights: list[float]) -> Mo
             raise ContractViolation(
                 f"delta length {a.size} does not match model size {base.params.size}")
         arrs.append(a)
-    order = sorted(range(len(arrs)), key=lambda i: (w[i], arrs[i].tobytes()))
+    # the same order as sorting by (weight, delta bytes), but the bytes of a
+    # delta are built only when another delta has the same weight
+    order = []
+    for _, run in itertools.groupby(sorted(range(len(arrs)), key=w.__getitem__),
+                                    key=w.__getitem__):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda i: arrs[i].tobytes())
+        order += run
     out = base.params.copy()
     for i in order:
         out += w[i] * arrs[i]

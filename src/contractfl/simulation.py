@@ -341,8 +341,17 @@ class AsyncSimulation:
                 "simulated seconds (%d rounds of delta_t %g); the first finishes "
                 "at %g, so the run trains nothing", horizon, rounds,
                 self.timing.delta_t, first)
+        first_round = len(self.ledgers)
         for _ in range(rounds):
             self.run_round()
+        uploads = [r for lg in self.ledgers[first_round:] for r in lg.uploads]
+        # m <= 0 scores q <= 0, which access control never admits
+        if uploads and all(r.m <= 0 for r in uploads):
+            logger.warning(
+                "no upload was admitted in %d rounds: local training never lowered "
+                "the loss below the global model's validation loss (%d uploads, "
+                "best loss reduction m = %g); a training.lr that is too large is "
+                "the usual cause", rounds, len(uploads), max(r.m for r in uploads))
         return self.ledgers
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -154,6 +158,9 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
     ("simulate", "training.lr=0", "training.lr"),
     ("simulate", "training.lr=NaN", "training.lr"),
     ("baseline", "training.lr=Infinity", "training.lr"),
+    ("simulate", "attack.count=-1", "attack.count"),
+    ("partition-stats", "attack.count=-1", "attack.count"),
+    ("simulate", "training.batch_size=0", "training.batch_size"),
 ])
 def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, field):
     args = [command, "fedavg"] if command == "baseline" else [command]
@@ -186,3 +193,25 @@ def test_seed_flag_changes_partition(capsys, tmp_path):
     assert cli.main(["partition-stats", *TINY, "--seed", "2",
                      "--out", str(out2)]) == 0
     assert (out1 / "partition.csv").read_text() != (out2 / "partition.csv").read_text()
+
+
+def test_runs_other_than_fit_load_no_scipy(tmp_path):
+    # a fresh interpreter, because this one has imported scipy for other tests
+    script = textwrap.dedent(f"""
+        import sys
+        from contractfl import cli, config, experiment
+        experiment.prepare(config.resolve_config("desk", None))
+        assert cli.main(["contract", "--preset", "desk"]) == 0
+        assert cli.main(["simulate", "--preset", "desk", "--rounds", "1",
+                         "--out", {str(tmp_path / "async")!r}]) == 0
+        assert cli.main(["baseline", "fedavg", "--preset", "desk", "--rounds", "1",
+                         "--local-epochs", "1", "--out", {str(tmp_path / "sync")!r}]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

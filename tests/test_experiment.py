@@ -57,6 +57,8 @@ def test_select_attackers_ties_break_by_client_id():
 def test_select_attackers_count_exceeds_population():
     with pytest.raises(ConfigurationError):
         experiment.select_attackers([profile(0, 10, 1)], 2)
+    with pytest.raises(ConfigurationError, match="attacker count"):
+        experiment.select_attackers([profile(0, 10, 1)], -1)
 
 
 def test_prepare_quality_assessed_before_flip():

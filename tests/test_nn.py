@@ -340,6 +340,34 @@ def test_aggregate_equal_weights_and_duplicate_deltas():
     assert np.allclose(out.params, base.params + d, rtol=0, atol=1e-12)
 
 
+def test_aggregate_tied_weights_follow_weight_then_bytes_order():
+    base = nn.init_model(DIMS, seed=5)
+    rng = np.random.default_rng(8)
+    # magnitudes spread over many decades, so the accumulation order shows in
+    # the rounded sum; three runs of tied weights
+    deltas = [rng.normal(size=base.num_params) * 10.0 ** rng.uniform(-6, 6, base.num_params)
+              for _ in range(7)]
+    w = [0.1, 0.2, 0.1, 0.2, 0.1, 0.15, 0.15]
+
+    def accumulate(order):
+        out = base.params.copy()
+        for i in order:
+            out += w[i] * deltas[i]
+        return out
+
+    old_key = sorted(range(7), key=lambda i: (w[i], deltas[i].tobytes()))
+    ref = accumulate(old_key)
+    # the byte tie-break decides: weight order alone, ties in list order,
+    # gives different bits
+    by_weight = sorted(range(7), key=w.__getitem__)
+    assert by_weight != old_key
+    assert not np.array_equal(accumulate(by_weight), ref)
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(7)
+        out = nn.aggregate(base, [deltas[i] for i in perm], [w[i] for i in perm])
+        assert np.array_equal(out.params, ref)
+
+
 def test_aggregate_validation():
     base = nn.init_model(DIMS, seed=0)
     d = np.zeros(base.num_params)

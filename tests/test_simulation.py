@@ -235,6 +235,24 @@ def test_run_warns_when_no_cycle_ends_inside_the_horizon(caplog):
     assert not any("no client finishes" in r.message for r in caplog.records)
 
 
+def test_run_warns_when_no_upload_ever_lowers_the_loss(caplog):
+    def clients():
+        return [state(i, easy_client(i, n=8), delay=0.4 + 0.05 * i) for i in range(3)]
+
+    with caplog.at_level(logging.WARNING, logger="contractfl.simulation"):
+        ledgers = make_sim(clients(), lr=1e3).run(3)
+    assert all(r.m <= 0 for lg in ledgers for r in lg.uploads)
+    warned = [r.message for r in caplog.records if "no upload was admitted" in r.message]
+    assert len(warned) == 1
+    assert "9 uploads" in warned[0] and "training.lr" in warned[0]
+    # an ordinary run, and a run with no uploads at all, do not warn
+    for sim in (make_sim(clients()), make_sim([state(0, easy_client(0), delay=30.0)])):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="contractfl.simulation"):
+            sim.run(3)
+        assert not any("no upload was admitted" in r.message for r in caplog.records)
+
+
 def test_stale_upload_scored_against_its_base_round():
     a = state(0, easy_client(0), delay=0.45, tau=2)
     b = state(1, easy_client(1), delay=0.75, tau=2)
