@@ -16,18 +16,18 @@ from contractfl.contracts import QualityParams, data_quality
 from contractfl.experiment import partition_report
 
 cfg = config.preset_desk()
-profiles = partition_report(cfg)
+clients = partition_report(cfg)
 
 print("client   d_k    skew   theta  level")
-for p in profiles:
+for p in clients:
     print(f"{p.client_id:>6}  {p.d_k:>4}  {p.emd:>6.3f}  {p.theta:>6.3f}  {p.level:>5}")
 
-counts = [p.d_k for p in profiles]
-print(f"\n{len(profiles)} clients, {sum(counts)} samples, "
+counts = [p.d_k for p in clients]
+print(f"\n{len(clients)} clients, {sum(counts)} samples, "
       f"largest shard {max(counts)}, smallest {min(counts)}")
 
 levels = {}
-for p in profiles:
+for p in clients:
     levels[p.level] = levels.get(p.level, 0) + 1
 print("clients per level:", dict(sorted(levels.items())))
 

@@ -28,15 +28,15 @@ from .fitting import FitResult, fit_curve, predict
 from .nn import (Model, aggregate, evaluate, init_model, load_model,
                  loss_and_gradient, save_model, train_epochs_tracked)
 from .seeds import child_seed
-from .simulation import (AccessDecision, AsyncSimulation, ClientState,
-                         RoundLedger, TimingParams, access_control,
-                         access_indicator, round_costs, settle_rewards)
+from .simulation import (AccessDecision, AsyncSimulation, Client, RoundLedger,
+                         TimingParams, access_control, access_indicator,
+                         round_costs, settle_rewards)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccessDecision", "AccuracyCurveParams", "AsyncSimulation",
-    "ClientDataset", "ClientState", "ConfigurationError", "ContractEntry",
+    "Client", "ClientDataset", "ConfigurationError", "ContractEntry",
     "ContractMenu", "ContractReport", "ContractViolation", "Dataset",
     "DataFormatError", "ExperimentConfig", "FitResult", "InfeasibleEffort",
     "MarketModel", "Model", "PRESETS", "PartitionSpec", "QualityParams",

@@ -165,22 +165,22 @@ def _cmd_fit(args) -> int:
 
 def _cmd_partition_stats(args) -> int:
     cfg = _build_config(args)
-    profiles = partition_report(cfg)
+    clients = partition_report(cfg)
     print(f"{'client':>6} {'d_k':>6} {'emd':>8} {'theta':>8} {'level':>5} {'mal':>3}")
-    for p in profiles:
-        print(f"{p.client_id:>6} {p.d_k:>6} {p.emd:>8.4f} {p.theta:>8.4f} "
-              f"{p.level:>5} {int(p.malicious):>3}")
-    counts = [p.d_k for p in profiles]
-    print(f"clients: {len(profiles)}, samples: {sum(counts)}, "
+    for c in clients:
+        print(f"{c.client_id:>6} {c.d_k:>6} {c.emd:>8.4f} {c.theta:>8.4f} "
+              f"{c.level:>5} {int(c.malicious):>3}")
+    counts = [c.d_k for c in clients]
+    print(f"clients: {len(clients)}, samples: {sum(counts)}, "
           f"d_k range: [{min(counts)}, {max(counts)}]")
     by_level: dict[int, int] = {}
-    for p in profiles:
-        by_level[p.level] = by_level.get(p.level, 0) + 1
+    for c in clients:
+        by_level[c.level] = by_level.get(c.level, 0) + 1
     print("level counts: " + ", ".join(f"{lv}:{n}" for lv, n in sorted(by_level.items())))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "partition.csv")
-        write_partition_csv(profiles, path)
+        write_partition_csv(clients, path)
         print(f"wrote {path}")
     return 0
 

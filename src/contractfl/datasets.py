@@ -73,7 +73,9 @@ class ClientDataset:
         if idx.ndim != 1 or idx.size == 0:
             raise ConfigurationError(
                 f"client {self.client_id} needs a non-empty 1-D index array")
-        if np.unique(idx).size != idx.size:
+        # sort and compare neighbours: np.unique would import numpy.ma
+        ordered = np.sort(idx)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ConfigurationError(f"client {self.client_id} has duplicate indices")
         if idx.min() < 0 or idx.max() >= len(self.parent):
             raise ConfigurationError(

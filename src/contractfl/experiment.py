@@ -5,6 +5,11 @@ pipeline is identical whether it is driven from the command line, a demo
 script, or a test. All randomness derives from the config seed through named
 streams; runs with equal configs produce byte-identical artifacts.
 
+`prepare` describes each client once, as a frozen `simulation.Client`: its
+data, quality score and level, per-epoch delay, attacker flag and, when a
+menu is solved, its contract terms. The async simulator and the baselines
+read the same records; nothing changes them after `prepare` returns.
+
 Artifacts written into the output directory:
     config-echo.json   fully resolved configuration that produced the run
     contracts.json     solved menu, per-level diagnostics, verification report
@@ -20,24 +25,22 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import baselines, nn
 from .config import ExperimentConfig
-from .contracts import (AccuracyCurveParams, ContractMenu, MarketModel,
-                        QualityParams, data_quality, local_epochs,
+from .contracts import (ContractMenu, MarketModel, data_quality, local_epochs,
                         quality_level, solve_contract, verify_contract)
-from .datasets import (ClientDataset, Dataset, PartitionSpec, emd, flip_labels,
-                       load_idx_pair, partition, split_holdout, synthetic_pair,
+from .datasets import (Dataset, PartitionSpec, emd, flip_labels, load_idx_pair,
+                       partition, split_holdout, synthetic_pair,
                        uniform_benchmark)
 from .errors import ConfigurationError
 from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
                     STREAM_INIT, STREAM_PARTITION, child_seed)
-from .simulation import (AsyncSimulation, ClientState, TimingParams,
-                         settle_rewards, write_ledger_csv,
-                         write_round_summary_csv)
+from .simulation import (AsyncSimulation, Client, TimingParams, settle_rewards,
+                         write_ledger_csv, write_round_summary_csv)
 
 logger = logging.getLogger(__name__)
 
@@ -52,35 +55,16 @@ _MNIST_FILES = {
 
 
 @dataclass(frozen=True)
-class ClientProfile:
-    """Static per-client descriptors fixed before any training happens."""
-
-    client_id: int
-    d_k: int
-    emd: float
-    theta: float
-    level: int
-    malicious: bool
-    effort: float | None = None
-    reward: float | None = None
-    tau: int | None = None
-    tau_clamped: bool | None = None
-
-
-@dataclass(frozen=True)
 class Prepared:
     """Everything a run needs, assembled deterministically from one config."""
 
     cfg: ExperimentConfig
     market: MarketModel
-    quality: QualityParams
-    curve: AccuracyCurveParams
     timing: TimingParams
     pool: Dataset
     val: Dataset
     test: Dataset
-    client_data: list[ClientDataset]
-    profiles: list[ClientProfile]
+    clients: list[Client]
     menu: ContractMenu | None
 
 
@@ -125,7 +109,7 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return _truncate(train, dc.subset), _truncate(test, dc.test_subset)
 
 
-def select_attackers(profiles: list[ClientProfile], count: int) -> set[int]:
+def select_attackers(clients: list[Client], count: int) -> set[int]:
     """Pick `count` clients to corrupt, spread across quality levels.
 
     Selection walks the levels from highest to lowest, taking one client per
@@ -136,15 +120,15 @@ def select_attackers(profiles: list[ClientProfile], count: int) -> set[int]:
         raise ConfigurationError(f"attacker count must be >= 0, got {count}")
     if count == 0:
         return set()
-    if count > len(profiles):
+    if count > len(clients):
         raise ConfigurationError(
-            f"cannot mark {count} attackers among {len(profiles)} clients")
+            f"cannot mark {count} attackers among {len(clients)} clients")
     queues: dict[int, list[int]] = {}
-    for p in sorted(profiles, key=lambda p: (-p.level, -p.d_k, p.client_id)):
-        queues.setdefault(p.level, []).append(p.client_id)
+    for c in sorted(clients, key=lambda c: (-c.level, -c.d_k, c.client_id)):
+        queues.setdefault(c.level, []).append(c.client_id)
     order: list[int] = []
     levels = sorted(queues, reverse=True)
-    while len(order) < len(profiles):
+    while len(order) < len(clients):
         for lv in levels:
             if queues[lv]:
                 order.append(queues[lv].pop(0))
@@ -152,7 +136,8 @@ def select_attackers(profiles: list[ClientProfile], count: int) -> set[int]:
 
 
 def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
-    """Build data, partition, quality levels, attackers, and (optionally) the menu."""
+    """Build data, partition, quality levels, delays, attackers, and
+    (optionally) the menu, as one `Client` record per client."""
     market = cfg.market.to_market()
     qp = cfg.quality.to_params()
     acp = cfg.curve.to_params()
@@ -167,20 +152,20 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
         dirichlet_alpha=cfg.partition.dirichlet_alpha,
         max_classes_per_client=cfg.partition.max_classes_per_client,
         seed=child_seed(cfg.seed, STREAM_PARTITION))
-    clients = partition(pool, spec)
 
     benchmark = uniform_benchmark(pool.num_classes)
-    base: list[ClientProfile] = []
+    clients: list[Client] = []
     clamped: dict[str, list[int]] = {}
-    for cd in clients:
+    for cd in partition(pool, spec):
         skew = emd(cd.label_hist, benchmark)
         kinds: list[str] = []
         theta = data_quality(cd.d_k, skew, qp, kinds)
         level = quality_level(theta, market, kinds)
         for kind in kinds:
             clamped.setdefault(kind, []).append(cd.client_id)
-        base.append(ClientProfile(cd.client_id, cd.d_k, skew, theta, level,
-                                  malicious=False))
+        rng = np.random.default_rng(child_seed(cfg.seed, STREAM_DELAY, cd.client_id))
+        delay = float(rng.uniform(timing.delay_lo, timing.delay_hi))
+        clients.append(Client(cd.client_id, cd, skew, theta, level, delay))
     if clamped:
         logger.warning("quality clamped for %d of %d clients: %s",
                        len({cid for ids in clamped.values() for cid in ids}),
@@ -188,49 +173,26 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
                            f"{kind}: {len(ids)} (clients {' '.join(map(str, ids))})"
                            for kind, ids in clamped.items()))
 
-    attackers = select_attackers(base, cfg.attack.count)
-    # quality and level are assessed on the data as declared, before any
-    # corruption: a label flipper looks exactly like an honest client upstream
-    client_data = [
-        flip_labels(cd, cfg.attack.flip_fraction,
-                    seed=child_seed(cfg.seed, STREAM_FLIP, cd.client_id))
-        if cd.client_id in attackers else cd
-        for cd in clients
-    ]
-
+    attackers = select_attackers(clients, cfg.attack.count)
     menu = solve_contract(market, acp) if solve_menu else None
-    profiles = []
-    for p in base:
+
+    def complete(c: Client) -> Client:
+        terms = {}
         if menu is not None:
-            entry = menu.entry(p.level)
-            tau = local_epochs(entry.effort, p.d_k)
-            profiles.append(ClientProfile(
-                p.client_id, p.d_k, p.emd, p.theta, p.level,
-                malicious=p.client_id in attackers,
-                effort=entry.effort, reward=entry.reward, tau=tau,
-                tau_clamped=entry.effort < p.d_k))
-        else:
-            profiles.append(ClientProfile(
-                p.client_id, p.d_k, p.emd, p.theta, p.level,
-                malicious=p.client_id in attackers))
+            entry = menu.entry(c.level)
+            terms.update(effort=entry.effort, reward=entry.reward,
+                         tau=local_epochs(entry.effort, c.d_k),
+                         tau_clamped=entry.effort < c.d_k)
+        # quality and level were assessed on the data as declared, before any
+        # corruption: a label flipper looks exactly like an honest client upstream
+        if c.client_id in attackers:
+            terms.update(malicious=True, data=flip_labels(
+                c.data, cfg.attack.flip_fraction,
+                seed=child_seed(cfg.seed, STREAM_FLIP, c.client_id)))
+        return replace(c, **terms)
 
-    return Prepared(cfg, market, qp, acp, timing, pool, val, test,
-                    client_data, profiles, menu)
-
-
-def make_client_states(prep: Prepared) -> list[ClientState]:
-    if prep.menu is None:
-        raise ConfigurationError("client states need a solved contract menu")
-    states = []
-    for cd, p in zip(prep.client_data, prep.profiles):
-        rng = np.random.default_rng(
-            child_seed(prep.cfg.seed, STREAM_DELAY, p.client_id))
-        delay = float(rng.uniform(prep.timing.delay_lo, prep.timing.delay_hi))
-        states.append(ClientState(
-            client_id=p.client_id, level=p.level, theta=p.theta, data=cd,
-            tau=p.tau, tau_clamped=p.tau_clamped, effort=p.effort,
-            reward_rate=p.reward, per_epoch_delay=delay, malicious=p.malicious))
-    return states
+    return Prepared(cfg, market, timing, pool, val, test,
+                    [complete(c) for c in clients], menu)
 
 
 def _init_model(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> nn.Model:
@@ -248,21 +210,21 @@ def write_config_echo(cfg: ExperimentConfig, out_dir) -> None:
     _dump_json(cfg.to_dict(), os.path.join(out_dir, "config-echo.json"))
 
 
-def write_partition_csv(profiles: list[ClientProfile], path) -> None:
-    full = profiles and profiles[0].effort is not None
+def write_partition_csv(clients: list[Client], path) -> None:
+    full = clients and clients[0].effort is not None
     with open(path, "w") as fh:
         if full:
             fh.write("client_id,d_k,emd,theta,level,tau,tau_clamped,"
                      "effort,reward,malicious\n")
-            for p in profiles:
-                fh.write(f"{p.client_id},{p.d_k},{p.emd!r},{p.theta!r},{p.level},"
-                         f"{p.tau},{int(p.tau_clamped)},{p.effort!r},{p.reward!r},"
-                         f"{int(p.malicious)}\n")
+            for c in clients:
+                fh.write(f"{c.client_id},{c.d_k},{c.emd!r},{c.theta!r},{c.level},"
+                         f"{c.tau},{int(c.tau_clamped)},{c.effort!r},{c.reward!r},"
+                         f"{int(c.malicious)}\n")
         else:
             fh.write("client_id,d_k,emd,theta,level,malicious\n")
-            for p in profiles:
-                fh.write(f"{p.client_id},{p.d_k},{p.emd!r},{p.theta!r},{p.level},"
-                         f"{int(p.malicious)}\n")
+            for c in clients:
+                fh.write(f"{c.client_id},{c.d_k},{c.emd!r},{c.theta!r},{c.level},"
+                         f"{int(c.malicious)}\n")
 
 
 def _report_dict(menu: ContractMenu, market: MarketModel) -> dict:
@@ -288,10 +250,9 @@ def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     (round, test_loss, test_accuracy, admitted_count) rows.
     """
     prep = prepare(cfg, solve_menu=True)
-    states = make_client_states(prep)
     model = _init_model(cfg, prep.pool.features.shape[1], prep.pool.num_classes)
     sim = AsyncSimulation(
-        model, states, prep.market, prep.timing, a=cfg.gate.a,
+        model, prep.clients, prep.market, prep.timing, a=cfg.gate.a,
         epsilon=cfg.gate.epsilon, phi=cfg.gate.phi, val_data=prep.val,
         test_data=prep.test, master_seed=cfg.seed, lr=cfg.training.lr,
         batch_size=cfg.training.batch_size)
@@ -306,7 +267,7 @@ def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         write_config_echo(cfg, out_dir)
         write_contracts_json(prep.menu, prep.market,
                              os.path.join(out_dir, "contracts.json"))
-        write_partition_csv(prep.profiles, os.path.join(out_dir, "partition.csv"))
+        write_partition_csv(prep.clients, os.path.join(out_dir, "partition.csv"))
         write_round_summary_csv(ledgers, os.path.join(out_dir, "rounds.csv"))
         write_ledger_csv(ledgers, os.path.join(out_dir, "ledger.csv"))
         settlement = {k: v for k, v in result.items() if k != "history"}
@@ -337,7 +298,7 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
     else:
         mu = cfg.baseline.prox_mu if algorithm == "fedprox" else 0.0
         final, history = baselines.run_sync(
-            model, prep.client_data, cfg.rounds, epochs, cfg.training.lr,
+            model, [c.data for c in prep.clients], cfg.rounds, epochs, cfg.training.lr,
             cfg.training.batch_size, cfg.seed, prep.test, mu=mu)
     last = history[-1]
     result = {
@@ -350,7 +311,7 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_config_echo(cfg, out_dir)
-        write_partition_csv(prep.profiles, os.path.join(out_dir, "partition.csv"))
+        write_partition_csv(prep.clients, os.path.join(out_dir, "partition.csv"))
         with open(os.path.join(out_dir, "rounds.csv"), "w") as fh:
             fh.write("round,test_loss,test_accuracy,participants\n")
             for r, loss, acc, n in history:
@@ -361,9 +322,9 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
     return result
 
 
-def partition_report(cfg: ExperimentConfig, out_path=None) -> list[ClientProfile]:
+def partition_report(cfg: ExperimentConfig, out_path=None) -> list[Client]:
     """Describe the partition a config would produce, without training."""
     prep = prepare(cfg, solve_menu=False)
     if out_path is not None:
-        write_partition_csv(prep.profiles, out_path)
-    return prep.profiles
+        write_partition_csv(prep.clients, out_path)
+    return prep.clients

@@ -246,7 +246,7 @@ def evaluate(model: Model, data) -> tuple[float, float]:
 def aggregate(base: Model, deltas: list[np.ndarray], weights: list[float]) -> Model:
     """Apply a convex combination of parameter deltas to a base model.
 
-    Weights must be nonnegative and sum to 1 within 1e-9. Accumulation order
+    Weights must be finite, nonnegative and sum to 1 within 1e-9. Accumulation order
     is canonicalized (sorted by weight, then by delta bytes) so the result
     does not depend on how the caller ordered the list.
     """
@@ -256,6 +256,8 @@ def aggregate(base: Model, deltas: list[np.ndarray], weights: list[float]) -> Mo
     w = np.asarray(weights, dtype=np.float64)
     if w.size == 0:
         raise ContractViolation("aggregate needs at least one delta")
+    if not np.isfinite(w).all():
+        raise ContractViolation(f"non-finite aggregation weight in {weights}")
     if (w < 0).any():
         raise ContractViolation(f"negative aggregation weight in {weights}")
     if abs(w.sum() - 1.0) > 1e-9:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .contracts import ContractMenu, MarketModel
+from .contracts import ContractMenu, MarketModel, client_utility
 from .datasets import ClientDataset, Dataset
 from .errors import ConfigurationError
 from .seeds import STREAM_TRAIN, child_seed
@@ -54,29 +54,41 @@ class TimingParams:
             raise ConfigurationError(f"delta_t must be positive, got {self.delta_t}")
 
 
-@dataclass
-class ClientState:
-    """Mutable per-client bookkeeping carried across rounds."""
+@dataclass(frozen=True)
+class Client:
+    """One client as a run sees it, fixed before any training happens.
+
+    The contract terms (effort, reward, tau, tau_clamped) are None when no
+    menu was solved. Quality and level describe the data as declared; for an
+    attacker, `data` holds the corrupted labels it actually trains on.
+    """
 
     client_id: int
-    level: int
-    theta: float
     data: ClientDataset
-    tau: int
-    tau_clamped: bool
-    effort: float
-    reward_rate: float
+    emd: float
+    theta: float
+    level: int
     per_epoch_delay: float
     malicious: bool = False
-    received_round: int = 0
-    busy_until: float = 0.0
-    pending_delta: np.ndarray | None = None
-    pending_loss: float = math.nan
-    cumulative_energy: float = 0.0
-    rewards_earned: float = 0.0
-    rewards_withheld: float = 0.0
-    admitted_count: int = 0
-    rejected_count: int = 0
+    effort: float | None = None
+    reward: float | None = None
+    tau: int | None = None
+    tau_clamped: bool | None = None
+
+    @property
+    def d_k(self) -> int:
+        return self.data.d_k
+
+
+@dataclass(frozen=True)
+class _Cycle:
+    """A training cycle in flight: trained from the global model of
+    `base_round`, it uploads `delta` and its final-epoch loss at `finish`."""
+
+    base_round: int
+    finish: float
+    delta: np.ndarray
+    loss: float
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,7 @@ class RoundLedger:
     test_accuracy: float
 
 
-def round_costs(client: ClientState, market: MarketModel) -> RoundCosts:
+def round_costs(client: Client, market: MarketModel) -> RoundCosts:
     """Price one full training cycle for a client.
 
     Simulated wall time is tau * per_epoch_delay (communication adds no
@@ -139,7 +151,7 @@ def round_costs(client: ClientState, market: MarketModel) -> RoundCosts:
     seconds and tau * xi * c * d * f^2 + E_com energy units, with the
     constants the contract was priced with.
     """
-    d = client.data.d_k
+    d = client.d_k
     sim = client.tau * client.per_epoch_delay
     analytic = client.tau * market.c * d / market.f
     energy = client.tau * market.xi * market.c * d * market.f ** 2 + market.e_com
@@ -220,7 +232,8 @@ class AsyncSimulation:
 
     Args:
         model: initial global model.
-        clients: per-client states (ids must be unique; any order).
+        clients: the population, each with its contract terms (ids must be
+            unique; any order).
         market: cost constants shared with the contract solver.
         timing: simulated-delay distribution and aggregation period.
         a, epsilon, phi: access-control spread gate, staleness decay, and
@@ -232,7 +245,7 @@ class AsyncSimulation:
         lr, batch_size: local SGD settings handed to every client.
     """
 
-    def __init__(self, model: nn.Model, clients: list[ClientState],
+    def __init__(self, model: nn.Model, clients: list[Client],
                  market: MarketModel, timing: TimingParams, a: float,
                  epsilon: float, phi: float, val_data: Dataset,
                  test_data: Dataset, master_seed: int, lr: float,
@@ -254,42 +267,43 @@ class AsyncSimulation:
         self.batch_size = batch_size
         self.t = 0
         self.ledgers: list[RoundLedger] = []
+        self._cycles: dict[int, _Cycle] = {}
         self.val_losses = [nn.evaluate(model, val_data)[0]]
         self._test_loss, self._test_acc = nn.evaluate(model, test_data)
         # every client starts a cycle on the initial model at sim time 0
         for client in self.clients:
             self._start_cycle(client, round_idx=0, start_time=0.0)
 
-    def _start_cycle(self, client: ClientState, round_idx: int, start_time: float):
+    def _start_cycle(self, client: Client, round_idx: int, start_time: float):
         seed = child_seed(self.master_seed, STREAM_TRAIN, client.client_id, round_idx)
         trained, epoch_losses = nn.train_epochs_tracked(
             self.model, client.data, client.tau, self.lr, self.batch_size, seed)
-        client.pending_delta = trained.params - self.model.params
-        client.pending_loss = float(epoch_losses[-1])
-        client.received_round = round_idx
-        client.busy_until = start_time + round_costs(client, self.market).sim_seconds
+        self._cycles[client.client_id] = _Cycle(
+            base_round=round_idx,
+            finish=start_time + round_costs(client, self.market).sim_seconds,
+            delta=trained.params - self.model.params,
+            loss=float(epoch_losses[-1]))
 
     def run_round(self) -> RoundLedger:
         """Process one aggregation window and return its ledger entry."""
         t = self.t
         dt = self.timing.delta_t
         window_lo, window_hi = t * dt, (t + 1) * dt
-        uploaders = [c for c in self.clients if window_lo < c.busy_until <= window_hi]
+        # (client, finish, staleness, m, q); holding no delta lets each one be
+        # freed as soon as its client starts the next cycle
+        uploads = []
+        for c in self.clients:
+            cycle = self._cycles[c.client_id]
+            if window_lo < cycle.finish <= window_hi:
+                staleness = t - cycle.base_round
+                m = loss_reduction(self.val_losses[cycle.base_round], cycle.loss)
+                q = access_indicator(m, c.theta, staleness, self.epsilon)
+                uploads.append((c, cycle.finish, staleness, m, q))
 
-        records = []
-        entries = []
-        for c in uploaders:
-            staleness = t - c.received_round
-            m = loss_reduction(self.val_losses[c.received_round], c.pending_loss)
-            q = access_indicator(m, c.theta, staleness, self.epsilon)
-            records.append(UploadRecord(c.client_id, c.level, staleness, m, q,
-                                        sim_time=c.busy_until))
-            entries.append((c.client_id, c.level, q))
-
-        decision = access_control(entries, self.a, self.phi)
+        decision = access_control([(c.client_id, c.level, q) for c, *_, q in uploads],
+                                  self.a, self.phi)
         if decision.admitted:
-            by_id = {c.client_id: c for c in uploaders}
-            deltas = [by_id[cid].pending_delta for cid in decision.admitted]
+            deltas = [self._cycles[cid].delta for cid in decision.admitted]
             weights = [decision.alphas[cid] for cid in decision.admitted]
             self.model = nn.aggregate(self.model, deltas, weights)
             val_loss = nn.evaluate(self.model, self.val_data)[0]
@@ -298,27 +312,20 @@ class AsyncSimulation:
             val_loss = self.val_losses[-1]
         self.val_losses.append(val_loss)
 
-        admitted_set = set(decision.admitted)
-        records = [
-            UploadRecord(r.client_id, r.level, r.staleness, r.m, r.q, r.sim_time,
-                         admitted=r.client_id in admitted_set,
-                         alpha=decision.alphas.get(r.client_id, 0.0))
-            for r in records
-        ]
-        for c in uploaders:
-            c.cumulative_energy += round_costs(c, self.market).energy
-            if c.client_id in admitted_set:
-                c.rewards_earned += c.reward_rate
-                c.admitted_count += 1
-            else:
-                c.rewards_withheld += c.reward_rate
-                c.rejected_count += 1
+        admitted = set(decision.admitted)
+        records = tuple(
+            UploadRecord(c.client_id, c.level, staleness, m, q, sim_time=finish,
+                         admitted=c.client_id in admitted,
+                         alpha=decision.alphas.get(c.client_id, 0.0))
+            for c, finish, staleness, m, q in uploads)
+        # every uploader, kept or filtered, starts over from the fresh model
+        for c, *_ in uploads:
             self._start_cycle(c, round_idx=t + 1, start_time=window_hi)
 
         ledger = RoundLedger(
             round=t,
             time_end=window_hi,
-            uploads=tuple(records),
+            uploads=records,
             level_stats=decision.level_stats,
             admitted_count=len(decision.admitted),
             no_op=not decision.admitted,
@@ -334,7 +341,7 @@ class AsyncSimulation:
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
         horizon = (self.t + rounds) * self.timing.delta_t
-        first = min((c.busy_until for c in self.clients), default=math.inf)
+        first = min((c.finish for c in self._cycles.values()), default=math.inf)
         if first > horizon:
             logger.warning(
                 "no client finishes a training cycle within the horizon of %g "
@@ -355,36 +362,50 @@ class AsyncSimulation:
         return self.ledgers
 
 
-def settle_rewards(ledgers: list[RoundLedger], clients: list[ClientState],
+def settle_rewards(ledgers: list[RoundLedger], clients: list[Client],
                    menu: ContractMenu, market: MarketModel) -> dict:
-    """Summarize who earned what across a finished run.
+    """Summarize who earned what across a finished run, from its ledgers.
 
     Per client: paid and withheld reward totals, energy spent on completed
-    cycles, and the realized utility rewards_earned - energy. The publisher
-    block totals payments per level. Only completed (uploaded) cycles are
-    priced; a cycle still in flight when the horizon ends costs nothing.
+    cycles, and the realized utility rewards_earned - energy. Each upload
+    pays the client's contract reward if it was admitted and withholds it
+    otherwise; sums run in round order. The publisher block totals payments
+    per level. Only completed (uploaded) cycles are priced; a cycle still in
+    flight when the horizon ends costs nothing.
     """
-    from .contracts import client_utility  # local import to avoid cycle at module load
+    verdicts: dict[int, list[bool]] = {c.client_id: [] for c in clients}
+    for lg in ledgers:
+        for r in lg.uploads:
+            verdicts[r.client_id].append(r.admitted)
 
     per_client = []
     for c in sorted(clients, key=lambda s: s.client_id):
+        mine = verdicts[c.client_id]
+        cost = round_costs(c, market).energy
+        earned = withheld = energy = 0.0
+        for admitted in mine:
+            energy += cost
+            if admitted:
+                earned += c.reward
+            else:
+                withheld += c.reward
         per_client.append({
             "client_id": c.client_id,
             "level": c.level,
             "theta": c.theta,
-            "d_k": c.data.d_k,
+            "d_k": c.d_k,
             "tau": c.tau,
             "tau_clamped": c.tau_clamped,
             "malicious": c.malicious,
-            "uploads": c.admitted_count + c.rejected_count,
-            "admitted": c.admitted_count,
-            "rejected": c.rejected_count,
-            "reward_rate": c.reward_rate,
-            "rewards_earned": c.rewards_earned,
-            "rewards_withheld": c.rewards_withheld,
-            "energy_spent": c.cumulative_energy,
-            "realized_utility": c.rewards_earned - c.cumulative_energy,
-            "contract_utility": client_utility(c.level, menu, market, c.tau, c.data.d_k),
+            "uploads": len(mine),
+            "admitted": sum(mine),
+            "rejected": len(mine) - sum(mine),
+            "reward_rate": c.reward,
+            "rewards_earned": earned,
+            "rewards_withheld": withheld,
+            "energy_spent": energy,
+            "realized_utility": earned - energy,
+            "contract_utility": client_utility(c.level, menu, market, c.tau, c.d_k),
         })
     paid_by_level: dict[int, float] = {}
     for row in per_client:

@@ -196,11 +196,13 @@ def test_seed_flag_changes_partition(capsys, tmp_path):
 
 
 def test_runs_other_than_fit_load_no_scipy(tmp_path):
-    # a fresh interpreter, because this one has imported scipy for other tests
+    # a fresh interpreter, because this one has imported scipy and numpy.ma
+    # for other tests
     script = textwrap.dedent(f"""
         import sys
         from contractfl import cli, config, experiment
         experiment.prepare(config.resolve_config("desk", None))
+        assert "numpy.ma" not in sys.modules, "prepare imported numpy.ma"
         assert cli.main(["contract", "--preset", "desk"]) == 0
         assert cli.main(["simulate", "--preset", "desk", "--rounds", "1",
                          "--out", {str(tmp_path / "async")!r}]) == 0

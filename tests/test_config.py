@@ -1,6 +1,9 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contractfl import config
 from contractfl.errors import ConfigurationError
@@ -9,6 +12,39 @@ from contractfl.errors import ConfigurationError
 def test_default_round_trip():
     cfg = config.ExperimentConfig()
     again = config.ExperimentConfig.from_dict(cfg.to_dict())
+    assert again == cfg
+    assert again.to_dict() == cfg.to_dict()
+
+
+_VALUES = {
+    "int": st.integers(-5, 10**6),
+    "float": st.one_of(st.integers(-5, 100),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+    "str": st.sampled_from(["synthetic", "mnist", "cifar"]),
+    "int | None": st.one_of(st.none(), st.integers(-5, 10**6)),
+    "str | None": st.one_of(st.none(), st.text(max_size=8)),
+}
+
+
+def _override():
+    """One 'path=json' override on any leaf field, valid or not."""
+    cfg = config.ExperimentConfig()
+    leaves = [(name, "int") for name in ("seed", "rounds")] + [
+        (f"{section.name}.{f.name}", f.type)
+        for section in dataclasses.fields(cfg) if section.name not in ("seed", "rounds")
+        for f in dataclasses.fields(getattr(cfg, section.name))]
+    return st.sampled_from(leaves).flatmap(
+        lambda leaf: _VALUES[leaf[1]].map(lambda v: f"{leaf[0]}={json.dumps(v)}"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(config.PRESETS)), st.lists(_override(), max_size=6))
+def test_any_valid_override_survives_a_json_round_trip(preset, overrides):
+    try:
+        cfg = config.apply_overrides(config.PRESETS[preset](), overrides)
+    except ConfigurationError:
+        assume(False)  # an invalid patch is rejected at parse time; not this property
+    again = config.ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
     assert again.to_dict() == cfg.to_dict()
 

@@ -273,5 +273,8 @@ def test_client_dataset_validation():
     ds = make_dataset(np.zeros((5, 1)), [0, 1, 0, 1, 0], 2)
     with pytest.raises(ConfigurationError):
         datasets.ClientDataset(0, ds, np.array([1, 1]), ds.labels[[1, 1]].copy())
+    idx = np.array([3, 0, 4, 3])  # the duplicates are not neighbours
+    with pytest.raises(ConfigurationError, match="duplicate"):
+        datasets.ClientDataset(0, ds, idx, ds.labels[idx].copy())
     with pytest.raises(ConfigurationError):
         datasets.ClientDataset(0, ds, np.array([7]), np.array([0]))

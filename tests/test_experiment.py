@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from common import make_client
 from contractfl import config, experiment
+from contractfl.simulation import Client
 from contractfl.errors import ConfigurationError
 
 
@@ -25,40 +27,41 @@ def tiny_config(**over):
     return config.apply_overrides(cfg, overrides)
 
 
-def profile(cid, d_k, level, malicious=False):
-    return experiment.ClientProfile(client_id=cid, d_k=d_k, emd=0.2,
-                                    theta=0.5, level=level, malicious=malicious)
+def client(cid, d_k, level):
+    data = make_client(cid, np.zeros((d_k, 1)), np.arange(d_k) % 2, 2)
+    return Client(client_id=cid, data=data, emd=0.2, theta=0.5, level=level,
+                  per_epoch_delay=1.0)
 
 
 def test_select_attackers_round_robin_levels():
-    profiles = [
-        profile(0, 500, 3),
-        profile(1, 900, 3),
-        profile(2, 100, 1),
-        profile(3, 400, 2),
-        profile(4, 700, 2),
+    clients = [
+        client(0, 500, 3),
+        client(1, 900, 3),
+        client(2, 100, 1),
+        client(3, 400, 2),
+        client(4, 700, 2),
     ]
     # one pass takes the biggest client from each level, highest level first
-    picked = experiment.select_attackers(profiles, 3)
+    picked = experiment.select_attackers(clients, 3)
     assert picked == {1, 4, 2}
     # a single attacker comes from the top level; two spread over two levels
-    assert experiment.select_attackers(profiles, 1) == {1}
-    assert experiment.select_attackers(profiles, 2) == {1, 4}
+    assert experiment.select_attackers(clients, 1) == {1}
+    assert experiment.select_attackers(clients, 2) == {1, 4}
     # second pass returns to the top level for the next-biggest client
-    assert experiment.select_attackers(profiles, 4) == {1, 4, 2, 0}
-    assert experiment.select_attackers(profiles, 0) == set()
+    assert experiment.select_attackers(clients, 4) == {1, 4, 2, 0}
+    assert experiment.select_attackers(clients, 0) == set()
 
 
 def test_select_attackers_ties_break_by_client_id():
-    profiles = [profile(5, 100, 1), profile(2, 100, 1), profile(9, 100, 1)]
-    assert experiment.select_attackers(profiles, 2) == {2, 5}
+    clients = [client(5, 100, 1), client(2, 100, 1), client(9, 100, 1)]
+    assert experiment.select_attackers(clients, 2) == {2, 5}
 
 
 def test_select_attackers_count_exceeds_population():
     with pytest.raises(ConfigurationError):
-        experiment.select_attackers([profile(0, 10, 1)], 2)
+        experiment.select_attackers([client(0, 10, 1)], 2)
     with pytest.raises(ConfigurationError, match="attacker count"):
-        experiment.select_attackers([profile(0, 10, 1)], -1)
+        experiment.select_attackers([client(0, 10, 1)], -1)
 
 
 def test_prepare_quality_assessed_before_flip():
@@ -66,18 +69,18 @@ def test_prepare_quality_assessed_before_flip():
     attacked = experiment.prepare(tiny_config(**{"attack.count": 2}),
                                   solve_menu=False)
     # same partition, same declared quality, regardless of later corruption
-    for a, b in zip(clean.profiles, attacked.profiles):
+    for a, b in zip(clean.clients, attacked.clients):
         assert a.d_k == b.d_k
         assert a.emd == b.emd
         assert a.theta == b.theta
         assert a.level == b.level
-    flipped = [p.client_id for p in attacked.profiles if p.malicious]
+    flipped = [c.client_id for c in attacked.clients if c.malicious]
     assert len(flipped) == 2
-    assert all(not p.malicious for p in clean.profiles)
+    assert all(not c.malicious for c in clean.clients)
     # the attackers' labels really are corrupted; honest clients untouched
-    for cid in range(len(clean.client_data)):
-        same = np.array_equal(clean.client_data[cid].labels,
-                              attacked.client_data[cid].labels)
+    for cid in range(len(clean.clients)):
+        same = np.array_equal(clean.clients[cid].data.labels,
+                              attacked.clients[cid].data.labels)
         assert same != (cid in flipped)
 
 
@@ -85,7 +88,7 @@ def test_prepare_folds_quality_clamps_into_one_warning(caplog):
     # the desk preset floors three clients' quality scores to 0.01
     with caplog.at_level(logging.WARNING):
         prep = experiment.prepare(config.preset_desk(), solve_menu=False)
-    floored = [p.client_id for p in prep.profiles if p.theta == 0.01]
+    floored = [c.client_id for c in prep.clients if c.theta == 0.01]
     assert floored
     warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) == 1
@@ -97,19 +100,19 @@ def test_prepare_folds_quality_clamps_into_one_warning(caplog):
 def test_prepare_contract_fields_populated():
     prep = experiment.prepare(tiny_config())
     assert prep.menu is not None
-    for p in prep.profiles:
-        assert p.effort is not None and p.effort > 0
-        assert p.reward is not None and p.reward > 0
-        assert p.tau is not None and p.tau >= 1
-        entry = prep.menu.entries[p.level - 1]
-        assert p.effort == entry.effort
-        assert p.reward == entry.reward
+    for c in prep.clients:
+        assert c.effort is not None and c.effort > 0
+        assert c.reward is not None and c.reward > 0
+        assert c.tau is not None and c.tau >= 1
+        entry = prep.menu.entries[c.level - 1]
+        assert c.effort == entry.effort
+        assert c.reward == entry.reward
 
 
 def test_prepare_without_menu_skips_contract():
     prep = experiment.prepare(tiny_config(), solve_menu=False)
     assert prep.menu is None
-    assert all(p.effort is None for p in prep.profiles)
+    assert all(c.effort is None for c in prep.clients)
 
 
 def test_run_async_experiment_artifacts_deterministic(tmp_path):
@@ -162,20 +165,20 @@ def test_baseline_shares_partition_with_async():
     cfg = tiny_config(**{"attack.count": 2})
     prep_a = experiment.prepare(cfg, solve_menu=False)
     prep_b = experiment.prepare(cfg, solve_menu=False)
-    assert [p.client_id for p in prep_a.profiles if p.malicious] == \
-           [p.client_id for p in prep_b.profiles if p.malicious]
-    for ca, cb in zip(prep_a.client_data, prep_b.client_data):
-        assert np.array_equal(ca.indices, cb.indices)
+    assert [c.client_id for c in prep_a.clients if c.malicious] == \
+           [c.client_id for c in prep_b.clients if c.malicious]
+    for ca, cb in zip(prep_a.clients, prep_b.clients):
+        assert np.array_equal(ca.data.indices, cb.data.indices)
 
 
 def test_partition_report_csv(tmp_path):
     out = tmp_path / "partition.csv"
-    profiles = experiment.partition_report(tiny_config(), str(out))
+    clients = experiment.partition_report(tiny_config(), str(out))
     rows = out.read_text().splitlines()
     assert rows[0] == "client_id,d_k,emd,theta,level,malicious"
-    assert len(rows) == len(profiles) + 1
-    assert len(profiles) == 6
-    total = sum(p.d_k for p in profiles)
+    assert len(rows) == len(clients) + 1
+    assert len(clients) == 6
+    total = sum(c.d_k for c in clients)
     assert total <= 400
 
 

@@ -381,6 +381,10 @@ def test_aggregate_validation():
         nn.aggregate(base, [], [])  # empty
     with pytest.raises(ContractViolation):
         nn.aggregate(base, [d], [0.5, 0.5])  # length mismatch
+    for bad in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, -math.inf],
+                [math.inf, 0.0]):
+        with pytest.raises(ContractViolation, match="non-finite"):
+            nn.aggregate(base, [d, d], bad)
 
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):

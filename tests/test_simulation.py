@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from common import make_client, make_dataset
 from contractfl import nn, simulation
-from contractfl.contracts import MarketModel
+from contractfl.contracts import MarketModel, solve_contract
 from contractfl.errors import ConfigurationError
 from contractfl.seeds import STREAM_TRAIN, child_seed
-from contractfl.simulation import (AccessDecision, AsyncSimulation, ClientState,
-                                   TimingParams, access_control,
-                                   access_indicator, round_costs)
+from contractfl.simulation import (AccessDecision, AsyncSimulation, Client,
+                                   RoundLedger, TimingParams, UploadRecord,
+                                   access_control, access_indicator,
+                                   round_costs, settle_rewards)
 
 MARKET = MarketModel.uniform()
+MENU = solve_contract(MARKET)
 
 
 def easy_client(cid, n=6, flip=False, seed=0):
@@ -28,10 +30,10 @@ def easy_client(cid, n=6, flip=False, seed=0):
     return make_client(cid, np.clip(x, 0, 1), y, 2)
 
 
-def state(cid, data, delay, tau=2, level=5, theta=0.5, reward=100.0):
-    return ClientState(client_id=cid, level=level, theta=theta, data=data,
-                       tau=tau, tau_clamped=False, effort=float(tau * data.d_k),
-                       reward_rate=reward, per_epoch_delay=delay)
+def sim_client(cid, data, delay, tau=2, level=5, theta=0.5, reward=100.0):
+    return Client(client_id=cid, data=data, emd=0.0, theta=theta, level=level,
+                  per_epoch_delay=delay, effort=float(tau * data.d_k),
+                  reward=reward, tau=tau, tau_clamped=False)
 
 
 def eval_sets(seed=1):
@@ -45,12 +47,12 @@ def eval_sets(seed=1):
     return val, test
 
 
-def make_sim(states, rounds_seed=7, a=0.5, epsilon=2.0, phi=3.0, delta_t=1.0,
+def make_sim(clients, rounds_seed=7, a=0.5, epsilon=2.0, phi=3.0, delta_t=1.0,
              lr=0.5, batch_size=2):
     val, test = eval_sets()
     model = nn.init_model((1, 4, 4, 2), seed=3)
     timing = TimingParams(delta_t=delta_t)
-    return AsyncSimulation(model, states, MARKET, timing, a=a, epsilon=epsilon,
+    return AsyncSimulation(model, clients, MARKET, timing, a=a, epsilon=epsilon,
                            phi=phi, val_data=val, test_data=test,
                            master_seed=rounds_seed, lr=lr, batch_size=batch_size)
 
@@ -60,7 +62,7 @@ def make_sim(states, rounds_seed=7, a=0.5, epsilon=2.0, phi=3.0, delta_t=1.0,
 # ---------------------------------------------------------------------------
 
 def test_round_costs_hand_computed():
-    c = state(0, easy_client(0, n=100), delay=1.5, tau=4)
+    c = sim_client(0, easy_client(0, n=100), delay=1.5, tau=4)
     market = MarketModel.uniform(c=5.0, f=1.0, xi=2.0, t_com=10.0, e_com=20.0)
     costs = round_costs(c, market)
     assert costs.sim_seconds == 6.0  # 4 epochs * 1.5 s
@@ -69,7 +71,7 @@ def test_round_costs_hand_computed():
 
 
 def test_round_costs_three_epoch_example():
-    c = state(0, easy_client(0, n=100), delay=1.0, tau=3)
+    c = sim_client(0, easy_client(0, n=100), delay=1.0, tau=3)
     costs = round_costs(c, MARKET)
     assert costs.energy == 3020.0
     assert costs.analytic_compute_seconds == 1500.0
@@ -188,8 +190,8 @@ def test_access_control_invariants(rows):
 # ---------------------------------------------------------------------------
 
 def test_window_scheduling_and_staleness():
-    a = state(0, easy_client(0), delay=0.45, tau=2)  # busy at 0.9
-    b = state(1, easy_client(1), delay=0.75, tau=2)  # busy at 1.5
+    a = sim_client(0, easy_client(0), delay=0.45, tau=2)  # busy at 0.9
+    b = sim_client(1, easy_client(1), delay=0.75, tau=2)  # busy at 1.5
     sim = make_sim([a, b])
     first = sim.run_round()
     assert [r.client_id for r in first.uploads] == [0]
@@ -207,14 +209,14 @@ def test_window_scheduling_and_staleness():
 
 
 def test_window_boundary_is_inclusive():
-    c = state(0, easy_client(0), delay=0.5, tau=2)  # busy_until exactly 1.0
+    c = sim_client(0, easy_client(0), delay=0.5, tau=2)  # finishes at exactly 1.0
     sim = make_sim([c])
     ledger = sim.run_round()
     assert [r.client_id for r in ledger.uploads] == [0]
 
 
 def test_slow_clients_make_noop_rounds():
-    c = state(0, easy_client(0), delay=30.0, tau=2)  # busy at 60
+    c = sim_client(0, easy_client(0), delay=30.0, tau=2)  # busy at 60
     sim = make_sim([c])
     before = sim.model.params.copy()
     ledgers = sim.run(3)
@@ -227,17 +229,18 @@ def test_slow_clients_make_noop_rounds():
 
 def test_run_warns_when_no_cycle_ends_inside_the_horizon(caplog):
     with caplog.at_level(logging.WARNING, logger="contractfl.simulation"):
-        make_sim([state(0, easy_client(0), delay=30.0, tau=2)]).run(3)  # busy at 60
+        make_sim([sim_client(0, easy_client(0), delay=30.0, tau=2)]).run(3)  # busy at 60
     assert ["no client finishes" in r.message for r in caplog.records] == [True]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="contractfl.simulation"):
-        make_sim([state(0, easy_client(0), delay=1.4, tau=2)]).run(3)  # busy at 2.8
+        make_sim([sim_client(0, easy_client(0), delay=1.4, tau=2)]).run(3)  # busy at 2.8
     assert not any("no client finishes" in r.message for r in caplog.records)
 
 
 def test_run_warns_when_no_upload_ever_lowers_the_loss(caplog):
     def clients():
-        return [state(i, easy_client(i, n=8), delay=0.4 + 0.05 * i) for i in range(3)]
+        return [sim_client(i, easy_client(i, n=8), delay=0.4 + 0.05 * i)
+                for i in range(3)]
 
     with caplog.at_level(logging.WARNING, logger="contractfl.simulation"):
         ledgers = make_sim(clients(), lr=1e3).run(3)
@@ -246,7 +249,8 @@ def test_run_warns_when_no_upload_ever_lowers_the_loss(caplog):
     assert len(warned) == 1
     assert "9 uploads" in warned[0] and "training.lr" in warned[0]
     # an ordinary run, and a run with no uploads at all, do not warn
-    for sim in (make_sim(clients()), make_sim([state(0, easy_client(0), delay=30.0)])):
+    for sim in (make_sim(clients()),
+                make_sim([sim_client(0, easy_client(0), delay=30.0)])):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="contractfl.simulation"):
             sim.run(3)
@@ -254,8 +258,8 @@ def test_run_warns_when_no_upload_ever_lowers_the_loss(caplog):
 
 
 def test_stale_upload_scored_against_its_base_round():
-    a = state(0, easy_client(0), delay=0.45, tau=2)
-    b = state(1, easy_client(1), delay=0.75, tau=2)
+    a = sim_client(0, easy_client(0), delay=0.45, tau=2)
+    b = sim_client(1, easy_client(1), delay=0.75, tau=2)
     sim = make_sim([b, a])  # order must not matter
     init = nn.init_model((1, 4, 4, 2), seed=3)
     val, _ = eval_sets()
@@ -271,8 +275,8 @@ def test_stale_upload_scored_against_its_base_round():
 
 
 def test_client_ids_must_be_unique():
-    a = state(0, easy_client(0), delay=0.5)
-    b = state(0, easy_client(1), delay=0.5)
+    a = sim_client(0, easy_client(0), delay=0.5)
+    b = sim_client(0, easy_client(1), delay=0.5)
     with pytest.raises(ConfigurationError):
         make_sim([a, b])
 
@@ -282,9 +286,9 @@ def test_client_ids_must_be_unique():
 # ---------------------------------------------------------------------------
 
 def test_poor_upload_rejected_paid_nothing_and_refreshed():
-    good1 = state(0, easy_client(0, n=8), delay=0.4, tau=2, level=5)
-    good2 = state(1, easy_client(1, n=8), delay=0.5, tau=2, level=5)
-    bad = state(2, easy_client(2, n=8, flip=True), delay=0.45, tau=2, level=5)
+    good1 = sim_client(0, easy_client(0, n=8), delay=0.4, tau=2, level=5)
+    good2 = sim_client(1, easy_client(1, n=8), delay=0.5, tau=2, level=5)
+    bad = sim_client(2, easy_client(2, n=8, flip=True), delay=0.45, tau=2, level=5)
     sim = make_sim([good1, good2, bad], a=0.05)
     ledger = sim.run_round()
     assert ledger.admitted_count == 2
@@ -292,23 +296,26 @@ def test_poor_upload_rejected_paid_nothing_and_refreshed():
     assert rec[0].admitted and rec[1].admitted
     assert not rec[2].admitted
     assert rec[2].alpha == 0.0
+    books = {row["client_id"]: row for row in
+             settle_rewards([ledger], sim.clients, MENU, MARKET)["clients"]}
     # the reject was paid nothing but billed for its wasted cycle
-    assert bad.rewards_earned == 0.0
-    assert bad.rewards_withheld == bad.reward_rate
-    assert bad.rejected_count == 1
-    assert bad.cumulative_energy == round_costs(bad, sim.market).energy
-    # and was handed the fresh model: new base round, new cycle in flight
-    assert bad.received_round == 1
-    assert bad.busy_until == 1.0 + 2 * 0.45
-    assert bad.pending_delta is not None
+    assert books[2]["rewards_earned"] == 0.0
+    assert books[2]["rewards_withheld"] == bad.reward
+    assert books[2]["rejected"] == 1
+    assert books[2]["energy_spent"] == round_costs(bad, sim.market).energy
     # the admitted clients were paid their contract rate
-    assert good1.rewards_earned == good1.reward_rate
-    assert good1.admitted_count == 1
+    assert books[0]["rewards_earned"] == good1.reward
+    assert books[0]["admitted"] == 1
+    # and the reject was handed the fresh model: its next cycle starts at the
+    # window end on the round-1 base, so it uploads at 1.9 with staleness 0
+    again = {r.client_id: r for r in sim.run_round().uploads}[2]
+    assert again.sim_time == 1.0 + 2 * 0.45
+    assert again.staleness == 0
 
 
 def test_admitted_weights_match_scores():
-    good1 = state(0, easy_client(0, n=8), delay=0.4, tau=2)
-    good2 = state(1, easy_client(1, n=8), delay=0.5, tau=2)
+    good1 = sim_client(0, easy_client(0, n=8), delay=0.4, tau=2)
+    good2 = sim_client(1, easy_client(1, n=8), delay=0.5, tau=2)
     sim = make_sim([good1, good2])
     ledger = sim.run_round()
     recs = {r.client_id: r for r in ledger.uploads}
@@ -319,7 +326,7 @@ def test_admitted_weights_match_scores():
 
 
 def test_aggregation_applies_weighted_deltas():
-    cl = state(0, easy_client(0, n=8), delay=0.4, tau=2)
+    cl = sim_client(0, easy_client(0, n=8), delay=0.4, tau=2)
     sim = make_sim([cl])
     init_params = sim.model.params.copy()
     seed = child_seed(7, STREAM_TRAIN, 0, 0)
@@ -335,7 +342,7 @@ def test_aggregation_applies_weighted_deltas():
 
 def test_full_run_deterministic():
     def build():
-        return [state(i, easy_client(i, n=6 + 2 * i), delay=0.3 + 0.2 * i, tau=2)
+        return [sim_client(i, easy_client(i, n=6 + 2 * i), delay=0.3 + 0.2 * i, tau=2)
                 for i in range(4)]
     sim1 = make_sim(build())
     sim2 = make_sim(build())
@@ -348,7 +355,7 @@ def test_full_run_deterministic():
 
 
 def test_run_validation():
-    sim = make_sim([state(0, easy_client(0), delay=0.5)])
+    sim = make_sim([sim_client(0, easy_client(0), delay=0.5)])
     with pytest.raises(ConfigurationError):
         sim.run(0)
 
@@ -358,31 +365,74 @@ def test_run_validation():
 # ---------------------------------------------------------------------------
 
 def _finished_sim():
-    states = [state(i, easy_client(i, n=8), delay=0.3 + 0.15 * i, tau=2,
-                    level=5 if i < 2 else 7, reward=100.0 + i)
-              for i in range(3)]
-    sim = make_sim(states)
+    clients = [sim_client(i, easy_client(i, n=8), delay=0.3 + 0.15 * i, tau=2,
+                          level=5 if i < 2 else 7, reward=100.0 + i)
+               for i in range(3)]
+    sim = make_sim(clients)
     ledgers = sim.run(4)
     return sim, ledgers
 
 
 def test_settle_rewards_books_balance():
-    from contractfl.contracts import solve_contract
     sim, ledgers = _finished_sim()
-    menu = solve_contract(MARKET)
-    result = simulation.settle_rewards(ledgers, sim.clients, menu, MARKET)
+    result = simulation.settle_rewards(ledgers, sim.clients, MENU, MARKET)
     rows = result["clients"]
     assert [r["client_id"] for r in rows] == [0, 1, 2]
     for row, c in zip(rows, sim.clients):
-        assert row["rewards_earned"] == c.rewards_earned
-        assert row["uploads"] == c.admitted_count + c.rejected_count
-        assert abs(row["realized_utility"]
-                   - (c.rewards_earned - c.cumulative_energy)) < 1e-9
+        # replay each client's books upload by upload from the ledgers
+        earned = energy = 0.0
+        admitted = rejected = 0
+        for r in (r for lg in ledgers for r in lg.uploads if r.client_id == c.client_id):
+            energy += round_costs(c, MARKET).energy
+            if r.admitted:
+                earned += c.reward
+                admitted += 1
+            else:
+                rejected += 1
+        assert row["rewards_earned"] == earned
+        assert row["uploads"] == admitted + rejected
+        assert (row["admitted"], row["rejected"]) == (admitted, rejected)
+        assert abs(row["realized_utility"] - (earned - energy)) < 1e-9
     pub = result["publisher"]
     assert abs(pub["total_paid"] - sum(r["rewards_earned"] for r in rows)) < 1e-9
     assert abs(sum(pub["paid_by_level"].values()) - pub["total_paid"]) < 1e-9
     assert pub["rounds"] == 4
     assert pub["final_test_accuracy"] == ledgers[-1].test_accuracy
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_settle_rewards_books_follow_the_ledgers(data):
+    rates = data.draw(st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=5))
+    levels = data.draw(st.lists(st.integers(1, MARKET.n_levels),
+                                min_size=len(rates), max_size=len(rates)))
+    clients = [sim_client(i, easy_client(i), delay=1.0, level=lv, reward=rate)
+               for i, (rate, lv) in enumerate(zip(rates, levels))]
+    # per round and client: no upload (None), rejected (False) or admitted (True)
+    verdicts = data.draw(st.lists(
+        st.lists(st.sampled_from([None, False, True]),
+                 min_size=len(rates), max_size=len(rates)), max_size=12))
+    ledgers = [
+        RoundLedger(round=t, time_end=t + 1.0,
+                    uploads=tuple(UploadRecord(cid, levels[cid], 0, 0.0, 0.0, t + 0.5,
+                                               admitted=v)
+                                  for cid, v in enumerate(row) if v is not None),
+                    level_stats={}, admitted_count=row.count(True),
+                    no_op=True not in row, val_loss=0.0, test_loss=0.0,
+                    test_accuracy=0.0)
+        for t, row in enumerate(verdicts)]
+    result = settle_rewards(ledgers, clients, MENU, MARKET)
+    for row, c in zip(result["clients"], clients):
+        column = [r[c.client_id] for r in verdicts]
+        uploads = len(column) - column.count(None)
+        assert row["uploads"] == uploads
+        assert row["admitted"] == column.count(True)
+        assert row["admitted"] + row["rejected"] == uploads
+        assert math.isclose(row["rewards_earned"] + row["rewards_withheld"],
+                            c.reward * uploads, rel_tol=1e-12)
+    pub = result["publisher"]
+    assert math.isclose(pub["total_paid"], sum(pub["paid_by_level"].values()),
+                        rel_tol=1e-12)
 
 
 def test_round_summary_csv_schema(tmp_path):
