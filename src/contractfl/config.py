@@ -1,9 +1,17 @@
 """Experiment configuration: one dataclass tree, JSON round-trip, presets.
 
-Configs are strict: an unknown field anywhere in the tree raises a
-ConfigurationError naming the offending key, so typos never silently fall
-back to defaults. Dotted-path overrides (section.key=value) let the CLI
-adjust single knobs on top of a preset or config file.
+Each section is one frozen dataclass that checks its own ranges. Three of
+them are the library's parameter types, used as they are: `quality` is
+`contracts.QualityParams`, `timing` is `simulation.TimingParams` and
+`partition` is `datasets.PartitionSpec`. The rest live here.
+
+Every preset, config file and dotted-path override (section.key=value) is
+parsed, patched and validated on one path: an override becomes the patch
+{"section": {"key": value}}, laid over the config the same way a config file
+is laid over a preset, and the patched tree is rebuilt by `from_dict`.
+Configs are strict: an unknown field, a value of the wrong type, a non-finite
+number or a value out of range raises a ConfigurationError that names the
+dotted field, so a bad config fails when it is parsed, never mid-training.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .contracts import AccuracyCurveParams, MarketModel, QualityParams
+from .datasets import PartitionSpec
 from .errors import ConfigurationError
 from .simulation import TimingParams
 
@@ -38,16 +47,7 @@ class DatasetConfig:
     def __post_init__(self):
         if self.kind not in ("synthetic", "mnist"):
             raise ConfigurationError(
-                f"dataset.kind must be 'synthetic' or 'mnist', got {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class PartitionConfig:
-    num_clients: int = 20
-    zipf_exponent: float = 1.0
-    dirichlet_alpha: float = 0.1
-    max_classes_per_client: int = 4
-    val_fraction: float = 0.1
+                f"kind must be 'synthetic' or 'mnist', got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -64,24 +64,14 @@ class MarketConfig:
 
     def __post_init__(self):
         if self.levels < 1:
-            raise ConfigurationError(f"market.levels must be >= 1, got {self.levels}")
+            raise ConfigurationError(f"levels must be >= 1, got {self.levels}")
+        self.to_market()  # the market's own range checks, run at parse time
 
     def to_market(self) -> MarketModel:
         return MarketModel.uniform(
             self.levels, xi=self.xi, c=self.c, f=self.f, t_com=self.t_com,
             e_com=self.e_com, lambda1=self.lambda1, lambda2=self.lambda2,
             t_max=self.t_max)
-
-
-@dataclass(frozen=True)
-class QualityConfig:
-    gamma1: float = 10.559
-    gamma2: float = 1.803
-    gamma3: float = 70.0
-    gamma4: float = 0.155
-
-    def to_params(self) -> QualityParams:
-        return QualityParams(self.gamma1, self.gamma2, self.gamma3, self.gamma4)
 
 
 @dataclass(frozen=True)
@@ -92,16 +82,12 @@ class CurveConfig:
     beta4: float = 0.009
     beta5: float = 2.436
 
+    def __post_init__(self):
+        self.to_params()  # the curve's own range checks, run at parse time
+
     def to_params(self) -> AccuracyCurveParams:
         return AccuracyCurveParams(self.beta1, self.beta2, self.beta3,
                                    self.beta4, self.beta5)
-
-
-@dataclass(frozen=True)
-class TimingConfig:
-    delay_lo: float = 0.5
-    delay_hi: float = 2.0
-    delta_t: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -114,10 +100,9 @@ class TrainingConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError(
-                f"training.lr must be a positive finite number, got {self.lr}")
+                f"lr must be a positive finite number, got {self.lr}")
         if self.batch_size < 1:
-            raise ConfigurationError(
-                f"training.batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +110,11 @@ class GateConfig:
     a: float = 0.5
     epsilon: float = 2.0
     phi: float = 3.0
+
+    def __post_init__(self):
+        for name in ("a", "epsilon", "phi"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,10 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ConfigurationError(f"attack.count must be >= 0, got {self.count}")
+            raise ConfigurationError(f"count must be >= 0, got {self.count}")
+        if not 0 <= self.flip_fraction <= 1:
+            raise ConfigurationError(
+                f"flip_fraction must be in [0, 1], got {self.flip_fraction}")
 
 
 @dataclass(frozen=True)
@@ -142,17 +135,23 @@ class BaselineConfig:
     local_epochs: int = 10
     prox_mu: float = 0.01
 
+    def __post_init__(self):
+        if self.local_epochs < 1:
+            raise ConfigurationError(f"local_epochs must be >= 1, got {self.local_epochs}")
+        if self.prox_mu < 0:
+            raise ConfigurationError(f"prox_mu must be >= 0, got {self.prox_mu}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     rounds: int = 30
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    partition: PartitionConfig = field(default_factory=PartitionConfig)
+    partition: PartitionSpec = field(default_factory=PartitionSpec)
     market: MarketConfig = field(default_factory=MarketConfig)
-    quality: QualityConfig = field(default_factory=QualityConfig)
+    quality: QualityParams = field(default_factory=QualityParams)
     curve: CurveConfig = field(default_factory=CurveConfig)
-    timing: TimingConfig = field(default_factory=TimingConfig)
+    timing: TimingParams = field(default_factory=TimingParams)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     gate: GateConfig = field(default_factory=GateConfig)
     attack: AttackConfig = field(default_factory=AttackConfig)
@@ -165,41 +164,20 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_timing(self) -> TimingParams:
-        return TimingParams(self.timing.delay_lo, self.timing.delay_hi,
-                            self.timing.delta_t)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        sections = {f.name: f.type for f in fields(cls)}
-        unknown = set(d) - set(sections)
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown config field {sorted(unknown)[0]!r}")
         kwargs = {}
         for f in fields(cls):
             if f.name not in d:
                 continue
-            value = d[f.name]
-            if f.name in ("seed", "rounds"):
-                kwargs[f.name] = _coerce_scalar(value, "int", f.name)
-            else:
-                section_cls = _SECTION_CLASSES[f.name]
-                kwargs[f.name] = _build_section(section_cls, value, f.name)
+            if f.default_factory is dataclasses.MISSING:
+                kwargs[f.name] = _coerce_scalar(d[f.name], f.type, f.name)
+            else:  # a section: its class is its field's default factory
+                kwargs[f.name] = _build_section(f.default_factory, d[f.name], f.name)
         return cls(**kwargs)
-
-
-_SECTION_CLASSES = {
-    "dataset": DatasetConfig,
-    "partition": PartitionConfig,
-    "market": MarketConfig,
-    "quality": QualityConfig,
-    "curve": CurveConfig,
-    "timing": TimingConfig,
-    "training": TrainingConfig,
-    "gate": GateConfig,
-    "attack": AttackConfig,
-    "baseline": BaselineConfig,
-}
 
 
 _SCALAR_KINDS = {
@@ -219,6 +197,9 @@ def _coerce_scalar(value, annotation: str, path: str):
         return None
     if not isinstance(value, bool):  # bool passes isinstance(int) checks
         if base == "float" and isinstance(value, (int, float)):
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"config field {path!r} expects a finite number, got {value!r}")
             return float(value)
         if base == "int":
             if isinstance(value, int):
@@ -242,8 +223,9 @@ def _build_section(section_cls, value, path: str):
              for k, v in value.items()}
     try:
         return section_cls(**clean)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad config section {path!r}: {exc}") from exc
+    except ConfigurationError as exc:
+        # a section names the bare field; the path in front is added here only
+        raise ConfigurationError(f"{path}.{exc}") from exc
 
 
 def _read_config_file(path) -> dict:
@@ -263,7 +245,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
-    """Apply 'section.key=value' (or 'seed=7') strings on top of a config."""
+    """Apply 'section.key=value' (or 'seed=7') strings on top of a config.
+
+    Each override is the patch {"section": {"key": value}}, laid over the
+    config exactly as a config file is laid over a preset: a JSON object
+    value patches the fields it names and keeps the rest.
+    """
     d = cfg.to_dict()
     for item in overrides:
         if "=" not in item:
@@ -273,15 +260,9 @@ def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentCo
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings are allowed unquoted
-        parts = path.split(".")
-        node = d
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigurationError(f"override path {path!r} does not exist")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigurationError(f"override path {path!r} does not exist")
-        node[parts[-1]] = value
+        for key in reversed(path.split(".")):
+            value = {key: value}
+        _deep_update(d, value, "")
     return ExperimentConfig.from_dict(d)
 
 
@@ -304,11 +285,11 @@ def preset_desk() -> ExperimentConfig:
         rounds=30,
         dataset=DatasetConfig(kind="synthetic", classes=10, dim=64,
                               train_count=4000, test_count=1000, spread=0.25),
-        partition=PartitionConfig(num_clients=20, max_classes_per_client=10),
+        partition=PartitionSpec(num_clients=20, max_classes_per_client=10),
         market=MarketConfig(levels=5),
-        quality=QualityConfig(gamma1=1.68, gamma2=0.114, gamma3=20.0, gamma4=0.5),
+        quality=QualityParams(gamma1=1.68, gamma2=0.114, gamma3=20.0, gamma4=0.5),
         curve=CurveConfig(beta4=1.0),
-        timing=TimingConfig(delta_t=16.0),
+        timing=TimingParams(delta_t=16.0),
         training=TrainingConfig(lr=0.15, batch_size=10),
     )
 
@@ -319,8 +300,8 @@ def preset_paper_noattack() -> ExperimentConfig:
         seed=0,
         rounds=300,
         dataset=DatasetConfig(kind="mnist"),
-        partition=PartitionConfig(num_clients=100),
-        timing=TimingConfig(delta_t=1.0),
+        partition=PartitionSpec(num_clients=100),
+        timing=TimingParams(delta_t=1.0),
     )
 
 

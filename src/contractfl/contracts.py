@@ -48,8 +48,9 @@ class QualityParams:
     gamma4: float = 0.155
 
     def __post_init__(self):
-        if self.gamma1 <= 0 or self.gamma2 <= 0 or self.gamma4 <= 0:
-            raise ConfigurationError("gamma1, gamma2, gamma4 must be positive")
+        for name in ("gamma1", "gamma2", "gamma4"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,9 @@ class AccuracyCurveParams:
     beta5: float = 2.436
 
     def __post_init__(self):
-        if self.beta4 <= 0 or self.beta5 <= 0:
-            raise ConfigurationError("beta4 and beta5 must be positive")
+        for name in ("beta4", "beta5"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,13 @@ class MarketModel:
         if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
             raise ConfigurationError(f"level probabilities must be >= 0 and sum to 1, "
                                      f"got sum {p.sum()!r}")
-        if self.xi <= 0 or self.c <= 0 or self.f <= 0:
-            raise ConfigurationError("xi, c, f must be positive")
-        if self.t_com < 0 or self.e_com < 0:
-            raise ConfigurationError("t_com and e_com must be nonnegative")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigurationError("lambda1 and lambda2 must be nonnegative")
-        if self.t_max <= self.t_com:
+        for name in ("xi", "c", "f"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("t_com", "e_com", "lambda1", "lambda2"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.t_max > self.t_com:
             raise ConfigurationError(
                 f"t_max ({self.t_max}) must exceed t_com ({self.t_com})")
         theta.flags.writeable = False

@@ -117,22 +117,29 @@ class ClientDataset:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Knobs for the Zipf-quantity, Dirichlet-class-mix partition."""
+    """Knobs for the Zipf-quantity, Dirichlet-class-mix partition.
 
-    num_clients: int
+    val_fraction is the share of the training pool the server holds out as
+    its validation split before the rest is partitioned (`split_holdout`).
+    This is the config's `partition` section; the seed is not part of it.
+    """
+
+    num_clients: int = 20
     zipf_exponent: float = 1.0
     dirichlet_alpha: float = 0.1
     max_classes_per_client: int = 4
-    seed: int = 0
+    val_fraction: float = 0.1
 
     def __post_init__(self):
         if self.num_clients < 1:
             raise ConfigurationError(f"num_clients must be >= 1, got {self.num_clients}")
-        if self.dirichlet_alpha <= 0:
+        if not self.dirichlet_alpha > 0:
             raise ConfigurationError(f"dirichlet_alpha must be > 0, got {self.dirichlet_alpha}")
         if self.max_classes_per_client < 1:
             raise ConfigurationError(
                 f"max_classes_per_client must be >= 1, got {self.max_classes_per_client}")
+        if not 0 < self.val_fraction < 1:
+            raise ConfigurationError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +243,7 @@ def zipf_counts(pool_size: int, num_clients: int, exponent: float) -> np.ndarray
     return largest_remainder(quotas, pool_size)
 
 
-def partition(ds: Dataset, spec: PartitionSpec) -> list[ClientDataset]:
+def partition(ds: Dataset, spec: PartitionSpec, seed: int) -> list[ClientDataset]:
     """Split a pool into disjoint client shards.
 
     Client k (rank k, 1-based) targets a Zipf-weighted share of the pool.
@@ -248,13 +255,14 @@ def partition(ds: Dataset, spec: PartitionSpec) -> list[ClientDataset]:
     client holds fewer than max_classes_per_client distinct ones. The class
     cap is hard, so a late client can fall short of its target when every
     class it may touch is dry; the shortfall is logged. Every client ends up
-    non-empty. Fully determined by spec.seed.
+    non-empty. Fully determined by spec and seed; spec.val_fraction is not
+    read here.
     """
     n = len(ds)
     k = spec.num_clients
     if n < k:
         raise ConfigurationError(f"pool of {n} cannot cover {k} clients")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     counts = zipf_counts(n, k, spec.zipf_exponent)
     c = ds.num_classes
 

@@ -33,14 +33,13 @@ from . import baselines, nn
 from .config import ExperimentConfig
 from .contracts import (ContractMenu, MarketModel, data_quality, local_epochs,
                         quality_level, solve_contract, verify_contract)
-from .datasets import (Dataset, PartitionSpec, emd, flip_labels, load_idx_pair,
-                       partition, split_holdout, synthetic_pair,
-                       uniform_benchmark)
+from .datasets import (Dataset, emd, flip_labels, load_idx_pair, partition,
+                       split_holdout, synthetic_pair, uniform_benchmark)
 from .errors import ConfigurationError
 from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
                     STREAM_INIT, STREAM_PARTITION, child_seed)
-from .simulation import (AsyncSimulation, Client, TimingParams, settle_rewards,
-                         write_ledger_csv, write_round_summary_csv)
+from .simulation import (AsyncSimulation, Client, settle_rewards, write_ledger_csv,
+                         write_round_summary_csv)
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +59,6 @@ class Prepared:
 
     cfg: ExperimentConfig
     market: MarketModel
-    timing: TimingParams
     pool: Dataset
     val: Dataset
     test: Dataset
@@ -139,32 +137,22 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
     """Build data, partition, quality levels, delays, attackers, and
     (optionally) the menu, as one `Client` record per client."""
     market = cfg.market.to_market()
-    qp = cfg.quality.to_params()
-    acp = cfg.curve.to_params()
-    timing = cfg.to_timing()
-
     train, test = build_dataset(cfg)
     val, pool = split_holdout(train, cfg.partition.val_fraction,
                               seed=child_seed(cfg.seed, STREAM_HOLDOUT))
-    spec = PartitionSpec(
-        num_clients=cfg.partition.num_clients,
-        zipf_exponent=cfg.partition.zipf_exponent,
-        dirichlet_alpha=cfg.partition.dirichlet_alpha,
-        max_classes_per_client=cfg.partition.max_classes_per_client,
-        seed=child_seed(cfg.seed, STREAM_PARTITION))
 
     benchmark = uniform_benchmark(pool.num_classes)
     clients: list[Client] = []
     clamped: dict[str, list[int]] = {}
-    for cd in partition(pool, spec):
+    for cd in partition(pool, cfg.partition, child_seed(cfg.seed, STREAM_PARTITION)):
         skew = emd(cd.label_hist, benchmark)
         kinds: list[str] = []
-        theta = data_quality(cd.d_k, skew, qp, kinds)
+        theta = data_quality(cd.d_k, skew, cfg.quality, kinds)
         level = quality_level(theta, market, kinds)
         for kind in kinds:
             clamped.setdefault(kind, []).append(cd.client_id)
         rng = np.random.default_rng(child_seed(cfg.seed, STREAM_DELAY, cd.client_id))
-        delay = float(rng.uniform(timing.delay_lo, timing.delay_hi))
+        delay = float(rng.uniform(cfg.timing.delay_lo, cfg.timing.delay_hi))
         clients.append(Client(cd.client_id, cd, skew, theta, level, delay))
     if clamped:
         logger.warning("quality clamped for %d of %d clients: %s",
@@ -174,7 +162,7 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
                            for kind, ids in clamped.items()))
 
     attackers = select_attackers(clients, cfg.attack.count)
-    menu = solve_contract(market, acp) if solve_menu else None
+    menu = solve_contract(market, cfg.curve.to_params()) if solve_menu else None
 
     def complete(c: Client) -> Client:
         terms = {}
@@ -191,7 +179,7 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
                 seed=child_seed(cfg.seed, STREAM_FLIP, c.client_id)))
         return replace(c, **terms)
 
-    return Prepared(cfg, market, timing, pool, val, test,
+    return Prepared(cfg, market, pool, val, test,
                     [complete(c) for c in clients], menu)
 
 
@@ -252,7 +240,7 @@ def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     prep = prepare(cfg, solve_menu=True)
     model = _init_model(cfg, prep.pool.features.shape[1], prep.pool.num_classes)
     sim = AsyncSimulation(
-        model, prep.clients, prep.market, prep.timing, a=cfg.gate.a,
+        model, prep.clients, prep.market, cfg.timing, a=cfg.gate.a,
         epsilon=cfg.gate.epsilon, phi=cfg.gate.phi, val_data=prep.val,
         test_data=prep.test, master_seed=cfg.seed, lr=cfg.training.lr,
         batch_size=cfg.training.batch_size)

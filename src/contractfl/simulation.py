@@ -49,8 +49,9 @@ class TimingParams:
     def __post_init__(self):
         if not 0 < self.delay_lo <= self.delay_hi:
             raise ConfigurationError(
-                f"need 0 < delay_lo <= delay_hi, got ({self.delay_lo}, {self.delay_hi})")
-        if self.delta_t <= 0:
+                f"delay_lo must be positive and at most delay_hi, "
+                f"got ({self.delay_lo}, {self.delay_hi})")
+        if not self.delta_t > 0:
             raise ConfigurationError(f"delta_t must be positive, got {self.delta_t}")
 
 
@@ -174,6 +175,17 @@ def access_indicator(m: float, theta: float, staleness: int, epsilon: float) -> 
     return m * theta * (staleness + 1) ** (-epsilon)
 
 
+def _median(qs: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array, bit for bit, without the numpy.ma
+    import np.median costs. The sum starts from 0.0 as np.mean's does, which
+    turns a median of -0.0 into 0.0."""
+    ordered = np.sort(qs)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(0.0 + ordered[mid])
+    return float((0.0 + ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def access_control(entries: list[tuple[int, int, float]], a: float,
                    phi: float) -> AccessDecision:
     """Filter upload scores level by level, then weight the survivors.
@@ -202,7 +214,7 @@ def access_control(entries: list[tuple[int, int, float]], a: float,
         rows = by_level[level]
         qs = np.array([q for _, q in rows])
         mean = float(qs.mean())
-        median = float(np.median(qs))
+        median = _median(qs)
         std = float(qs.std())  # population std
         tight = abs(mean - median) > a
         threshold = mean - std if tight else mean - phi * std

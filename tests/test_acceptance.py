@@ -246,6 +246,7 @@ def test_backprop_matches_central_differences():
           f"(worst per-model agreement {worst_frac:.1%})")
 
 
+@pytest.mark.slow
 def test_desk_comparison_clean_parity_and_attack_margin():
     t0 = time.perf_counter()
     acc = {"clean_async": [], "clean_fedavg": [],
@@ -274,6 +275,7 @@ def test_desk_comparison_clean_parity_and_attack_margin():
           f"attack gap {attack_gap:+.4f} >= +0.05, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_equal_seeds_reproduce_artifacts_bytewise(tmp_path):
     cfg = config.preset_desk()
     for sub in ("async-1", "async-2"):

@@ -161,6 +161,15 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
     ("simulate", "attack.count=-1", "attack.count"),
     ("partition-stats", "attack.count=-1", "attack.count"),
     ("simulate", "training.batch_size=0", "training.batch_size"),
+    ("contract", "timing.delta_t=0", "timing.delta_t"),
+    ("contract", "quality.gamma1=-1", "quality.gamma1"),
+    ("contract", "partition.val_fraction=1.5", "partition.val_fraction"),
+    ("contract", "gate.epsilon=-1", "gate.epsilon"),
+    ("simulate", "timing.delta_t=NaN", "timing.delta_t"),
+    ("simulate", "market.xi=NaN", "market.xi"),
+    ("partition-stats", "attack.flip_fraction=2", "attack.flip_fraction"),
+    ("contract", "market.xi=-1", "market.xi"),
+    ("contract", "curve.beta4=0", "curve.beta4"),
 ])
 def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, field):
     args = [command, "fedavg"] if command == "baseline" else [command]
@@ -208,6 +217,7 @@ def test_runs_other_than_fit_load_no_scipy(tmp_path):
                          "--out", {str(tmp_path / "async")!r}]) == 0
         assert cli.main(["baseline", "fedavg", "--preset", "desk", "--rounds", "1",
                          "--local-epochs", "1", "--out", {str(tmp_path / "sync")!r}]) == 0
+        assert "numpy.ma" not in sys.modules, "a 1-round run imported numpy.ma"
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

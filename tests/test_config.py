@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contractfl import config
+from contractfl.contracts import QualityParams
 from contractfl.errors import ConfigurationError
 
 
@@ -116,6 +117,20 @@ def test_apply_overrides_rejects_wrong_value_types():
         config.apply_overrides(cfg, ["attack.count=true"])
 
 
+def test_apply_overrides_validates_once_after_every_patch():
+    # (3.0, 2.0) would fail on its own; the pair is checked only as a whole
+    out = config.apply_overrides(config.ExperimentConfig(),
+                                 ["timing.delay_lo=3", "timing.delay_hi=4"])
+    assert (out.timing.delay_lo, out.timing.delay_hi) == (3.0, 4.0)
+
+
+def test_section_errors_name_the_dotted_field_once():
+    with pytest.raises(ConfigurationError, match=r"^timing\.delta_t must be positive"):
+        config.ExperimentConfig.from_dict({"timing": {"delta_t": 0}})
+    with pytest.raises(ConfigurationError, match=r"^config field 'gate\.phi' expects a finite"):
+        config.ExperimentConfig.from_dict({"gate": {"phi": float("inf")}})
+
+
 def test_apply_overrides_coerces_compatible_numbers():
     cfg = config.ExperimentConfig()
     out = config.apply_overrides(cfg, [
@@ -153,6 +168,18 @@ def test_resolve_config_precedence(tmp_path):
     assert cfg.timing.delta_t == 16.0  # preset survives where not patched
 
 
+def test_section_override_patches_like_a_config_file(tmp_path):
+    # a JSON object after --set patches the fields it names and keeps the
+    # rest of the preset's section, exactly as the same patch in a file does
+    patch = tmp_path / "patch.json"
+    patch.write_text(json.dumps({"quality": {"gamma1": 2.0}}))
+    by_file = config.resolve_config("desk", str(patch), [])
+    by_set = config.resolve_config("desk", None, ['quality={"gamma1": 2.0}'])
+    assert by_set.quality.gamma3 == 20.0
+    assert by_set == by_file
+    assert by_set.quality == QualityParams(2.0, 0.114, 20.0, 0.5)
+
+
 def test_resolve_config_defaults_to_desk():
     assert config.resolve_config(None, None, []) == config.preset_desk()
 
@@ -180,7 +207,8 @@ def test_market_config_to_market():
 
 
 def test_quality_and_curve_params():
-    qp = config.QualityConfig().to_params()
+    qp = config.ExperimentConfig().quality
+    assert isinstance(qp, QualityParams)
     assert qp.gamma3 == 70.0
     cc = config.CurveConfig()
     assert cc.beta5 == 2.436

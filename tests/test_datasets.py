@@ -122,8 +122,8 @@ def test_partition_uncapped_covers_pool_exactly():
     # shards tile the pool and realized sizes inherit the target monotonicity
     pool = make_dataset(np.linspace(0, 1, 500)[:, None] % 1.0,
                         np.arange(500) % 10, 10)
-    spec = datasets.PartitionSpec(num_clients=20, max_classes_per_client=10, seed=3)
-    clients = datasets.partition(pool, spec)
+    spec = datasets.PartitionSpec(num_clients=20, max_classes_per_client=10)
+    clients = datasets.partition(pool, spec, seed=3)
     assert len(clients) == 20
     all_idx = np.concatenate([c.indices for c in clients])
     assert all_idx.size == 500
@@ -139,8 +139,8 @@ def test_partition_uncapped_covers_pool_exactly():
 def test_partition_class_cap_and_quantity_skew():
     rng = np.random.default_rng(1)
     pool = make_dataset(rng.uniform(size=(4000, 3)), rng.integers(0, 10, 4000), 10)
-    spec = datasets.PartitionSpec(num_clients=100, max_classes_per_client=4, seed=7)
-    clients = datasets.partition(pool, spec)
+    spec = datasets.PartitionSpec(num_clients=100, max_classes_per_client=4)
+    clients = datasets.partition(pool, spec, seed=7)
     sizes = np.array([c.d_k for c in clients])
     # the hard class cap can bend individual sizes away from the Zipf
     # targets, but the heavy-head shape must survive
@@ -156,9 +156,10 @@ def test_partition_class_cap_and_quantity_skew():
 def test_partition_deterministic():
     rng = np.random.default_rng(2)
     pool = make_dataset(rng.uniform(size=(300, 2)), rng.integers(0, 5, 300), 5)
-    a = datasets.partition(pool, datasets.PartitionSpec(num_clients=9, seed=5))
-    b = datasets.partition(pool, datasets.PartitionSpec(num_clients=9, seed=5))
-    c = datasets.partition(pool, datasets.PartitionSpec(num_clients=9, seed=6))
+    spec = datasets.PartitionSpec(num_clients=9)
+    a = datasets.partition(pool, spec, seed=5)
+    b = datasets.partition(pool, spec, seed=5)
+    c = datasets.partition(pool, spec, seed=6)
     assert all(np.array_equal(x.indices, y.indices) for x, y in zip(a, b))
     assert any(not np.array_equal(x.indices, y.indices) for x, y in zip(a, c))
 
@@ -166,7 +167,7 @@ def test_partition_deterministic():
 def test_partition_more_clients_than_samples_fails_loudly():
     pool = make_dataset(np.zeros((3, 1)), [0, 1, 2], 3)
     with pytest.raises(ConfigurationError):
-        datasets.partition(pool, datasets.PartitionSpec(num_clients=10, seed=0))
+        datasets.partition(pool, datasets.PartitionSpec(num_clients=10), seed=0)
 
 
 def test_split_holdout_partitions_everything():

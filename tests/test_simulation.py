@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from common import make_client, make_dataset
@@ -183,6 +183,22 @@ def test_access_control_invariants(rows):
     by_id = dict((cid, q) for cid, _, q in entries)
     for cid in decision.admitted:
         assert by_id[cid] > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                max_size=12))
+@example([-0.0]).via("odd count, signed zero")
+@example([-0.0, -0.0]).via("even count, signed zeros")
+@example([1e300, -1e-300, 3.0, 7.5]).via("even count, wide magnitudes")
+def test_median_matches_numpy_bitwise(values):
+    # access_control takes its per-level median from a sort, so that a run
+    # never imports numpy.ma; the value must be np.median's to the bit, also
+    # where the two middle values overflow to infinity when added
+    qs = np.array(values)
+    with np.errstate(over="ignore"):
+        assert (np.float64(simulation._median(qs)).tobytes()
+                == np.float64(np.median(qs)).tobytes())
 
 
 # ---------------------------------------------------------------------------
