@@ -16,7 +16,7 @@ from .contracts import (AccuracyCurveParams, ContractEntry, ContractMenu,
                         effort_cost_coeffs, local_epochs, per_level_objective,
                         publisher_constant, quality_level,
                         rewards_from_efforts, solve_contract, verify_contract)
-from .datasets import (ClientDataset, Dataset, PartitionSpec, emd, flip_labels,
+from .datasets import (ClientDataset, Dataset, DatasetView, PartitionSpec, emd, flip_labels,
                        largest_remainder, load_idx_pair, parse_idx, partition,
                        split_holdout, synthetic_pair, uniform_benchmark,
                        zipf_counts)
@@ -38,6 +38,7 @@ __all__ = [
     "AccessDecision", "AccuracyCurveParams", "AsyncSimulation",
     "Client", "ClientDataset", "ConfigurationError", "ContractEntry",
     "ContractMenu", "ContractReport", "ContractViolation", "Dataset",
+    "DatasetView",
     "DataFormatError", "ExperimentConfig", "FitResult", "InfeasibleEffort",
     "MarketModel", "Model", "PRESETS", "PartitionSpec", "QualityParams",
     "RoundLedger", "TimingParams", "TrainingDiverged", "access_control",

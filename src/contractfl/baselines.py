@@ -10,7 +10,7 @@ bit for bit.
 from __future__ import annotations
 
 from . import nn
-from .datasets import Dataset
+from .datasets import Dataset, DatasetView
 from .errors import ConfigurationError
 from .seeds import STREAM_TRAIN, child_seed
 
@@ -54,8 +54,8 @@ def run_sync(model: nn.Model, clients, rounds: int, epochs: int, lr: float,
     return model, history
 
 
-def local_sgd_run(model: nn.Model, pool: Dataset, rounds: int, epochs: int,
-                  lr: float, batch_size: int, master_seed: int,
+def local_sgd_run(model: nn.Model, pool: Dataset | DatasetView, rounds: int,
+                  epochs: int, lr: float, batch_size: int, master_seed: int,
                   test_data: Dataset) -> tuple[nn.Model, list[tuple[int, float, float, int]]]:
     """Centralized reference: all data in one place, plain SGD between evals."""
     if rounds < 1:

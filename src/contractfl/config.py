@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .contracts import AccuracyCurveParams, MarketModel, QualityParams
-from .datasets import PartitionSpec
+from .datasets import PartitionSpec, holdout_count
 from .errors import ConfigurationError
 from .simulation import TimingParams
 
@@ -48,6 +48,14 @@ class DatasetConfig:
         if self.kind not in ("synthetic", "mnist"):
             raise ConfigurationError(
                 f"kind must be 'synthetic' or 'mnist', got {self.kind!r}")
+        minimums = {"classes": 2, "dim": 1, "train_count": 1, "test_count": 1,
+                    "subset": 1, "test_subset": 1}
+        for name, low in minimums.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+        if not self.spread > 0:
+            raise ConfigurationError(f"spread must be > 0, got {self.spread}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
+        # limits that span two sections
+        k = self.partition.num_clients
+        if self.attack.count > k:
+            raise ConfigurationError(
+                f"attack.count {self.attack.count} exceeds partition.num_clients {k}")
+        if self.dataset.kind == "synthetic":
+            n = self.dataset.train_count
+            pool = n - holdout_count(n, self.partition.val_fraction)
+            if pool < k:
+                raise ConfigurationError(
+                    f"dataset.train_count {n} leaves a pool of {pool} after the "
+                    f"validation holdout, fewer than partition.num_clients {k}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -1,8 +1,13 @@
 """Dataset handling: IDX files, non-IID client partitioning, label statistics.
 
-A Dataset is a flat pool of feature rows scaled to [0, 1]. Clients hold
-index views into one parent pool plus their own label array, so a client's
-labels can be corrupted without touching the pool or any sibling client.
+A Dataset is a flat pool of feature rows scaled to [0, 1]. Everything cut
+from the training data is an index view into one root Dataset plus its own
+label array: the shuffled synthetic train split and the pool left after the
+validation holdout are `DatasetView`s, and each client is a `ClientDataset`.
+Views compose, so every view indexes the root matrix directly, and a
+client's labels can be corrupted without touching the pool or any sibling
+client. Only the validation and test splits, which are evaluated whole
+every round, are materialized as Datasets of their own.
 """
 
 from __future__ import annotations
@@ -58,38 +63,38 @@ class Dataset:
         return self.features[order]
 
 
-@dataclass(frozen=True)
-class ClientDataset:
-    """One client's slice of a parent pool, with a private label array."""
+class _IndexView:
+    """Rows `indices` of a root Dataset `parent`, with a private label array.
 
-    client_id: int
-    parent: Dataset
-    indices: np.ndarray
-    labels: np.ndarray
+    The base of `DatasetView` and `ClientDataset`, frozen dataclasses with
+    the fields `parent`, `indices` and `labels`. A view never copies the
+    parent's features; `rows` gathers them on demand.
+    """
 
-    def __post_init__(self):
+    def _check(self, who: str) -> None:
         idx = np.asarray(self.indices, dtype=np.int64)
         y = np.asarray(self.labels, dtype=np.int64)
         if idx.ndim != 1 or idx.size == 0:
-            raise ConfigurationError(
-                f"client {self.client_id} needs a non-empty 1-D index array")
+            raise ConfigurationError(f"{who} needs a non-empty 1-D index array")
         # sort and compare neighbours: np.unique would import numpy.ma
         ordered = np.sort(idx)
         if (ordered[1:] == ordered[:-1]).any():
-            raise ConfigurationError(f"client {self.client_id} has duplicate indices")
+            raise ConfigurationError(f"{who} has duplicate indices")
         if idx.min() < 0 or idx.max() >= len(self.parent):
             raise ConfigurationError(
-                f"client {self.client_id} index out of range for pool of {len(self.parent)}")
+                f"{who} index out of range for pool of {len(self.parent)}")
         if y.shape != idx.shape:
-            raise ConfigurationError(
-                f"client {self.client_id}: {y.size} labels for {idx.size} indices")
+            raise ConfigurationError(f"{who}: {y.size} labels for {idx.size} indices")
         if y.min() < 0 or y.max() >= self.parent.num_classes:
             raise ConfigurationError(
-                f"client {self.client_id} label out of range [0, {self.parent.num_classes})")
+                f"{who} label out of range [0, {self.parent.num_classes})")
         idx.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "labels", y)
+
+    def __len__(self) -> int:
+        return self.indices.size
 
     @property
     def d_k(self) -> int:
@@ -105,7 +110,7 @@ class ClientDataset:
         return self.parent.features[self.indices]
 
     def rows(self, order) -> np.ndarray:
-        """The client's feature rows at positions `order`, gathered straight
+        """The view's feature rows at positions `order`, gathered straight
         from the parent pool without materializing `features` first."""
         return self.parent.features[self.indices[order]]
 
@@ -113,6 +118,41 @@ class ClientDataset:
     def label_hist(self) -> np.ndarray:
         counts = np.bincount(self.labels, minlength=self.parent.num_classes)
         return counts / self.d_k
+
+
+@dataclass(frozen=True)
+class DatasetView(_IndexView):
+    """A slice of a root Dataset that is trained on, never evaluated whole:
+    the shuffled synthetic train split, or the pool after the holdout."""
+
+    parent: Dataset
+    indices: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self._check("view")
+
+
+@dataclass(frozen=True)
+class ClientDataset(_IndexView):
+    """One client's slice of a root pool, with a private label array."""
+
+    client_id: int
+    parent: Dataset
+    indices: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self._check(f"client {self.client_id}")
+
+
+def _root_rows(ds: Dataset | DatasetView,
+               positions: np.ndarray) -> tuple[Dataset, np.ndarray]:
+    """The root Dataset under `ds` and the root row of each of `ds`'s rows
+    at `positions`, so that a view of a view indexes the root directly."""
+    if isinstance(ds, Dataset):
+        return ds, positions
+    return ds.parent, ds.indices[positions]
 
 
 @dataclass(frozen=True)
@@ -185,7 +225,8 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int | None = 
             f"label file: count {label_count} at offset 4 does not match image count {count}")
 
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if labels.size else 1
@@ -243,7 +284,8 @@ def zipf_counts(pool_size: int, num_clients: int, exponent: float) -> np.ndarray
     return largest_remainder(quotas, pool_size)
 
 
-def partition(ds: Dataset, spec: PartitionSpec, seed: int) -> list[ClientDataset]:
+def partition(ds: Dataset | DatasetView, spec: PartitionSpec,
+              seed: int) -> list[ClientDataset]:
     """Split a pool into disjoint client shards.
 
     Client k (rank k, 1-based) targets a Zipf-weighted share of the pool.
@@ -256,7 +298,7 @@ def partition(ds: Dataset, spec: PartitionSpec, seed: int) -> list[ClientDataset
     cap is hard, so a late client can fall short of its target when every
     class it may touch is dry; the shortfall is logged. Every client ends up
     non-empty. Fully determined by spec and seed; spec.val_fraction is not
-    read here.
+    read here. Each client indexes the root Dataset under `ds` directly.
     """
     n = len(ds)
     k = spec.num_clients
@@ -329,25 +371,35 @@ def partition(ds: Dataset, spec: PartitionSpec, seed: int) -> list[ClientDataset
                 "client %d short %d of %d samples: its %d allowed classes ran dry",
                 i, deficit, int(counts[i]), m)
         picked = np.sort(picked)
-        clients.append(ClientDataset(i, ds, picked, ds.labels[picked].copy()))
+        root, rows = _root_rows(ds, picked)
+        clients.append(ClientDataset(i, root, rows, ds.labels[picked]))
     return clients
 
 
-def split_holdout(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+def holdout_count(n: int, fraction: float) -> int:
+    """How many of n rows `split_holdout` holds out: n * fraction, rounded,
+    and at least one."""
+    return max(1, int(round(n * fraction)))
+
+
+def split_holdout(ds: Dataset | DatasetView, fraction: float,
+                  seed: int) -> tuple[Dataset, DatasetView]:
     """Split off a held-out slice (e.g. a validation set) from a pool.
 
-    Returns (holdout, remainder); both are standalone Datasets.
+    Returns (holdout, remainder). Only the holdout is materialized, as a
+    standalone Dataset, because it is evaluated whole; the remainder is a
+    view over the root Dataset under `ds`, so no feature row is copied for
+    it, and the clients partitioned from it are views of that root too.
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigurationError(f"holdout fraction must be in (0, 1), got {fraction}")
     n = len(ds)
-    h = max(1, int(round(n * fraction)))
+    h = holdout_count(n, fraction)
     perm = np.random.default_rng(seed).permutation(n)
     held, rest = np.sort(perm[:h]), np.sort(perm[h:])
-    return (
-        Dataset(ds.features[held], ds.labels[held], ds.num_classes),
-        Dataset(ds.features[rest], ds.labels[rest], ds.num_classes),
-    )
+    root, rest_rows = _root_rows(ds, rest)
+    return (Dataset(ds.rows(held), ds.labels[held], ds.num_classes),
+            DatasetView(root, rest_rows, ds.labels[rest]))
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +453,13 @@ def flip_labels(cd: ClientDataset, fraction: float, seed: int) -> ClientDataset:
 # ---------------------------------------------------------------------------
 
 def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int,
-                   spread: float, seed: int) -> tuple[Dataset, Dataset]:
+                   spread: float, seed: int) -> tuple[DatasetView, Dataset]:
     """Generate matching train/test pools of Gaussian class blobs.
 
     Class means are drawn once and shared by both splits; samples add
-    isotropic noise and are clipped into [0, 1]. Deterministic in seed.
+    isotropic noise and are clipped into [0, 1], then shuffled. The train
+    split is a shuffled view of its blob matrix, which is never copied; the
+    test split is materialized. Deterministic in seed.
     """
     if num_classes < 2 or dim < 1:
         raise ConfigurationError("synthetic data needs >= 2 classes and >= 1 dim")
@@ -414,12 +468,19 @@ def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.25, 0.75, size=(num_classes, dim))
 
-    def make(count: int) -> Dataset:
+    def draw(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         per = largest_remainder(np.full(num_classes, count / num_classes), count)
         labels = np.repeat(np.arange(num_classes), per)
-        x = means[labels] + rng.normal(0.0, spread, size=(count, dim))
+        # the labels come in one block per class, so each block takes its
+        # mean in place: noise + mean is bitwise mean + noise
+        x = rng.normal(0.0, spread, size=(count, dim))
+        stops = np.cumsum(per)
+        for cls in range(num_classes):
+            x[stops[cls] - per[cls]:stops[cls]] += means[cls]
         np.clip(x, 0.0, 1.0, out=x)
-        perm = rng.permutation(count)
-        return Dataset(x[perm], labels[perm], num_classes)
+        return x, labels, rng.permutation(count)
 
-    return make(train_count), make(test_count)
+    x, labels, perm = draw(train_count)
+    train = DatasetView(Dataset(x, labels, num_classes), perm, labels[perm])
+    x, labels, perm = draw(test_count)
+    return train, Dataset(x[perm], labels[perm], num_classes)

@@ -33,8 +33,8 @@ from . import baselines, nn
 from .config import ExperimentConfig
 from .contracts import (ContractMenu, MarketModel, data_quality, local_epochs,
                         quality_level, solve_contract, verify_contract)
-from .datasets import (Dataset, emd, flip_labels, load_idx_pair, partition,
-                       split_holdout, synthetic_pair, uniform_benchmark)
+from .datasets import (Dataset, DatasetView, emd, flip_labels, load_idx_pair,
+                       partition, split_holdout, synthetic_pair, uniform_benchmark)
 from .errors import ConfigurationError
 from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
                     STREAM_INIT, STREAM_PARTITION, child_seed)
@@ -59,7 +59,7 @@ class Prepared:
 
     cfg: ExperimentConfig
     market: MarketModel
-    pool: Dataset
+    pool: DatasetView
     val: Dataset
     test: Dataset
     clients: list[Client]
@@ -92,8 +92,9 @@ def _truncate(ds: Dataset, count: int | None) -> Dataset:
     return Dataset(ds.features[:count], ds.labels[:count], ds.num_classes)
 
 
-def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Materialize (train pool, test set) for a config."""
+def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset | DatasetView, Dataset]:
+    """Build (train pool, test set) for a config; a synthetic train pool is a
+    shuffled view of its blob matrix."""
     dc = cfg.dataset
     if dc.kind == "synthetic":
         return synthetic_pair(dc.classes, dc.dim, dc.train_count, dc.test_count,
@@ -183,8 +184,9 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
                     [complete(c) for c in clients], menu)
 
 
-def _init_model(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> nn.Model:
-    dims = (input_dim, cfg.training.hidden1, cfg.training.hidden2, num_classes)
+def _init_model(cfg: ExperimentConfig, data: Dataset) -> nn.Model:
+    dims = (data.features.shape[1], cfg.training.hidden1, cfg.training.hidden2,
+            data.num_classes)
     return nn.init_model(dims, seed=child_seed(cfg.seed, STREAM_INIT))
 
 
@@ -238,7 +240,7 @@ def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     (round, test_loss, test_accuracy, admitted_count) rows.
     """
     prep = prepare(cfg, solve_menu=True)
-    model = _init_model(cfg, prep.pool.features.shape[1], prep.pool.num_classes)
+    model = _init_model(cfg, prep.pool.parent)
     sim = AsyncSimulation(
         model, prep.clients, prep.market, cfg.timing, a=cfg.gate.a,
         epsilon=cfg.gate.epsilon, phi=cfg.gate.phi, val_data=prep.val,
@@ -277,7 +279,7 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
         raise ConfigurationError(
             f"unknown baseline {algorithm!r}; choose from {BASELINE_ALGORITHMS}")
     prep = prepare(cfg, solve_menu=False)
-    model = _init_model(cfg, prep.pool.features.shape[1], prep.pool.num_classes)
+    model = _init_model(cfg, prep.pool.parent)
     epochs = cfg.baseline.local_epochs
     if algorithm == "local-sgd":
         final, history = baselines.local_sgd_run(

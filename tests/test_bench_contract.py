@@ -1,0 +1,75 @@
+"""What the benchmark in bench/ relies on, checked without running it.
+
+The benchmark resolves each workload's config through `config.resolve_config`
+and wraps the program's functions by attribute name. A config check that
+rejects a workload, or a rename that leaves a wrap pointing at nothing,
+fails here instead of in the benchmark.
+"""
+
+import importlib.util
+import inspect
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from common import make_client
+from contractfl import baselines, config, contracts, experiment, nn, simulation
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_workload_config_resolves(name, seed):
+    wl = WORKLOADS[name]
+    cfg = config.resolve_config(wl.preset, None, [*wl.overrides, f"seed={seed}"])
+    assert cfg.seed == seed
+    assert wl.pipeline in ("async", "fedavg")
+
+
+class _StubTracer:
+    """Records what the benchmark would wrap and count, and wraps nothing."""
+
+    def __init__(self):
+        self.wraps = []
+        self.counts = {}
+
+    def wrap(self, owner, attr, name, count=None, phase=False):
+        self.wraps.append((owner, attr, name, count))
+
+    def add(self, key, value):
+        self.counts[key] = self.counts.get(key, 0) + value
+
+
+def test_traced_layers_wrap_functions_that_exist():
+    tracer = _StubTracer()
+    _load("worker")._trace_layers(
+        tracer, (baselines, contracts, experiment, nn, simulation))
+    assert tracer.wraps
+    # the arguments a count hook may read, by the parameter name it reads
+    model = nn.init_model((1, 3, 3, 2), seed=0)
+    known = {"data": make_client(0, np.zeros((5, 1)), [0, 1, 0, 1, 1], 2),
+             "epochs": 2, "model": model, "deltas": [model.params] * 3}
+    for owner, attr, name, count in tracer.wraps:
+        target = getattr(owner, attr, None)
+        assert callable(target), f"{name}: {owner.__name__}.{attr} is gone"
+        if count is not None:
+            params = inspect.signature(target).parameters
+            count({p: known.get(p) for p in params})
+    assert tracer.counts["nn.sgd_samples"] == 2 * 5
+    assert tracer.counts["nn.evaluate_rows"] == 5
+    assert tracer.counts["nn.aggregate_deltas"] == 3

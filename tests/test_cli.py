@@ -170,6 +170,15 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
     ("partition-stats", "attack.flip_fraction=2", "attack.flip_fraction"),
     ("contract", "market.xi=-1", "market.xi"),
     ("contract", "curve.beta4=0", "curve.beta4"),
+    ("partition-stats", "dataset.classes=1", "dataset.classes"),
+    ("partition-stats", "dataset.dim=0", "dataset.dim"),
+    ("partition-stats", "dataset.spread=0", "dataset.spread"),
+    ("partition-stats", "dataset.train_count=0", "dataset.train_count"),
+    ("partition-stats", "dataset.test_count=0", "dataset.test_count"),
+    ("partition-stats", "dataset.subset=0", "dataset.subset"),
+    ("partition-stats", "dataset.test_subset=-1", "dataset.test_subset"),
+    ("simulate", "attack.count=7", "attack.count"),
+    ("partition-stats", "dataset.train_count=6", "dataset.train_count"),
 ])
 def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, field):
     args = [command, "fedavg"] if command == "baseline" else [command]

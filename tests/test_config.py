@@ -50,6 +50,21 @@ def test_any_valid_override_survives_a_json_round_trip(preset, overrides):
     assert again.to_dict() == cfg.to_dict()
 
 
+def test_cross_section_limits_checked_at_parse():
+    desk = config.preset_desk()
+    # 7 rows lose 1 to the holdout, which leaves a pool of 6 for 6 clients
+    ok = config.apply_overrides(desk, ["partition.num_clients=6",
+                                       "dataset.train_count=7", "attack.count=6"])
+    assert ok.attack.count == ok.partition.num_clients == 6
+    with pytest.raises(ConfigurationError, match=r"^dataset\.train_count 6 leaves a pool of 5"):
+        config.apply_overrides(ok, ["dataset.train_count=6"])
+    with pytest.raises(ConfigurationError, match=r"^attack\.count 7 exceeds"):
+        config.apply_overrides(ok, ["attack.count=7"])
+    # the pool of an IDX file is only known once it is read
+    assert config.apply_overrides(config.preset_paper_noattack(),
+                                  ["dataset.train_count=6"]).dataset.kind == "mnist"
+
+
 def test_from_dict_partial_sections():
     cfg = config.ExperimentConfig.from_dict(
         {"seed": 3, "market": {"levels": 4}, "gate": {"phi": 2.5}})

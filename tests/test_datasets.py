@@ -260,6 +260,47 @@ def test_synthetic_pair_shapes_and_balance():
     assert np.array_equal(train.features, t2[0].features)
 
 
+def test_synthetic_pair_matches_the_copying_oracle_bitwise():
+    # the formula the blobs were first built with: a full means[labels]
+    # matrix plus noise, clipped into a copy, then shuffled into another copy
+    classes, dim, n_train, n_test, spread, seed = 7, 5, 303, 101, 0.3, 17
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(0.25, 0.75, size=(classes, dim))
+    want = []
+    for count in (n_train, n_test):
+        per = datasets.largest_remainder(np.full(classes, count / classes), count)
+        labels = np.repeat(np.arange(classes), per)
+        x = means[labels] + rng.normal(0.0, spread, size=(count, dim))
+        x = np.clip(x, 0.0, 1.0)
+        perm = rng.permutation(count)
+        want.append((x[perm], labels[perm]))
+    train, test = datasets.synthetic_pair(classes, dim, n_train, n_test, spread, seed)
+    assert isinstance(train, datasets.DatasetView)
+    assert isinstance(test, datasets.Dataset)
+    for got, (x, labels) in zip((train, test), want):
+        assert got.features.tobytes() == x.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+
+
+def test_views_compose_onto_one_root():
+    rng = np.random.default_rng(8)
+    root = make_dataset(rng.uniform(size=(60, 3)), np.arange(60) % 3, 3)
+    perm = rng.permutation(60)
+    shuffled = datasets.DatasetView(root, perm, root.labels[perm])
+    held, rest = datasets.split_holdout(shuffled, 0.25, seed=2)
+    assert len(held) == datasets.holdout_count(60, 0.25) == 15
+    assert rest.parent is root
+    assert np.array_equal(rest.features, root.features[rest.indices])
+    for c in datasets.partition(rest, datasets.PartitionSpec(num_clients=4), seed=3):
+        assert c.parent is root
+        assert np.isin(c.indices, rest.indices).all()
+        assert np.array_equal(c.labels, root.labels[c.indices])
+    with pytest.raises(ConfigurationError, match="view has duplicate"):
+        datasets.DatasetView(root, np.array([4, 4]), np.array([1, 1]))
+    with pytest.raises(ConfigurationError, match="view index out of range"):
+        datasets.DatasetView(root, np.array([60]), np.array([0]))
+
+
 def test_synthetic_pair_is_learnable_structure():
     # same class means in train and test: a nearest-mean rule must transfer
     train, test = datasets.synthetic_pair(4, 6, 400, 200, 0.02, seed=3)

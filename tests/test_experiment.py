@@ -9,6 +9,8 @@ import pytest
 
 from common import make_client
 from contractfl import config, experiment
+from contractfl.datasets import synthetic_pair
+from contractfl.seeds import STREAM_HOLDOUT, child_seed
 from contractfl.simulation import Client
 from contractfl.errors import ConfigurationError
 
@@ -82,6 +84,33 @@ def test_prepare_quality_assessed_before_flip():
         same = np.array_equal(clean.clients[cid].data.labels,
                               attacked.clients[cid].data.labels)
         assert same != (cid in flipped)
+
+
+def test_prepare_gathers_pool_and_clients_from_one_matrix(monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(synthetic_pair(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(experiment, "synthetic_pair", spy)
+    cfg = tiny_config(**{"attack.count": 2})
+    prep = experiment.prepare(cfg, solve_menu=False)
+    (train, _), = built
+    root = train.parent.features
+    assert np.shares_memory(root, prep.pool.parent.features)
+    for c in prep.clients:
+        assert np.shares_memory(root, c.data.parent.features)
+    # the pool holds the rows the copying holdout split used to produce
+    n = len(train)
+    perm = np.random.default_rng(
+        child_seed(cfg.seed, STREAM_HOLDOUT)).permutation(n)
+    h = max(1, int(round(n * cfg.partition.val_fraction)))
+    held, rest = np.sort(perm[:h]), np.sort(perm[h:])
+    assert prep.pool.features.tobytes() == train.features[rest].tobytes()
+    assert prep.pool.labels.tobytes() == train.labels[rest].tobytes()
+    assert prep.val.features.tobytes() == train.features[held].tobytes()
+    assert not np.shares_memory(root, prep.val.features)
 
 
 def test_prepare_folds_quality_clamps_into_one_warning(caplog):
