@@ -16,7 +16,7 @@ from .contracts import (AccuracyCurveParams, ContractEntry, ContractMenu,
                         effort_cost_coeffs, local_epochs, per_level_objective,
                         publisher_constant, quality_level,
                         rewards_from_efforts, solve_contract, verify_contract)
-from .datasets import (ClientDataset, Dataset, DatasetView, PartitionSpec, emd, flip_labels,
+from .datasets import (Dataset, DatasetView, PartitionSpec, emd, flip_labels,
                        largest_remainder, load_idx_pair, parse_idx, partition,
                        split_holdout, synthetic_pair, uniform_benchmark,
                        zipf_counts)
@@ -30,15 +30,14 @@ from .nn import (Model, aggregate, evaluate, init_model, load_model,
 from .seeds import child_seed
 from .simulation import (AccessDecision, AsyncSimulation, Client, RoundLedger,
                          TimingParams, access_control, access_indicator,
-                         round_costs, settle_rewards)
+                         settle_rewards)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccessDecision", "AccuracyCurveParams", "AsyncSimulation",
-    "Client", "ClientDataset", "ConfigurationError", "ContractEntry",
-    "ContractMenu", "ContractReport", "ContractViolation", "Dataset",
-    "DatasetView",
+    "Client", "ConfigurationError", "ContractEntry", "ContractMenu",
+    "ContractReport", "ContractViolation", "Dataset", "DatasetView",
     "DataFormatError", "ExperimentConfig", "FitResult", "InfeasibleEffort",
     "MarketModel", "Model", "PRESETS", "PartitionSpec", "QualityParams",
     "RoundLedger", "TimingParams", "TrainingDiverged", "access_control",
@@ -49,7 +48,7 @@ __all__ = [
     "local_epochs", "local_sgd_run", "loss_and_gradient", "parse_idx",
     "partition", "partition_report", "per_level_objective", "predict",
     "prepare", "publisher_constant", "quality_level", "resolve_config",
-    "rewards_from_efforts", "round_costs", "run_async_experiment",
+    "rewards_from_efforts", "run_async_experiment",
     "run_baseline_experiment", "run_sync", "save_model", "select_attackers",
     "settle_rewards", "solve_contract", "split_holdout", "synthetic_pair",
     "train_epochs_tracked", "uniform_benchmark", "verify_contract",

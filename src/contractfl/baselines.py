@@ -13,29 +13,31 @@ from . import nn
 from .datasets import Dataset, DatasetView
 from .errors import ConfigurationError
 from .seeds import STREAM_TRAIN, child_seed
+from .simulation import Client
 
 
-def fedavg_round(model: nn.Model, clients, epochs: int, lr: float,
+def fedavg_round(model: nn.Model, clients: list[Client], epochs: int, lr: float,
                  batch_size: int, seed_for_client, mu: float = 0.0) -> nn.Model:
     """One synchronous round: every client trains, deltas merge by data share.
 
-    seed_for_client maps a client id to that client's shuffle seed for this
-    round. Aggregation weights are d_k / D. With mu > 0 each client's SGD is
-    pulled toward this round's starting model (FedProx).
+    Each `Client` trains its `data`. seed_for_client maps a client id to that
+    client's shuffle seed for this round. Aggregation weights are d_k / D.
+    With mu > 0 each client's SGD is pulled toward this round's starting
+    model (FedProx).
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
     total = sum(c.d_k for c in ordered)
     deltas, weights = [], []
     for c in ordered:
-        trained, _ = nn.train_epochs_tracked(model, c, epochs, lr, batch_size,
+        trained, _ = nn.train_epochs_tracked(model, c.data, epochs, lr, batch_size,
                                              seed_for_client(c.client_id), mu=mu)
         deltas.append(trained.params - model.params)
         weights.append(c.d_k / total)
     return nn.aggregate(model, deltas, weights)
 
 
-def run_sync(model: nn.Model, clients, rounds: int, epochs: int, lr: float,
-             batch_size: int, master_seed: int, test_data: Dataset,
+def run_sync(model: nn.Model, clients: list[Client], rounds: int, epochs: int,
+             lr: float, batch_size: int, master_seed: int, test_data: Dataset,
              mu: float = 0.0) -> tuple[nn.Model, list[tuple[int, float, float, int]]]:
     """Run FedAvg (mu = 0) or FedProx (mu > 0) for a fixed round count.
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .contracts import AccuracyCurveParams, MarketModel, QualityParams
-from .datasets import PartitionSpec, holdout_count
+from .datasets import PartitionSpec, holdout_count, zipf_counts
 from .errors import ConfigurationError
 from .simulation import TimingParams
 
@@ -109,8 +109,9 @@ class TrainingConfig:
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError(
                 f"lr must be a positive finite number, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "hidden1", "hidden2"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,15 @@ class ExperimentConfig:
         if self.dataset.kind == "synthetic":
             n = self.dataset.train_count
             pool = n - holdout_count(n, self.partition.val_fraction)
-            if pool < k:
+            e = self.partition.zipf_exponent
+            # pool < k already leaves a client 0 rows, and it keeps a huge k
+            # from sizing zipf_counts' arrays
+            if pool < k or zipf_counts(pool, k, e).min() < 1:
                 raise ConfigurationError(
                     f"dataset.train_count {n} leaves a pool of {pool} after the "
-                    f"validation holdout, fewer than partition.num_clients {k}")
+                    f"validation holdout, too small for partition.num_clients {k} "
+                    f"at partition.zipf_exponent {e}: some client's Zipf share "
+                    f"rounds to 0 rows")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -134,6 +134,11 @@ class MarketModel:
         # energy cost of one unit of effort: xi * c * f^2
         return self.xi * self.c * self.f ** 2
 
+    def energy(self, effort):
+        """Energy of one training cycle at `effort` (a scalar or an array):
+        xi * c * f^2 * effort for computation plus E_com for the upload."""
+        return self.unit_effort_cost * effort + self.e_com
+
 
 @dataclass(frozen=True)
 class ContractEntry:
@@ -316,11 +321,10 @@ def rewards_from_efforts(efforts: np.ndarray, market: MarketModel) -> np.ndarray
         raise ContractViolation(f"efforts must be positive, got {e.tolist()}")
     if (np.diff(e) < 0).any():
         raise ContractViolation(f"efforts must be nondecreasing, got {e.tolist()}")
-    u = market.unit_effort_cost
-    r1 = (u * e[0] + market.e_com) / market.theta[0]
+    r1 = market.energy(e[0]) / market.theta[0]
     if market.n_levels == 1:
         return np.array([r1])
-    increments = u * np.diff(e) / market.theta[1:]
+    increments = market.unit_effort_cost * np.diff(e) / market.theta[1:]
     return r1 + np.concatenate([[0.0], np.cumsum(increments)])
 
 
@@ -451,7 +455,7 @@ def verify_contract(menu: ContractMenu, market: MarketModel,
                     tol: float = 1e-9, binding_tol: float = 1e-6) -> ContractReport:
     """Brute-force every participation and self-selection constraint.
 
-    U(n, m) = theta_n * R_m - u * e_m - E_com is level n's expected utility
+    U(n, m) = theta_n * R_m - (u * e_m + E_com) is level n's expected utility
     from picking row m. IR requires U(n, n) >= 0; IC requires
     U(n, n) >= U(n, m) for every m. Constraints within binding_tol of zero
     are reported as binding.
@@ -459,10 +463,8 @@ def verify_contract(menu: ContractMenu, market: MarketModel,
     if menu.n_levels != market.n_levels:
         raise ConfigurationError(
             f"menu has {menu.n_levels} levels, market has {market.n_levels}")
-    u = market.unit_effort_cost
-    e, r = menu.efforts, menu.rewards
     # util[n, m]: level n's utility when it takes row m
-    util = np.outer(market.theta, r) - (u * e + market.e_com)[None, :]
+    util = np.outer(market.theta, menu.rewards) - market.energy(menu.efforts)[None, :]
     ir = np.diag(util).copy()
     ic_gap = ir[:, None] - util
 
@@ -506,11 +508,9 @@ def client_utility(level: int, menu: ContractMenu, market: MarketModel,
                    tau: int, d_k: int) -> float:
     """Expected utility of a level's contract at the client's realized effort.
 
-    theta_n * R_n - xi * (tau * d_k) * c * f^2 - E_com. The energy term uses
-    the realized effort tau * d_k, which differs from the contracted effort
-    when the epoch count was rounded or clamped.
+    theta_n * R_n - (xi * c * f^2 * tau * d_k + E_com). The energy term
+    uses the realized effort tau * d_k, which differs from the contracted
+    effort when the epoch count was rounded or clamped.
     """
-    entry = menu.entry(level)
-    realized = tau * d_k
-    return float(market.theta[level - 1] * entry.reward
-                 - market.unit_effort_cost * realized - market.e_com)
+    return float(market.theta[level - 1] * menu.entry(level).reward
+                 - market.energy(tau * d_k))

@@ -1,13 +1,15 @@
 """Dataset handling: IDX files, non-IID client partitioning, label statistics.
 
 A Dataset is a flat pool of feature rows scaled to [0, 1]. Everything cut
-from the training data is an index view into one root Dataset plus its own
-label array: the shuffled synthetic train split and the pool left after the
-validation holdout are `DatasetView`s, and each client is a `ClientDataset`.
-Views compose, so every view indexes the root matrix directly, and a
-client's labels can be corrupted without touching the pool or any sibling
-client. Only the validation and test splits, which are evaluated whole
-every round, are materialized as Datasets of their own.
+from the training data is a `DatasetView`, an index view into one root
+Dataset plus its own label array: the shuffled synthetic train split, the
+pool left after the validation holdout, and each client's shard. Views
+compose, so every view indexes the root matrix directly, and a client's
+labels can be corrupted without touching the pool or any sibling client.
+A view carries no client id; `partition` returns the shards in client
+order, and the caller numbers them. Only the validation and test splits,
+which are evaluated whole every round, are materialized as Datasets of
+their own.
 """
 
 from __future__ import annotations
@@ -63,31 +65,37 @@ class Dataset:
         return self.features[order]
 
 
-class _IndexView:
+@dataclass(frozen=True)
+class DatasetView:
     """Rows `indices` of a root Dataset `parent`, with a private label array.
 
-    The base of `DatasetView` and `ClientDataset`, frozen dataclasses with
-    the fields `parent`, `indices` and `labels`. A view never copies the
+    Everything cut from the training data is one of these: the shuffled
+    synthetic train split, the pool after the holdout, and each client's
+    shard. A view is trained on, never evaluated whole, and never copies the
     parent's features; `rows` gathers them on demand.
     """
 
-    def _check(self, who: str) -> None:
+    parent: Dataset
+    indices: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         y = np.asarray(self.labels, dtype=np.int64)
         if idx.ndim != 1 or idx.size == 0:
-            raise ConfigurationError(f"{who} needs a non-empty 1-D index array")
+            raise ConfigurationError("view needs a non-empty 1-D index array")
         # sort and compare neighbours: np.unique would import numpy.ma
         ordered = np.sort(idx)
         if (ordered[1:] == ordered[:-1]).any():
-            raise ConfigurationError(f"{who} has duplicate indices")
+            raise ConfigurationError("view has duplicate indices")
         if idx.min() < 0 or idx.max() >= len(self.parent):
             raise ConfigurationError(
-                f"{who} index out of range for pool of {len(self.parent)}")
+                f"view index out of range for pool of {len(self.parent)}")
         if y.shape != idx.shape:
-            raise ConfigurationError(f"{who}: {y.size} labels for {idx.size} indices")
+            raise ConfigurationError(f"view: {y.size} labels for {idx.size} indices")
         if y.min() < 0 or y.max() >= self.parent.num_classes:
             raise ConfigurationError(
-                f"{who} label out of range [0, {self.parent.num_classes})")
+                f"view label out of range [0, {self.parent.num_classes})")
         idx.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "indices", idx)
@@ -118,32 +126,6 @@ class _IndexView:
     def label_hist(self) -> np.ndarray:
         counts = np.bincount(self.labels, minlength=self.parent.num_classes)
         return counts / self.d_k
-
-
-@dataclass(frozen=True)
-class DatasetView(_IndexView):
-    """A slice of a root Dataset that is trained on, never evaluated whole:
-    the shuffled synthetic train split, or the pool after the holdout."""
-
-    parent: Dataset
-    indices: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self._check("view")
-
-
-@dataclass(frozen=True)
-class ClientDataset(_IndexView):
-    """One client's slice of a root pool, with a private label array."""
-
-    client_id: int
-    parent: Dataset
-    indices: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self._check(f"client {self.client_id}")
 
 
 def _root_rows(ds: Dataset | DatasetView,
@@ -285,7 +267,7 @@ def zipf_counts(pool_size: int, num_clients: int, exponent: float) -> np.ndarray
 
 
 def partition(ds: Dataset | DatasetView, spec: PartitionSpec,
-              seed: int) -> list[ClientDataset]:
+              seed: int) -> list[DatasetView]:
     """Split a pool into disjoint client shards.
 
     Client k (rank k, 1-based) targets a Zipf-weighted share of the pool.
@@ -297,15 +279,20 @@ def partition(ds: Dataset | DatasetView, spec: PartitionSpec,
     client holds fewer than max_classes_per_client distinct ones. The class
     cap is hard, so a late client can fall short of its target when every
     class it may touch is dry; the shortfall is logged. Every client ends up
-    non-empty. Fully determined by spec and seed; spec.val_fraction is not
-    read here. Each client indexes the root Dataset under `ds` directly.
+    non-empty: a pool whose Zipf shares round some client's count to 0 is
+    rejected before anything is drawn. Fully determined by spec and seed;
+    spec.val_fraction is not read here. Shard i is client i's, and it
+    indexes the root Dataset under `ds` directly.
     """
     n = len(ds)
     k = spec.num_clients
-    if n < k:
-        raise ConfigurationError(f"pool of {n} cannot cover {k} clients")
-    rng = np.random.default_rng(seed)
     counts = zipf_counts(n, k, spec.zipf_exponent)
+    if counts.min() < 1:
+        raise ConfigurationError(
+            f"pool of {n} cannot cover {k} clients: at zipf_exponent "
+            f"{spec.zipf_exponent}, client {int(np.argmin(counts))}'s Zipf share "
+            f"rounds to 0 samples")
+    rng = np.random.default_rng(seed)
     c = ds.num_classes
 
     pools = []
@@ -362,17 +349,14 @@ def partition(ds: Dataset | DatasetView, spec: PartitionSpec,
                 if got.size:
                     used.add(int(cls))
                 chosen.append(got)
-        picked = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-        if picked.size == 0:
-            raise ConfigurationError(
-                f"pool exhausted before client {i} received any samples")
+        picked = np.concatenate(chosen)
         if deficit > 0:
             logger.warning(
                 "client %d short %d of %d samples: its %d allowed classes ran dry",
                 i, deficit, int(counts[i]), m)
         picked = np.sort(picked)
         root, rows = _root_rows(ds, picked)
-        clients.append(ClientDataset(i, root, rows, ds.labels[picked]))
+        clients.append(DatasetView(root, rows, ds.labels[picked]))
     return clients
 
 
@@ -426,8 +410,8 @@ def uniform_benchmark(num_classes: int) -> np.ndarray:
     return np.full(num_classes, 1.0 / num_classes)
 
 
-def flip_labels(cd: ClientDataset, fraction: float, seed: int) -> ClientDataset:
-    """Return a copy of a client with floor(fraction * d_k) labels flipped.
+def flip_labels(cd: DatasetView, fraction: float, seed: int) -> DatasetView:
+    """Return a copy of a client's view with floor(fraction * d_k) labels flipped.
 
     Victim samples are chosen uniformly without replacement; each new label
     is drawn uniformly from the other classes, so a flip never maps a label
@@ -445,7 +429,7 @@ def flip_labels(cd: ClientDataset, fraction: float, seed: int) -> ClientDataset:
         victims = rng.choice(cd.d_k, size=count, replace=False)
         offsets = rng.integers(1, c, size=count)
         labels[victims] = (labels[victims] + offsets) % c
-    return ClientDataset(cd.client_id, cd.parent, cd.indices, labels)
+    return DatasetView(cd.parent, cd.indices, labels)
 
 
 # ---------------------------------------------------------------------------

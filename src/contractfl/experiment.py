@@ -6,9 +6,11 @@ script, or a test. All randomness derives from the config seed through named
 streams; runs with equal configs produce byte-identical artifacts.
 
 `prepare` describes each client once, as a frozen `simulation.Client`: its
-data, quality score and level, per-epoch delay, attacker flag and, when a
-menu is solved, its contract terms. The async simulator and the baselines
-read the same records; nothing changes them after `prepare` returns.
+id (the position of its shard in `partition`'s list, the only place an id is
+given), data view, quality score and level, per-epoch delay, attacker flag
+and, when a menu is solved, its contract terms. The async simulator and the
+baselines take the same records; nothing changes them after `prepare`
+returns.
 
 Artifacts written into the output directory:
     config-echo.json   fully resolved configuration that produced the run
@@ -145,16 +147,17 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
     benchmark = uniform_benchmark(pool.num_classes)
     clients: list[Client] = []
     clamped: dict[str, list[int]] = {}
-    for cd in partition(pool, cfg.partition, child_seed(cfg.seed, STREAM_PARTITION)):
-        skew = emd(cd.label_hist, benchmark)
+    shards = partition(pool, cfg.partition, child_seed(cfg.seed, STREAM_PARTITION))
+    for cid, data in enumerate(shards):
+        skew = emd(data.label_hist, benchmark)
         kinds: list[str] = []
-        theta = data_quality(cd.d_k, skew, cfg.quality, kinds)
+        theta = data_quality(data.d_k, skew, cfg.quality, kinds)
         level = quality_level(theta, market, kinds)
         for kind in kinds:
-            clamped.setdefault(kind, []).append(cd.client_id)
-        rng = np.random.default_rng(child_seed(cfg.seed, STREAM_DELAY, cd.client_id))
+            clamped.setdefault(kind, []).append(cid)
+        rng = np.random.default_rng(child_seed(cfg.seed, STREAM_DELAY, cid))
         delay = float(rng.uniform(cfg.timing.delay_lo, cfg.timing.delay_hi))
-        clients.append(Client(cd.client_id, cd, skew, theta, level, delay))
+        clients.append(Client(cid, data, skew, theta, level, delay))
     if clamped:
         logger.warning("quality clamped for %d of %d clients: %s",
                        len({cid for ids in clamped.values() for cid in ids}),
@@ -242,7 +245,7 @@ def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     prep = prepare(cfg, solve_menu=True)
     model = _init_model(cfg, prep.pool.parent)
     sim = AsyncSimulation(
-        model, prep.clients, prep.market, cfg.timing, a=cfg.gate.a,
+        model, prep.clients, cfg.timing, a=cfg.gate.a,
         epsilon=cfg.gate.epsilon, phi=cfg.gate.phi, val_data=prep.val,
         test_data=prep.test, master_seed=cfg.seed, lr=cfg.training.lr,
         batch_size=cfg.training.batch_size)
@@ -288,7 +291,7 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
     else:
         mu = cfg.baseline.prox_mu if algorithm == "fedprox" else 0.0
         final, history = baselines.run_sync(
-            model, [c.data for c in prep.clients], cfg.rounds, epochs, cfg.training.lr,
+            model, prep.clients, cfg.rounds, epochs, cfg.training.lr,
             cfg.training.batch_size, cfg.seed, prep.test, mu=mu)
     last = history[-1]
     result = {

@@ -76,8 +76,8 @@ def init_model(layer_dims, seed: int) -> Model:
     fan_out)), which keeps activation variance stable across layers.
     """
     dims = tuple(int(d) for d in layer_dims)
-    if len(dims) != 4:
-        raise ConfigurationError(f"layer_dims must have 4 entries, got {layer_dims}")
+    if len(dims) != 4 or any(d <= 0 for d in dims):
+        raise ConfigurationError(f"layer_dims must be 4 positive ints, got {layer_dims}")
     rng = np.random.default_rng(seed)
     params = np.zeros(param_count(dims))
     w1, b1, w2, b2, w3, b3 = _views(dims, params)

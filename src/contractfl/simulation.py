@@ -1,12 +1,11 @@
 """Asynchronous training loop with staleness-aware, quality-gated admission.
 
-Two clocks run side by side. The simulated clock drives scheduling: each
-client's training cycle occupies tau * per_epoch_delay simulated seconds
-(communication is folded into the per-epoch delay, so it adds no simulated
-time of its own), and the server aggregates once per delta_t window. The
-analytic clock never advances anything; it prices each cycle at
-tau * c * d / f seconds and tau * xi * c * d * f^2 + E_com energy units for
-the settlement books.
+A simulated clock drives scheduling: each client's training cycle occupies
+tau * per_epoch_delay simulated seconds (communication is folded into the
+per-epoch delay, so it adds no simulated time of its own), and the server
+aggregates once per delta_t window. The settlement books price each uploaded
+cycle with the contract's own cost model, `MarketModel.energy` at the
+realized effort tau * d_k.
 
 Round t covers the window (t * delta_t, (t + 1) * delta_t]. Clients whose
 cycles finish inside the window form the upload set. Each upload is scored
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import nn
 from .contracts import ContractMenu, MarketModel, client_utility
-from .datasets import ClientDataset, Dataset
+from .datasets import Dataset, DatasetView
 from .errors import ConfigurationError
 from .seeds import STREAM_TRAIN, child_seed
 
@@ -61,11 +60,13 @@ class Client:
 
     The contract terms (effort, reward, tau, tau_clamped) are None when no
     menu was solved. Quality and level describe the data as declared; for an
-    attacker, `data` holds the corrupted labels it actually trains on.
+    attacker, `data` holds the corrupted labels it actually trains on. The
+    id lives here alone: `data` is an index view of the pool that knows
+    nothing of whose it is.
     """
 
     client_id: int
-    data: ClientDataset
+    data: DatasetView
     emd: float
     theta: float
     level: int
@@ -90,13 +91,6 @@ class _Cycle:
     finish: float
     delta: np.ndarray
     loss: float
-
-
-@dataclass(frozen=True)
-class RoundCosts:
-    sim_seconds: float
-    analytic_compute_seconds: float
-    energy: float
 
 
 @dataclass(frozen=True)
@@ -142,21 +136,6 @@ class RoundLedger:
     val_loss: float
     test_loss: float
     test_accuracy: float
-
-
-def round_costs(client: Client, market: MarketModel) -> RoundCosts:
-    """Price one full training cycle for a client.
-
-    Simulated wall time is tau * per_epoch_delay (communication adds no
-    simulated seconds). The analytic books record tau * c * d / f compute
-    seconds and tau * xi * c * d * f^2 + E_com energy units, with the
-    constants the contract was priced with.
-    """
-    d = client.d_k
-    sim = client.tau * client.per_epoch_delay
-    analytic = client.tau * market.c * d / market.f
-    energy = client.tau * market.xi * market.c * d * market.f ** 2 + market.e_com
-    return RoundCosts(sim, analytic, energy)
 
 
 def loss_reduction(base_loss: float, new_loss: float) -> float:
@@ -246,7 +225,6 @@ class AsyncSimulation:
         model: initial global model.
         clients: the population, each with its contract terms (ids must be
             unique; any order).
-        market: cost constants shared with the contract solver.
         timing: simulated-delay distribution and aggregation period.
         a, epsilon, phi: access-control spread gate, staleness decay, and
             outlier width.
@@ -258,16 +236,14 @@ class AsyncSimulation:
     """
 
     def __init__(self, model: nn.Model, clients: list[Client],
-                 market: MarketModel, timing: TimingParams, a: float,
-                 epsilon: float, phi: float, val_data: Dataset,
-                 test_data: Dataset, master_seed: int, lr: float,
-                 batch_size: int):
+                 timing: TimingParams, a: float, epsilon: float, phi: float,
+                 val_data: Dataset, test_data: Dataset, master_seed: int,
+                 lr: float, batch_size: int):
         ids = [c.client_id for c in clients]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("client ids must be unique")
         self.model = model
         self.clients = sorted(clients, key=lambda c: c.client_id)
-        self.market = market
         self.timing = timing
         self.a = a
         self.epsilon = epsilon
@@ -292,7 +268,7 @@ class AsyncSimulation:
             self.model, client.data, client.tau, self.lr, self.batch_size, seed)
         self._cycles[client.client_id] = _Cycle(
             base_round=round_idx,
-            finish=start_time + round_costs(client, self.market).sim_seconds,
+            finish=start_time + client.tau * client.per_epoch_delay,
             delta=trained.params - self.model.params,
             loss=float(epoch_losses[-1]))
 
@@ -393,7 +369,7 @@ def settle_rewards(ledgers: list[RoundLedger], clients: list[Client],
     per_client = []
     for c in sorted(clients, key=lambda s: s.client_id):
         mine = verdicts[c.client_id]
-        cost = round_costs(c, market).energy
+        cost = market.energy(c.tau * c.d_k)
         earned = withheld = energy = 0.0
         for admitted in mine:
             energy += cost

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from contractfl.datasets import ClientDataset, Dataset
+from contractfl.datasets import Dataset, DatasetView
+from contractfl.simulation import Client
 
 
 def make_dataset(features, labels, num_classes=None):
@@ -13,10 +14,17 @@ def make_dataset(features, labels, num_classes=None):
     return Dataset(x, y, num_classes)
 
 
-def make_client(client_id, features, labels, num_classes=None):
+def make_view(features, labels, num_classes=None):
+    """A view over every row of a fresh pool, as a client's shard is."""
     ds = make_dataset(features, labels, num_classes)
-    idx = np.arange(len(ds))
-    return ClientDataset(client_id, ds, idx, ds.labels.copy())
+    return DatasetView(ds, np.arange(len(ds)), ds.labels.copy())
+
+
+def make_client(client_id, features, labels, num_classes=None):
+    """A client record holding a view of its own data and neutral terms."""
+    return Client(client_id=client_id,
+                  data=make_view(features, labels, num_classes), emd=0.0,
+                  theta=0.5, level=1, per_epoch_delay=1.0)
 
 
 def blob_data(n, num_classes=2, dim=2, spread=0.05, seed=0):

@@ -76,7 +76,7 @@ def test_fedavg_round_weights_by_data_share():
                                  seed_for_client=lambda cid: seeds[cid])
     deltas = []
     for c in clients:
-        trained, _ = nn.train_epochs_tracked(model, c, 1, 0.1, 8, seeds[c.client_id])
+        trained, _ = nn.train_epochs_tracked(model, c.data, 1, 0.1, 8, seeds[c.client_id])
         deltas.append(trained.params - model.params)
     want = model.params + 0.75 * deltas[0] + 0.25 * deltas[1]
     assert np.allclose(out.params, want, rtol=0, atol=1e-12)

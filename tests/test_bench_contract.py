@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from common import make_client
+from common import make_view
 from contractfl import baselines, config, contracts, experiment, nn, simulation
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -62,7 +62,7 @@ def test_traced_layers_wrap_functions_that_exist():
     assert tracer.wraps
     # the arguments a count hook may read, by the parameter name it reads
     model = nn.init_model((1, 3, 3, 2), seed=0)
-    known = {"data": make_client(0, np.zeros((5, 1)), [0, 1, 0, 1, 1], 2),
+    known = {"data": make_view(np.zeros((5, 1)), [0, 1, 0, 1, 1], 2),
              "epochs": 2, "model": model, "deltas": [model.params] * 3}
     for owner, attr, name, count in tracer.wraps:
         target = getattr(owner, attr, None)

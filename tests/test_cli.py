@@ -179,6 +179,11 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
     ("partition-stats", "dataset.test_subset=-1", "dataset.test_subset"),
     ("simulate", "attack.count=7", "attack.count"),
     ("partition-stats", "dataset.train_count=6", "dataset.train_count"),
+    # pools that hold every client but leave one a Zipf share of 0 rows
+    ("partition-stats", "dataset.train_count=10", "dataset.train_count"),
+    ("partition-stats", "partition.zipf_exponent=30", "partition.zipf_exponent"),
+    ("simulate", "training.hidden1=0", "training.hidden1"),
+    ("simulate", "training.hidden2=-3", "training.hidden2"),
 ])
 def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, field):
     args = [command, "fedavg"] if command == "baseline" else [command]
@@ -187,6 +192,23 @@ def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, f
     err = capsys.readouterr().err
     assert field in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("override", ["dataset.train_count=23",
+                                      "partition.zipf_exponent=30"])
+def test_zero_zipf_share_on_desk_rejected_before_data_is_built(capsys, monkeypatch,
+                                                               override):
+    # desk's 20 clients fit a pool of 21 rows, but its Zipf shares give
+    # clients 12-19 no rows; at exponent 30 every client past the first has none
+    def build(*args, **kwargs):
+        raise AssertionError("the data was built")
+
+    monkeypatch.setattr(experiment, "synthetic_pair", build)
+    rc = cli.main(["partition-stats", "--preset", "desk", "--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "dataset.train_count" in err and "partition.zipf_exponent" in err
 
 
 @pytest.mark.parametrize("owner,attr,exc", [

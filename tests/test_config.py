@@ -52,10 +52,16 @@ def test_any_valid_override_survives_a_json_round_trip(preset, overrides):
 
 def test_cross_section_limits_checked_at_parse():
     desk = config.preset_desk()
-    # 7 rows lose 1 to the holdout, which leaves a pool of 6 for 6 clients
+    # 11 rows lose 1 to the holdout; Zipf shares of the pool of 10 over 6
+    # clients round to [4, 2, 1, 1, 1, 1]
     ok = config.apply_overrides(desk, ["partition.num_clients=6",
-                                       "dataset.train_count=7", "attack.count=6"])
+                                       "dataset.train_count=11", "attack.count=6"])
     assert ok.attack.count == ok.partition.num_clients == 6
+    # a pool of 9 still holds 6 clients, but rounds to [4, 2, 1, 1, 1, 0]
+    with pytest.raises(ConfigurationError,
+                       match=r"^dataset\.train_count 10 leaves a pool of 9 .*"
+                             r"partition\.zipf_exponent 1\.0"):
+        config.apply_overrides(ok, ["dataset.train_count=10"])
     with pytest.raises(ConfigurationError, match=r"^dataset\.train_count 6 leaves a pool of 5"):
         config.apply_overrides(ok, ["dataset.train_count=6"])
     with pytest.raises(ConfigurationError, match=r"^attack\.count 7 exceeds"):

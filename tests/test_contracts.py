@@ -355,6 +355,29 @@ def test_client_utility_hand_computed():
     assert contracts.client_utility(1, menu, m, tau=1, d_k=50) > 0
 
 
+def test_client_utility_is_the_verified_ir_slack_bitwise():
+    # settlement and verification price an effort through one cost model:
+    # when the realized effort tau * d_k is the contracted effort, a client's
+    # utility is the IR slack verify_contract reports for its level, bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = MarketModel.uniform(
+            4, xi=float(rng.uniform(0.1, 3.0)), c=float(rng.uniform(0.5, 9.0)),
+            f=float(rng.uniform(0.5, 2.5)), e_com=float(rng.uniform(1.0, 50.0)))
+        d_k = int(rng.integers(1, 400))
+        taus = np.sort(rng.integers(1, 20, size=4))
+        efforts = (taus * d_k).astype(np.float64)
+        rewards = contracts.rewards_from_efforts(efforts, m)
+        menu = ContractMenu(tuple(
+            ContractEntry(n + 1, float(m.theta[n]), float(m.p[n]),
+                          float(efforts[n]), float(rewards[n]))
+            for n in range(4)))
+        ir = contracts.verify_contract(menu, m).ir
+        for n in range(1, 5):
+            got = contracts.client_utility(n, menu, m, tau=int(taus[n - 1]), d_k=d_k)
+            assert np.float64(got).tobytes() == ir[n - 1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Cross-checks between curve and solver
 # ---------------------------------------------------------------------------

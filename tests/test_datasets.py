@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from common import make_client, make_dataset
+from common import make_dataset, make_view
 from contractfl import datasets
 from contractfl.errors import ConfigurationError, DataFormatError
 
@@ -168,6 +168,10 @@ def test_partition_more_clients_than_samples_fails_loudly():
     pool = make_dataset(np.zeros((3, 1)), [0, 1, 2], 3)
     with pytest.raises(ConfigurationError):
         datasets.partition(pool, datasets.PartitionSpec(num_clients=10), seed=0)
+    # 9 rows cover 6 clients, but the Zipf shares round to [4, 2, 1, 1, 1, 0]
+    pool = make_dataset(np.zeros((9, 1)), np.arange(9) % 3, 3)
+    with pytest.raises(ConfigurationError, match="client 5's Zipf share rounds to 0"):
+        datasets.partition(pool, datasets.PartitionSpec(num_clients=6), seed=0)
 
 
 def test_split_holdout_partitions_everything():
@@ -210,13 +214,13 @@ def test_emd_validation():
 
 
 def test_label_hist():
-    c = make_client(0, np.zeros((4, 1)), [0, 0, 1, 2], 4)
+    c = make_view(np.zeros((4, 1)), [0, 0, 1, 2], 4)
     assert np.allclose(c.label_hist, [0.5, 0.25, 0.25, 0.0])
     assert abs(c.label_hist.sum() - 1.0) < 1e-12
 
 
 def test_flip_labels_count_and_range():
-    c = make_client(0, np.zeros((10, 1)), [0, 1, 2, 3, 4, 0, 1, 2, 3, 4], 5)
+    c = make_view(np.zeros((10, 1)), [0, 1, 2, 3, 4, 0, 1, 2, 3, 4], 5)
     flipped = datasets.flip_labels(c, 0.5, seed=9)
     changed = (flipped.labels != c.labels).sum()
     assert changed == 5  # floor(0.5 * 10)
@@ -228,20 +232,20 @@ def test_flip_labels_count_and_range():
 
 
 def test_flip_labels_never_maps_to_self():
-    c = make_client(1, np.zeros((40, 1)), np.arange(40) % 4, 4)
+    c = make_view(np.zeros((40, 1)), np.arange(40) % 4, 4)
     for seed in range(10):
         flipped = datasets.flip_labels(c, 1.0, seed=seed)
         assert (flipped.labels != c.labels).all()
 
 
 def test_flip_labels_zero_fraction_is_identity():
-    c = make_client(2, np.zeros((6, 1)), [0, 1, 0, 1, 0, 1], 2)
+    c = make_view(np.zeros((6, 1)), [0, 1, 0, 1, 0, 1], 2)
     flipped = datasets.flip_labels(c, 0.0, seed=0)
     assert np.array_equal(flipped.labels, c.labels)
 
 
 def test_flip_labels_fraction_validation():
-    c = make_client(3, np.zeros((4, 1)), [0, 1, 0, 1], 2)
+    c = make_view(np.zeros((4, 1)), [0, 1, 0, 1], 2)
     with pytest.raises(ConfigurationError):
         datasets.flip_labels(c, 1.2, seed=0)
     with pytest.raises(ConfigurationError):
@@ -314,9 +318,9 @@ def test_synthetic_pair_is_learnable_structure():
 def test_client_dataset_validation():
     ds = make_dataset(np.zeros((5, 1)), [0, 1, 0, 1, 0], 2)
     with pytest.raises(ConfigurationError):
-        datasets.ClientDataset(0, ds, np.array([1, 1]), ds.labels[[1, 1]].copy())
+        datasets.DatasetView(ds, np.array([1, 1]), ds.labels[[1, 1]].copy())
     idx = np.array([3, 0, 4, 3])  # the duplicates are not neighbours
     with pytest.raises(ConfigurationError, match="duplicate"):
-        datasets.ClientDataset(0, ds, idx, ds.labels[idx].copy())
+        datasets.DatasetView(ds, idx, ds.labels[idx].copy())
     with pytest.raises(ConfigurationError):
-        datasets.ClientDataset(0, ds, np.array([7]), np.array([0]))
+        datasets.DatasetView(ds, np.array([7]), np.array([0]))

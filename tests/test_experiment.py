@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from common import make_client
+from common import make_view
 from contractfl import config, experiment
 from contractfl.datasets import synthetic_pair
 from contractfl.seeds import STREAM_HOLDOUT, child_seed
@@ -30,7 +30,7 @@ def tiny_config(**over):
 
 
 def client(cid, d_k, level):
-    data = make_client(cid, np.zeros((d_k, 1)), np.arange(d_k) % 2, 2)
+    data = make_view(np.zeros((d_k, 1)), np.arange(d_k) % 2, 2)
     return Client(client_id=cid, data=data, emd=0.2, theta=0.5, level=level,
                   per_epoch_delay=1.0)
 

@@ -6,7 +6,7 @@ import pytest
 
 from common import blob_data, make_dataset
 from contractfl import nn
-from contractfl.datasets import ClientDataset
+from contractfl.datasets import DatasetView
 from contractfl.errors import (ConfigurationError, ContractViolation,
                                DataFormatError, TrainingDiverged)
 
@@ -242,7 +242,7 @@ def test_kernel_matches_independent_oracle_bitwise(dims, batch_size, n, epochs, 
     pool = make_dataset(rng.uniform(0.0, 1.0, size=(3 * n, dims[0])),
                         rng.integers(0, dims[-1], size=3 * n), dims[-1])
     indices = np.sort(rng.choice(3 * n, size=n, replace=False))
-    client = ClientDataset(0, pool, indices, pool.labels[indices])
+    client = DatasetView(pool, indices, pool.labels[indices])
     m = nn.init_model(dims, seed=5)
     got_model, got_losses = nn.train_epochs_tracked(m, client, epochs, lr,
                                                     batch_size, 31, mu=mu)
@@ -420,6 +420,9 @@ def test_model_rejects_bad_shapes():
         nn.Model((3, 4, 5, 2), np.zeros(10))
     with pytest.raises(ConfigurationError):
         nn.Model((0, 4, 5, 2), np.zeros(nn.param_count((3, 4, 5, 2))))
+    for dims in ((3, 4, -3, 2), (3, 0, 5, 2)):
+        with pytest.raises(ConfigurationError, match="positive"):
+            nn.init_model(dims, seed=0)
 
 
 def test_dataset_helper_rejects_bad_values():

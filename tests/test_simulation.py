@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from common import make_client, make_dataset
+from common import make_dataset, make_view
 from contractfl import nn, simulation
 from contractfl.contracts import MarketModel, solve_contract
 from contractfl.errors import ConfigurationError
@@ -14,7 +14,7 @@ from contractfl.seeds import STREAM_TRAIN, child_seed
 from contractfl.simulation import (AccessDecision, AsyncSimulation, Client,
                                    RoundLedger, TimingParams, UploadRecord,
                                    access_control, access_indicator,
-                                   round_costs, settle_rewards)
+                                   settle_rewards)
 
 MARKET = MarketModel.uniform()
 MENU = solve_contract(MARKET)
@@ -27,7 +27,7 @@ def easy_client(cid, n=6, flip=False, seed=0):
     x = np.where(y == 0, 0.1, 0.9)[:, None] + rng.uniform(-0.05, 0.05, (n, 1))
     if flip:
         y = rng.integers(0, 2, size=n)  # labels carry no signal
-    return make_client(cid, np.clip(x, 0, 1), y, 2)
+    return make_view(np.clip(x, 0, 1), y, 2)
 
 
 def sim_client(cid, data, delay, tau=2, level=5, theta=0.5, reward=100.0):
@@ -52,7 +52,7 @@ def make_sim(clients, rounds_seed=7, a=0.5, epsilon=2.0, phi=3.0, delta_t=1.0,
     val, test = eval_sets()
     model = nn.init_model((1, 4, 4, 2), seed=3)
     timing = TimingParams(delta_t=delta_t)
-    return AsyncSimulation(model, clients, MARKET, timing, a=a, epsilon=epsilon,
+    return AsyncSimulation(model, clients, timing, a=a, epsilon=epsilon,
                            phi=phi, val_data=val, test_data=test,
                            master_seed=rounds_seed, lr=lr, batch_size=batch_size)
 
@@ -64,17 +64,15 @@ def make_sim(clients, rounds_seed=7, a=0.5, epsilon=2.0, phi=3.0, delta_t=1.0,
 def test_round_costs_hand_computed():
     c = sim_client(0, easy_client(0, n=100), delay=1.5, tau=4)
     market = MarketModel.uniform(c=5.0, f=1.0, xi=2.0, t_com=10.0, e_com=20.0)
-    costs = round_costs(c, market)
-    assert costs.sim_seconds == 6.0  # 4 epochs * 1.5 s
-    assert costs.analytic_compute_seconds == 2000.0  # 4 * 5 * 100 / 1
-    assert costs.energy == 4020.0  # 4 * 2 * 5 * 100 * 1 + 20
+    assert market.energy(c.tau * c.d_k) == 4020.0  # 2 * 5 * 1 * (4 * 100) + 20
+    # the cycle occupies 4 epochs * 1.5 s of simulated time
+    sim = make_sim([c], delta_t=8.0)
+    assert [r.sim_time for r in sim.run_round().uploads] == [6.0]
 
 
 def test_round_costs_three_epoch_example():
     c = sim_client(0, easy_client(0, n=100), delay=1.0, tau=3)
-    costs = round_costs(c, MARKET)
-    assert costs.energy == 3020.0
-    assert costs.analytic_compute_seconds == 1500.0
+    assert MARKET.energy(c.tau * c.d_k) == 3020.0
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def test_poor_upload_rejected_paid_nothing_and_refreshed():
     assert books[2]["rewards_earned"] == 0.0
     assert books[2]["rewards_withheld"] == bad.reward
     assert books[2]["rejected"] == 1
-    assert books[2]["energy_spent"] == round_costs(bad, sim.market).energy
+    assert books[2]["energy_spent"] == MARKET.energy(bad.tau * bad.d_k)
     # the admitted clients were paid their contract rate
     assert books[0]["rewards_earned"] == good1.reward
     assert books[0]["admitted"] == 1
@@ -399,7 +397,7 @@ def test_settle_rewards_books_balance():
         earned = energy = 0.0
         admitted = rejected = 0
         for r in (r for lg in ledgers for r in lg.uploads if r.client_id == c.client_id):
-            energy += round_costs(c, MARKET).energy
+            energy += MARKET.energy(c.tau * c.d_k)
             if r.admitted:
                 earned += c.reward
                 admitted += 1
