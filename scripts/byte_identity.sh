@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# Run the standard byte-identity runs of this checkout, all at seed 0 with
+# one BLAS thread, into OUT.
+#
+# Usage: scripts/byte_identity.sh OUT
+#
+# Each run writes its artifacts to OUT/<run>/, and its stdout and stderr to
+# OUT/<run>.stdout and OUT/<run>.stderr with the output path masked as "OUT",
+# so that two checkouts' outputs compare byte for byte. To show that a change
+# moves no byte, run this in a checkout of the parent commit and in one of
+# the change, then compare the two: diff -r OUT_PARENT OUT_CHANGE
+# The script exits 1 if any run exits non-zero.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT" >&2
+    exit 2
+fi
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+OUT=$(cd "$1" && pwd)
+export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
+export OPENBLAS_NUM_THREADS=1
+failed=0
+
+run() {  # run NAME ARGS...: contractfl ARGS --seed 0 --out OUT/NAME
+    local name=$1 rc=0
+    shift
+    python3 -m contractfl.cli "$@" --seed 0 --out "$OUT/$name" \
+        >"$OUT/$name.stdout" 2>"$OUT/$name.stderr" || rc=$?
+    sed -i "s#$OUT#OUT#g" "$OUT/$name.stdout" "$OUT/$name.stderr"
+    if [ "$rc" -ne 0 ]; then
+        echo "$name: exit $rc" >&2
+        failed=1
+    fi
+}
+
+# the benchmark's paper-synth workload: its preset and overrides, which hold
+# no spaces, as command-line arguments
+synth=$(python3 - "$ROOT/bench" <<'PY'
+import sys
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS
+w = WORKLOADS["paper-synth"]
+print(" ".join([f"--preset {w.preset}", *(f"--set {o}" for o in w.overrides)]))
+PY
+)
+
+run simulate-clean simulate --preset desk
+run simulate-attacked simulate --preset desk --attackers 6 --flip-fraction 1.0
+for algorithm in fedavg fedprox local-sgd; do
+    run "baseline-$algorithm" baseline "$algorithm" --preset desk
+done
+run partition-stats partition-stats --preset desk
+run paper-synth simulate $synth
+exit "$failed"

@@ -7,9 +7,10 @@ Subcommands:
     fit              fit a response-curve model to CSV samples
     partition-stats  describe the client partition a config would produce
 
-Every subcommand accepts --preset/--config/--set/--seed, so a run is fully
-pinned by its arguments; rerunning with the same arguments reproduces every
-output byte for byte.
+Every subcommand but fit accepts --preset/--config/--set/--seed, so a run is
+fully pinned by its arguments; rerunning with the same arguments reproduces
+every output byte for byte. Shorthand flags such as --rounds are overrides
+laid after every --set, and the whole config is validated once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -36,9 +38,11 @@ logger = logging.getLogger(__name__)
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS),
-                        help="start from a named preset (default: desk)")
+                        help="start from a named preset (default: desk, or the "
+                             "library defaults when only --config is given)")
     parser.add_argument("--config", metavar="PATH",
-                        help="JSON config file; overlays the preset if both given")
+                        help="JSON config file patched over the preset (over "
+                             "the library defaults if --preset is not given)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override one config field by dotted path, "
@@ -48,13 +52,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
 
 
-def _build_config(args, extra: list[str] | None = None) -> ExperimentConfig:
-    overrides = list(args.overrides)
-    if extra:
-        overrides.extend(extra)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    return resolve_config(args.preset, args.config, overrides)
+# Each shorthand flag's argparse dest and the dotted config field it sets. Flags
+# are laid after every --set, so a flag beats a --set of the same field.
+_SHORTHANDS = {
+    "seed": "seed",
+    "rounds": "rounds",
+    "attackers": "attack.count",
+    "flip_fraction": "attack.flip_fraction",
+    "local_epochs": "baseline.local_epochs",
+    "mu": "baseline.prox_mu",
+}
+
+
+def _build_config(args) -> ExperimentConfig:
+    flags = [f"{path}={getattr(args, dest)}" for dest, path in _SHORTHANDS.items()
+             if getattr(args, dest, None) is not None]
+    return resolve_config(args.preset, args.config, [*args.overrides, *flags])
 
 
 def _cmd_contract(args) -> int:
@@ -83,14 +96,7 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    extra = []
-    if args.rounds is not None:
-        extra.append(f"rounds={args.rounds}")
-    if args.attackers is not None:
-        extra.append(f"attack.count={args.attackers}")
-    if args.flip_fraction is not None:
-        extra.append(f"attack.flip_fraction={args.flip_fraction}")
-    cfg = _build_config(args, extra)
+    cfg = _build_config(args)
     result = run_async_experiment(cfg, out_dir=args.out)
     pub = result["publisher"]
     print(f"rounds: {pub['rounds']}")
@@ -104,18 +110,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    extra = []
-    if args.rounds is not None:
-        extra.append(f"rounds={args.rounds}")
-    if args.local_epochs is not None:
-        extra.append(f"baseline.local_epochs={args.local_epochs}")
-    if args.mu is not None:
-        extra.append(f"baseline.prox_mu={args.mu}")
-    if args.attackers is not None:
-        extra.append(f"attack.count={args.attackers}")
-    if args.flip_fraction is not None:
-        extra.append(f"attack.flip_fraction={args.flip_fraction}")
-    cfg = _build_config(args, extra)
+    cfg = _build_config(args)
     result = run_baseline_experiment(cfg, args.algorithm, out_dir=args.out)
     print(f"algorithm: {result['algorithm']}")
     print(f"rounds: {result['rounds']}")
@@ -136,8 +131,10 @@ def _read_samples(path) -> np.ndarray:
     except ValueError:
         skip = 1
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's "no data" warning
+            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except (ValueError, UserWarning) as exc:
         raise DataFormatError(f"could not parse numeric CSV {path}: {exc}") from exc
     return data
 

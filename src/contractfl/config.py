@@ -3,12 +3,16 @@
 Each section is one frozen dataclass that checks its own ranges. Three of
 them are the library's parameter types, used as they are: `quality` is
 `contracts.QualityParams`, `timing` is `simulation.TimingParams` and
-`partition` is `datasets.PartitionSpec`. The rest live here.
+`partition` is `datasets.PartitionSpec`. `curve` is
+`contracts.AccuracyCurveParams` under a subclass that adds no field. The rest
+live here.
 
 Every preset, config file and dotted-path override (section.key=value) is
-parsed, patched and validated on one path: an override becomes the patch
-{"section": {"key": value}}, laid over the config the same way a config file
-is laid over a preset, and the patched tree is rebuilt by `from_dict`.
+parsed, patched and validated on one path: `resolve_config` takes the base
+config's dict, lays the file and then each override over it (an override is
+the patch {"section": {"key": value}}), and builds the config with
+`from_dict` once, after the last patch. The base is the named preset, the
+library defaults when only a file is given, and desk when neither is.
 Configs are strict: an unknown field, a value of the wrong type, a non-finite
 number or a value out of range raises a ConfigurationError that names the
 dotted field, so a bad config fails when it is parsed, never mid-training.
@@ -82,20 +86,12 @@ class MarketConfig:
             t_max=self.t_max)
 
 
-@dataclass(frozen=True)
-class CurveConfig:
-    beta1: float = 0.459
-    beta2: float = 0.432
-    beta3: float = 0.459
-    beta4: float = 0.009
-    beta5: float = 2.436
-
-    def __post_init__(self):
-        self.to_params()  # the curve's own range checks, run at parse time
+class CurveConfig(AccuracyCurveParams):
+    """The `curve` section: `contracts.AccuracyCurveParams`, which owns its
+    fields, defaults and range checks; this adds only `to_params`."""
 
     def to_params(self) -> AccuracyCurveParams:
-        return AccuracyCurveParams(self.beta1, self.beta2, self.beta3,
-                                   self.beta4, self.beta5)
+        return self
 
 
 @dataclass(frozen=True)
@@ -266,8 +262,8 @@ def _read_config_file(path) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file; errors name the malformed field."""
-    return ExperimentConfig.from_dict(_read_config_file(path))
+    """Read a JSON config file over the library defaults; errors name the field."""
+    return resolve_config(None, path)
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
@@ -275,9 +271,14 @@ def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentCo
 
     Each override is the patch {"section": {"key": value}}, laid over the
     config exactly as a config file is laid over a preset: a JSON object
-    value patches the fields it names and keeps the rest.
+    value patches the fields it names and keeps the rest. The patched tree
+    is validated once, as a whole, after the last override.
     """
-    d = cfg.to_dict()
+    return _build(cfg.to_dict(), overrides)
+
+
+def _build(d: dict, overrides: list[str]) -> ExperimentConfig:
+    """Lay each override over the config dict `d`, then build it once."""
     for item in overrides:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} is not of the form key=value")
@@ -346,23 +347,23 @@ PRESETS = {
 
 def resolve_config(preset: str | None, config_path: str | None,
                    overrides: list[str] | None = None) -> ExperimentConfig:
-    """Combine preset, config file, and overrides (later wins)."""
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigurationError(
-                f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        cfg = PRESETS[preset]()
-        if config_path is not None:
-            base = cfg.to_dict()
-            _deep_update(base, _read_config_file(config_path), "")
-            cfg = ExperimentConfig.from_dict(base)
-    elif config_path is not None:
-        cfg = load_config(config_path)
+    """Lay a config file, then each override, over a base; validate once.
+
+    The base is the named preset; the library defaults (`ExperimentConfig()`)
+    when only a file is given; desk when neither is. A later patch wins, and
+    a limit spanning two patched fields is judged on their final values.
+    """
+    if preset is not None and preset not in PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    if preset is None and config_path is not None:
+        base = ExperimentConfig()
     else:
-        cfg = preset_desk()
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg
+        base = PRESETS[preset or "desk"]()
+    d = base.to_dict()
+    if config_path is not None:
+        _deep_update(d, _read_config_file(config_path), "")
+    return _build(d, overrides or [])
 
 
 def _deep_update(base: dict, patch: dict, path: str) -> None:

@@ -261,7 +261,10 @@ def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
 def zipf_counts(pool_size: int, num_clients: int, exponent: float) -> np.ndarray:
     """Sample counts proportional to rank^(-exponent), summing to pool_size."""
     ranks = np.arange(1, num_clients + 1, dtype=np.float64)
-    weights = ranks ** (-exponent)
+    # divide by the rank of largest weight so weights lie in (0, 1] and cannot
+    # overflow; dividing by 1.0 is exact, so exponents >= 0 keep their bits
+    top = 1.0 if exponent >= 0 else ranks[-1]
+    weights = (ranks / top) ** (-exponent)
     quotas = pool_size * weights / weights.sum()
     return largest_remainder(quotas, pool_size)
 

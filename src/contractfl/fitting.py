@@ -71,6 +71,9 @@ def fit_curve(samples: np.ndarray, model_id: str, init: np.ndarray | None = None
     if model_id not in PARAM_NAMES:
         raise ConfigurationError(
             f"unknown curve model {model_id!r}; choose from {sorted(PARAM_NAMES)}")
+    for name, value in (("n_starts", n_starts), ("max_iter", max_iter)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
     samples = np.asarray(samples, dtype=np.float64)
     n_inputs = 2 if model_id == "accuracy_curve" else 1
     if samples.ndim != 2 or samples.shape[1] != n_inputs + 1:

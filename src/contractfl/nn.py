@@ -42,10 +42,6 @@ class Model:
         object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "params", params)
 
-    @property
-    def num_params(self) -> int:
-        return self.params.size
-
 
 def param_count(layer_dims) -> int:
     d0, d1, d2, d3 = layer_dims

@@ -138,11 +138,6 @@ class RoundLedger:
     test_accuracy: float
 
 
-def loss_reduction(base_loss: float, new_loss: float) -> float:
-    """Improvement over the base model's loss; negative when training hurt."""
-    return base_loss - new_loss
-
-
 def access_indicator(m: float, theta: float, staleness: int, epsilon: float) -> float:
     """Contribution score: loss reduction scaled by quality and staleness decay."""
     if staleness < 0:
@@ -206,12 +201,12 @@ def access_control(entries: list[tuple[int, int, float]], a: float,
 
     removed_nonpositive = [cid for cid, q in survivors if q <= 0]
     kept = [(cid, q) for cid, q in survivors if q > 0]
-    total = sum(q for _, q in kept)
-    if not kept or total <= 0:
+    if not kept:
         if entries:
             logger.warning("access control removed every upload; round is a no-op")
         return AccessDecision((), {}, tuple(sorted(removed_filter)),
                               tuple(sorted(removed_nonpositive)), level_stats, True)
+    total = sum(q for _, q in kept)
     alphas = {cid: q / total for cid, q in sorted(kept)}
     return AccessDecision(tuple(sorted(cid for cid, _ in kept)), alphas,
                           tuple(sorted(removed_filter)),
@@ -284,7 +279,8 @@ class AsyncSimulation:
             cycle = self._cycles[c.client_id]
             if window_lo < cycle.finish <= window_hi:
                 staleness = t - cycle.base_round
-                m = loss_reduction(self.val_losses[cycle.base_round], cycle.loss)
+                # loss reduction over the base model; negative when training hurt
+                m = self.val_losses[cycle.base_round] - cycle.loss
                 q = access_indicator(m, c.theta, staleness, self.epsilon)
                 uploads.append((c, cycle.finish, staleness, m, q))
 

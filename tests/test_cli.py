@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,28 @@ def test_fit_rejects_malformed_csv(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("starts", ["0", "-3"])
+def test_fit_rejects_nonpositive_starts(capsys, tmp_path, starts):
+    csv = tmp_path / "samples.csv"
+    csv.write_text("1000,0.5,0.6\n2000,0.5,0.7\n4000,0.9,0.8\n"
+                   "8000,0.9,0.85\n16000,0.3,0.7\n")
+    rc = cli.main(["fit", str(csv), "--model", "accuracy_curve", "--starts", starts])
+    assert rc == 2
+    assert "n_starts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "effort,theta,accuracy\n"])
+def test_fit_rejects_empty_csv_with_one_line(capsys, tmp_path, text):
+    csv = tmp_path / "empty.csv"
+    csv.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as an exception
+        rc = cli.main(["fit", str(csv), "--model", "accuracy_curve"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_partition_stats_command(capsys, tmp_path):
     rc = cli.main(["partition-stats", *TINY, "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -182,6 +205,8 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
     # pools that hold every client but leave one a Zipf share of 0 rows
     ("partition-stats", "dataset.train_count=10", "dataset.train_count"),
     ("partition-stats", "partition.zipf_exponent=30", "partition.zipf_exponent"),
+    # a negative exponent puts the whole pool on the last client
+    ("partition-stats", "partition.zipf_exponent=-1000", "partition.zipf_exponent"),
     ("simulate", "training.hidden1=0", "training.hidden1"),
     ("simulate", "training.hidden2=-3", "training.hidden2"),
 ])

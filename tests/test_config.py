@@ -1,12 +1,13 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contractfl import config
-from contractfl.contracts import QualityParams
+from contractfl import cli, config
+from contractfl.contracts import AccuracyCurveParams, MarketModel, QualityParams
 from contractfl.errors import ConfigurationError
 
 
@@ -199,6 +200,43 @@ def test_section_override_patches_like_a_config_file(tmp_path):
     assert by_set.quality.gamma3 == 20.0
     assert by_set == by_file
     assert by_set.quality == QualityParams(2.0, 0.114, 20.0, 0.5)
+
+
+def test_resolve_config_builds_once_after_every_patch(tmp_path, monkeypatch, capsys):
+    # the file's delay_lo 3.0 is over desk's delay_hi 2.0 until the override
+    # lands, so the pair must be judged only after the last patch
+    patch = tmp_path / "patch.json"
+    patch.write_text(json.dumps({"timing": {"delay_lo": 3.0}}))
+    built = []
+    from_dict = config.ExperimentConfig.from_dict
+
+    def counting(d):
+        built.append(d)
+        return from_dict(d)
+
+    monkeypatch.setattr(config.ExperimentConfig, "from_dict", staticmethod(counting))
+    cfg = config.resolve_config("desk", str(patch), ["timing.delay_hi=4", "rounds=5"])
+    assert len(built) == 1
+    assert (cfg.timing.delay_lo, cfg.timing.delay_hi, cfg.rounds) == (3.0, 4.0, 5)
+    rc = cli.main(["contract", "--preset", "desk", "--config", str(patch),
+                   "--set", "timing.delay_hi=4"])
+    assert rc == 0, capsys.readouterr().err
+
+
+def test_config_defaults_are_the_library_defaults():
+    # MarketConfig copies MarketModel's scalar defaults; the curve section is
+    # AccuracyCurveParams itself
+    got, want = config.MarketConfig().to_market(), MarketModel.uniform(10)
+    for f in dataclasses.fields(MarketModel):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+    curve, params = config.ExperimentConfig().curve, AccuracyCurveParams()
+    assert isinstance(curve, AccuracyCurveParams)
+    for f in dataclasses.fields(AccuracyCurveParams):
+        assert getattr(curve, f.name) == getattr(params, f.name), f.name
 
 
 def test_resolve_config_defaults_to_desk():

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,14 @@ def test_zipf_counts_200_100():
 def test_zipf_counts_zero_exponent_uniform():
     counts = datasets.zipf_counts(100, 10, 0.0)
     assert counts.tolist() == [10] * 10
+
+
+def test_zipf_counts_large_negative_exponent_does_not_overflow():
+    # 20 ** 1000 overflows a float; weights scaled by the last rank do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = datasets.zipf_counts(3600, 20, -1000.0)
+    assert counts.tolist() == [0] * 19 + [3600]
 
 
 def test_partition_uncapped_covers_pool_exactly():

@@ -79,6 +79,13 @@ def test_fit_validation():
         fitting.fit_curve(neg, "data_quality")
 
 
+@pytest.mark.parametrize("name,value", [("n_starts", 0), ("n_starts", -3),
+                                        ("max_iter", 0)])
+def test_fit_rejects_nonpositive_starts_and_iterations(name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be >= 1, got {value}$"):
+        fitting.fit_curve(accuracy_samples(), "accuracy_curve", **{name: value})
+
+
 def test_fit_reports_fit_quality_on_noisy_data():
     rng = np.random.default_rng(5)
     noisy = accuracy_samples()

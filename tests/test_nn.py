@@ -38,7 +38,7 @@ def test_init_model_scale_and_zero_biases():
         assert np.abs(w).max() <= bound
         assert np.abs(w).max() > 0.5 * bound  # uniform draws should fill the range
         assert np.array_equal(b, np.zeros(fan_out))
-    assert offset == m.num_params
+    assert offset == m.params.size
 
 
 def test_model_params_frozen():
@@ -118,7 +118,7 @@ def test_gradient_matches_central_differences():
     _, grad = nn.loss_and_gradient(m.layer_dims, m.params, x, y)
     h = 1e-6
     num = np.empty_like(grad)
-    for i in range(m.num_params):
+    for i in range(m.params.size):
         up = m.params.copy()
         dn = m.params.copy()
         up[i] += h
@@ -312,8 +312,8 @@ def test_evaluate_chunking_invariant(monkeypatch):
 def test_aggregate_matches_manual_combination():
     base = nn.init_model(DIMS, seed=0)
     rng = np.random.default_rng(1)
-    d1 = rng.normal(size=base.num_params)
-    d2 = rng.normal(size=base.num_params)
+    d1 = rng.normal(size=base.params.size)
+    d2 = rng.normal(size=base.params.size)
     out = nn.aggregate(base, [d1, d2], [0.3, 0.7])
     assert np.allclose(out.params, base.params + 0.3 * d1 + 0.7 * d2,
                        rtol=0, atol=1e-12)
@@ -323,7 +323,7 @@ def test_aggregate_matches_manual_combination():
 def test_aggregate_order_invariance_is_exact():
     base = nn.init_model(DIMS, seed=2)
     rng = np.random.default_rng(3)
-    deltas = [rng.normal(size=base.num_params) for _ in range(6)]
+    deltas = [rng.normal(size=base.params.size) for _ in range(6)]
     w = rng.uniform(0.1, 1.0, size=6)
     w /= w.sum()
     ref = nn.aggregate(base, deltas, list(w))
@@ -335,7 +335,7 @@ def test_aggregate_order_invariance_is_exact():
 
 def test_aggregate_equal_weights_and_duplicate_deltas():
     base = nn.init_model(DIMS, seed=4)
-    d = np.ones(base.num_params)
+    d = np.ones(base.params.size)
     out = nn.aggregate(base, [d, d.copy(), d.copy()], [1 / 3] * 3)
     assert np.allclose(out.params, base.params + d, rtol=0, atol=1e-12)
 
@@ -345,7 +345,7 @@ def test_aggregate_tied_weights_follow_weight_then_bytes_order():
     rng = np.random.default_rng(8)
     # magnitudes spread over many decades, so the accumulation order shows in
     # the rounded sum; three runs of tied weights
-    deltas = [rng.normal(size=base.num_params) * 10.0 ** rng.uniform(-6, 6, base.num_params)
+    deltas = [rng.normal(size=base.params.size) * 10.0 ** rng.uniform(-6, 6, base.params.size)
               for _ in range(7)]
     w = [0.1, 0.2, 0.1, 0.2, 0.1, 0.15, 0.15]
 
@@ -370,7 +370,7 @@ def test_aggregate_tied_weights_follow_weight_then_bytes_order():
 
 def test_aggregate_validation():
     base = nn.init_model(DIMS, seed=0)
-    d = np.zeros(base.num_params)
+    d = np.zeros(base.params.size)
     with pytest.raises(ContractViolation):
         nn.aggregate(base, [d], [0.5])  # does not sum to 1
     with pytest.raises(ContractViolation):
