@@ -4,6 +4,10 @@
 #
 # Usage: scripts/byte_identity.sh OUT
 #
+# The runs: desk simulate clean and attacked, desk baseline fedavg, fedprox
+# and local-sgd, desk partition-stats, the benchmark's paper-synth workload,
+# and three MNIST-preset runs on IDX files generated into OUT/mnist.
+#
 # Each run writes its artifacts to OUT/<run>/, and its stdout and stderr to
 # OUT/<run>.stdout and OUT/<run>.stderr with the output path masked as "OUT",
 # so that two checkouts' outputs compare byte for byte. To show that a change
@@ -53,4 +57,15 @@ for algorithm in fedavg fedprox local-sgd; do
 done
 run partition-stats partition-stats --preset desk
 run paper-synth simulate $synth
+
+# the MNIST presets on generated IDX files (tests/common.py writes them),
+# cut down to run in seconds: the loader, subset, holdout and partition path
+# that real MNIST takes
+python3 "$ROOT/tests/common.py" "$OUT/mnist"
+export MNIST_DIR="$OUT/mnist"
+run mnist-attack30 simulate --preset paper-attack30 \
+    --set partition.num_clients=10 --set attack.count=3 --rounds 2
+subset="--set dataset.subset=1000 --set dataset.test_subset=200"
+run mnist-subset simulate --preset paper-noattack $subset --rounds 30
+run mnist-local-sgd baseline local-sgd --preset paper-noattack $subset --rounds 3
 exit "$failed"

@@ -56,7 +56,7 @@ def run_sync(model: nn.Model, clients: list[Client], rounds: int, epochs: int,
     return model, history
 
 
-def local_sgd_run(model: nn.Model, pool: Dataset | DatasetView, rounds: int,
+def local_sgd_run(model: nn.Model, pool: DatasetView, rounds: int,
                   epochs: int, lr: float, batch_size: int, master_seed: int,
                   test_data: Dataset) -> tuple[nn.Model, list[tuple[int, float, float, int]]]:
     """Centralized reference: all data in one place, plain SGD between evals."""

@@ -172,16 +172,7 @@ class ExperimentConfig:
                 f"attack.count {self.attack.count} exceeds partition.num_clients {k}")
         if self.dataset.kind == "synthetic":
             n = self.dataset.train_count
-            pool = n - holdout_count(n, self.partition.val_fraction)
-            e = self.partition.zipf_exponent
-            # pool < k already leaves a client 0 rows, and it keeps a huge k
-            # from sizing zipf_counts' arrays
-            if pool < k or zipf_counts(pool, k, e).min() < 1:
-                raise ConfigurationError(
-                    f"dataset.train_count {n} leaves a pool of {pool} after the "
-                    f"validation holdout, too small for partition.num_clients {k} "
-                    f"at partition.zipf_exponent {e}: some client's Zipf share "
-                    f"rounds to 0 rows")
+            check_pool(n, self.partition, f"dataset.train_count {n}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -200,6 +191,22 @@ class ExperimentConfig:
             else:  # a section: its class is its field's default factory
                 kwargs[f.name] = _build_section(f.default_factory, d[f.name], f.name)
         return cls(**kwargs)
+
+
+def check_pool(n: int, spec: PartitionSpec, source: str) -> None:
+    """Reject a train set of n rows whose pool, after the validation holdout,
+    leaves some client's Zipf share 0 rows. The error names `source`, the
+    field or file that set n, and the partition fields that ask too much."""
+    k = spec.num_clients
+    pool = n - holdout_count(n, spec.val_fraction)
+    e = spec.zipf_exponent
+    # pool < k already leaves a client 0 rows, and it keeps a huge k from
+    # sizing zipf_counts' arrays
+    if pool < k or zipf_counts(pool, k, e).min() < 1:
+        raise ConfigurationError(
+            f"{source} leaves a pool of {pool} after the validation holdout, "
+            f"too small for partition.num_clients {k} at partition.zipf_exponent "
+            f"{e}: some client's Zipf share rounds to 0 rows")
 
 
 _SCALAR_KINDS = {
@@ -259,11 +266,6 @@ def _read_config_file(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
     return raw
-
-
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file over the library defaults; errors name the field."""
-    return resolve_config(None, path)
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:

@@ -29,6 +29,10 @@ THETA_FLOOR = 0.01
 EFFORT_MIN = 1.0
 GRID_POINTS = 2048
 REFINE_TOL = 1e-9
+# verify_contract: a constraint short by more than VERIFY_TOL is violated, and
+# one within BINDING_TOL of zero is reported as binding
+VERIFY_TOL = 1e-9
+BINDING_TOL = 1e-6
 # fraction of T_max kept clear of the deadline when bounding the effort grid
 TIME_MARGIN_FRAC = 1e-6
 
@@ -194,15 +198,6 @@ class ContractMenu:
             ],
             "provenance": dict(self.provenance),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ContractMenu":
-        entries = tuple(
-            ContractEntry(int(row["level"]), float(row["theta"]), float(row["p"]),
-                          float(row["effort"]), float(row["reward"]))
-            for row in d["levels"]
-        )
-        return cls(entries, dict(d.get("provenance", {})))
 
 
 @dataclass(frozen=True)
@@ -451,14 +446,13 @@ def solve_contract(market: MarketModel,
     return ContractMenu(entries, provenance)
 
 
-def verify_contract(menu: ContractMenu, market: MarketModel,
-                    tol: float = 1e-9, binding_tol: float = 1e-6) -> ContractReport:
+def verify_contract(menu: ContractMenu, market: MarketModel) -> ContractReport:
     """Brute-force every participation and self-selection constraint.
 
     U(n, m) = theta_n * R_m - (u * e_m + E_com) is level n's expected utility
     from picking row m. IR requires U(n, n) >= 0; IC requires
-    U(n, n) >= U(n, m) for every m. Constraints within binding_tol of zero
-    are reported as binding.
+    U(n, n) >= U(n, m) for every m, each up to VERIFY_TOL. Constraints within
+    BINDING_TOL of zero are reported as binding.
     """
     if menu.n_levels != market.n_levels:
         raise ConfigurationError(
@@ -470,15 +464,15 @@ def verify_contract(menu: ContractMenu, market: MarketModel,
 
     violations = []
     for n in range(market.n_levels):
-        if ir[n] < -tol:
+        if ir[n] < -VERIFY_TOL:
             violations.append(f"IR level {n + 1}: utility {ir[n]:.3e} < 0")
         for m in range(market.n_levels):
-            if m != n and ic_gap[n, m] < -tol:
+            if m != n and ic_gap[n, m] < -VERIFY_TOL:
                 violations.append(
                     f"IC level {n + 1} prefers row {m + 1}: gap {ic_gap[n, m]:.3e}")
-    binding_ir = tuple(n + 1 for n in range(market.n_levels) if abs(ir[n]) < binding_tol)
+    binding_ir = tuple(n + 1 for n in range(market.n_levels) if abs(ir[n]) < BINDING_TOL)
     binding_ic = tuple(
-        (n + 1, n) for n in range(1, market.n_levels) if abs(ic_gap[n, n - 1]) < binding_tol
+        (n + 1, n) for n in range(1, market.n_levels) if abs(ic_gap[n, n - 1]) < BINDING_TOL
     )
     return ContractReport(
         ok=not violations,

@@ -1,15 +1,16 @@
 """Dataset handling: IDX files, non-IID client partitioning, label statistics.
 
-A Dataset is a flat pool of feature rows scaled to [0, 1]. Everything cut
-from the training data is a `DatasetView`, an index view into one root
-Dataset plus its own label array: the shuffled synthetic train split, the
-pool left after the validation holdout, and each client's shard. Views
-compose, so every view indexes the root matrix directly, and a client's
-labels can be corrupted without touching the pool or any sibling client.
-A view carries no client id; `partition` returns the shards in client
-order, and the caller numbers them. Only the validation and test splits,
-which are evaluated whole every round, are materialized as Datasets of
-their own.
+Two types, one job each. A `Dataset` is a flat pool of feature rows scaled
+to [0, 1] with its labels; it is only ever evaluated whole, so the loaded
+MNIST files, the generated blob matrices, and the validation and test splits
+are Datasets. A `DatasetView` is an index view into one root Dataset plus
+its own label array; it is only ever trained on and split. Every training
+pool is one: the MNIST train set (every row, or the first `subset`), the
+shuffled synthetic train split, the pool left after the validation holdout,
+and each client's shard. Views compose, so every view indexes the root
+matrix directly, and a client's labels can be corrupted without touching the
+pool or any sibling client. A view carries no client id; `partition` returns
+the shards in client order, and the caller numbers them.
 """
 
 from __future__ import annotations
@@ -60,19 +61,15 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def rows(self, order) -> np.ndarray:
-        """A fresh copy of the feature rows at positions `order`."""
-        return self.features[order]
-
 
 @dataclass(frozen=True)
 class DatasetView:
     """Rows `indices` of a root Dataset `parent`, with a private label array.
 
-    Everything cut from the training data is one of these: the shuffled
+    Every training pool is one of these: the MNIST train set, the shuffled
     synthetic train split, the pool after the holdout, and each client's
-    shard. A view is trained on, never evaluated whole, and never copies the
-    parent's features; `rows` gathers them on demand.
+    shard. A view is trained on and split, never evaluated whole, and never
+    copies the parent's features; `rows` gathers them on demand.
     """
 
     parent: Dataset
@@ -112,29 +109,15 @@ class DatasetView:
     def num_classes(self) -> int:
         return self.parent.num_classes
 
-    @property
-    def features(self) -> np.ndarray:
-        # materializes a copy; the training loop gathers through rows() instead
-        return self.parent.features[self.indices]
-
     def rows(self, order) -> np.ndarray:
-        """The view's feature rows at positions `order`, gathered straight
-        from the parent pool without materializing `features` first."""
+        """A fresh copy of the view's feature rows at positions `order`,
+        gathered straight from the parent pool."""
         return self.parent.features[self.indices[order]]
 
     @property
     def label_hist(self) -> np.ndarray:
         counts = np.bincount(self.labels, minlength=self.parent.num_classes)
         return counts / self.d_k
-
-
-def _root_rows(ds: Dataset | DatasetView,
-               positions: np.ndarray) -> tuple[Dataset, np.ndarray]:
-    """The root Dataset under `ds` and the root row of each of `ds`'s rows
-    at `positions`, so that a view of a view indexes the root directly."""
-    if isinstance(ds, Dataset):
-        return ds, positions
-    return ds.parent, ds.indices[positions]
 
 
 @dataclass(frozen=True)
@@ -269,8 +252,7 @@ def zipf_counts(pool_size: int, num_clients: int, exponent: float) -> np.ndarray
     return largest_remainder(quotas, pool_size)
 
 
-def partition(ds: Dataset | DatasetView, spec: PartitionSpec,
-              seed: int) -> list[DatasetView]:
+def partition(ds: DatasetView, spec: PartitionSpec, seed: int) -> list[DatasetView]:
     """Split a pool into disjoint client shards.
 
     Client k (rank k, 1-based) targets a Zipf-weighted share of the pool.
@@ -358,8 +340,7 @@ def partition(ds: Dataset | DatasetView, spec: PartitionSpec,
                 "client %d short %d of %d samples: its %d allowed classes ran dry",
                 i, deficit, int(counts[i]), m)
         picked = np.sort(picked)
-        root, rows = _root_rows(ds, picked)
-        clients.append(DatasetView(root, rows, ds.labels[picked]))
+        clients.append(DatasetView(ds.parent, ds.indices[picked], ds.labels[picked]))
     return clients
 
 
@@ -369,7 +350,7 @@ def holdout_count(n: int, fraction: float) -> int:
     return max(1, int(round(n * fraction)))
 
 
-def split_holdout(ds: Dataset | DatasetView, fraction: float,
+def split_holdout(ds: DatasetView, fraction: float,
                   seed: int) -> tuple[Dataset, DatasetView]:
     """Split off a held-out slice (e.g. a validation set) from a pool.
 
@@ -384,9 +365,8 @@ def split_holdout(ds: Dataset | DatasetView, fraction: float,
     h = holdout_count(n, fraction)
     perm = np.random.default_rng(seed).permutation(n)
     held, rest = np.sort(perm[:h]), np.sort(perm[h:])
-    root, rest_rows = _root_rows(ds, rest)
     return (Dataset(ds.rows(held), ds.labels[held], ds.num_classes),
-            DatasetView(root, rest_rows, ds.labels[rest]))
+            DatasetView(ds.parent, ds.indices[rest], ds.labels[rest]))
 
 
 # ---------------------------------------------------------------------------

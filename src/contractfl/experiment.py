@@ -32,9 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines, nn
-from .config import ExperimentConfig
-from .contracts import (ContractMenu, MarketModel, data_quality, local_epochs,
-                        quality_level, solve_contract, verify_contract)
+from .config import ExperimentConfig, check_pool
+from .contracts import (ContractMenu, MarketModel, client_utility, data_quality,
+                        local_epochs, quality_level, solve_contract, verify_contract)
 from .datasets import (Dataset, DatasetView, emd, flip_labels, load_idx_pair,
                        partition, split_holdout, synthetic_pair, uniform_benchmark)
 from .errors import ConfigurationError
@@ -59,7 +59,6 @@ _MNIST_FILES = {
 class Prepared:
     """Everything a run needs, assembled deterministically from one config."""
 
-    cfg: ExperimentConfig
     market: MarketModel
     pool: DatasetView
     val: Dataset
@@ -86,17 +85,10 @@ def _resolve_mnist_path(explicit: str | None, default_name: str, field: str) -> 
         f"under MNIST_DIR={root}")
 
 
-def _truncate(ds: Dataset, count: int | None) -> Dataset:
-    if count is None or count >= len(ds):
-        return ds
-    if count < 1:
-        raise ConfigurationError(f"subset size must be >= 1, got {count}")
-    return Dataset(ds.features[:count], ds.labels[:count], ds.num_classes)
-
-
-def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset | DatasetView, Dataset]:
-    """Build (train pool, test set) for a config; a synthetic train pool is a
-    shuffled view of its blob matrix."""
+def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
+    """Build (train pool, test set) for a config. The train pool is a view of
+    one loaded or generated matrix: the synthetic split shuffled, the MNIST
+    train set in file order, cut to its first `dataset.subset` rows."""
     dc = cfg.dataset
     if dc.kind == "synthetic":
         return synthetic_pair(dc.classes, dc.dim, dc.train_count, dc.test_count,
@@ -107,7 +99,14 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset | DatasetView, Dataset
     }
     train = load_idx_pair(paths["train_images"], paths["train_labels"], num_classes=10)
     test = load_idx_pair(paths["test_images"], paths["test_labels"], num_classes=10)
-    return _truncate(train, dc.subset), _truncate(test, dc.test_subset)
+    labels = train.labels[:dc.subset]
+    check_pool(labels.size, cfg.partition,
+               f"dataset.subset {dc.subset}" if labels.size < len(train) else
+               f"the train file {paths['train_images']} ({len(train)} rows)")
+    if dc.test_subset is not None:
+        test = Dataset(test.features[:dc.test_subset], test.labels[:dc.test_subset],
+                       test.num_classes)
+    return DatasetView(train, np.arange(labels.size), labels), test
 
 
 def select_attackers(clients: list[Client], count: int) -> set[int]:
@@ -138,7 +137,9 @@ def select_attackers(clients: list[Client], count: int) -> set[int]:
 
 def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
     """Build data, partition, quality levels, delays, attackers, and
-    (optionally) the menu, as one `Client` record per client."""
+    (optionally) the menu, as one `Client` record per client. With a menu,
+    one WARNING names every client whose contract utility at its realized
+    effort (tau epochs of d_k samples) is negative."""
     market = cfg.market.to_market()
     train, test = build_dataset(cfg)
     val, pool = split_holdout(train, cfg.partition.val_fraction,
@@ -183,8 +184,15 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
                 seed=child_seed(cfg.seed, STREAM_FLIP, c.client_id)))
         return replace(c, **terms)
 
-    return Prepared(cfg, market, pool, val, test,
-                    [complete(c) for c in clients], menu)
+    clients = [complete(c) for c in clients]
+    if menu is not None:
+        losing = [c.client_id for c in clients
+                  if client_utility(c.level, menu, market, c.tau, c.d_k) < 0]
+        if losing:
+            logger.warning("realized contract utility below 0 for %d of %d clients: "
+                           "clients %s", len(losing), len(clients),
+                           " ".join(map(str, losing)))
+    return Prepared(market, pool, val, test, clients, menu)
 
 
 def _init_model(cfg: ExperimentConfig, data: Dataset) -> nn.Model:

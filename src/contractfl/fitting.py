@@ -8,9 +8,10 @@ the last column:
   accuracy_curve: (effort, theta, accuracy), fitting beta1..beta5
   data_quality:   (effective_quantity, theta), fitting gamma1, gamma2, gamma4
 
-The quality model is fit against the reduced variable z = d - gamma3 * s,
-so gamma3 is a fixed constant of the reduction rather than a free parameter;
-it is echoed into the result for completeness.
+The quality model is fit against the reduced variable z = d - gamma3 * s.
+gamma3 is a constant of that reduction, chosen by whoever computed z, not a
+free parameter, so a fit neither takes nor reports it. Every fit starts from
+DEFAULT_INITS and from seeded jitters of it.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ def predict(model_id: str, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     raise ConfigurationError(f"unknown curve model {model_id!r}")
 
 
-def fit_curve(samples: np.ndarray, model_id: str, init: np.ndarray | None = None,
-              seed: int = 0, n_starts: int = 8, max_iter: int = 4000,
-              gamma3: float = 70.0) -> FitResult:
+def fit_curve(samples: np.ndarray, model_id: str, seed: int = 0, n_starts: int = 8,
+              max_iter: int = 4000) -> FitResult:
     """Fit a response curve by mean squared residual.
 
     samples: 2-D array, one observation per row, target in the last column.
@@ -90,9 +90,7 @@ def fit_curve(samples: np.ndarray, model_id: str, init: np.ndarray | None = None
         raise ConfigurationError("effective quantity must be positive for the quality fit")
 
     inputs, targets = samples[:, :-1], samples[:, -1]
-    x0 = np.asarray(init if init is not None else DEFAULT_INITS[model_id], dtype=np.float64)
-    if x0.shape != (len(names),):
-        raise ConfigurationError(f"init must have shape ({len(names)},), got {x0.shape}")
+    x0 = DEFAULT_INITS[model_id]
 
     # large finite penalty rather than inf: the simplex update subtracts
     # objective values from each other, and inf - inf poisons it with nan
@@ -124,12 +122,9 @@ def fit_curve(samples: np.ndarray, model_id: str, init: np.ndarray | None = None
         if best is None or res.fun < best.fun:
             best = res
 
-    params = dict(zip(names, (float(v) for v in best.x)))
-    if model_id == "data_quality":
-        params["gamma3"] = float(gamma3)  # fixed by the z = d - gamma3*s reduction
     return FitResult(
         model_id=model_id,
-        params=params,
+        params=dict(zip(names, (float(v) for v in best.x))),
         rmse=float(np.sqrt(best.fun)),
         converged=bool(best.success),
         n_evals=total_evals,

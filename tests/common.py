@@ -1,8 +1,19 @@
-"""Shared builders for test fixtures."""
+"""Shared builders for test fixtures.
+
+`write_mnist_fixture` also runs as a script, so that a shell script can lay
+the same IDX files down without a test session:
+
+    python3 tests/common.py DIR
+"""
+
+import gzip
+import os
+import struct
+import sys
 
 import numpy as np
 
-from contractfl.datasets import Dataset, DatasetView
+from contractfl.datasets import IMAGE_MAGIC, LABEL_MAGIC, Dataset, DatasetView
 from contractfl.simulation import Client
 
 
@@ -14,10 +25,14 @@ def make_dataset(features, labels, num_classes=None):
     return Dataset(x, y, num_classes)
 
 
+def as_view(ds):
+    """A view over every row of the Dataset `ds`, to train on or split."""
+    return DatasetView(ds, np.arange(len(ds)), ds.labels.copy())
+
+
 def make_view(features, labels, num_classes=None):
     """A view over every row of a fresh pool, as a client's shard is."""
-    ds = make_dataset(features, labels, num_classes)
-    return DatasetView(ds, np.arange(len(ds)), ds.labels.copy())
+    return as_view(make_dataset(features, labels, num_classes))
 
 
 def make_client(client_id, features, labels, num_classes=None):
@@ -34,3 +49,37 @@ def blob_data(n, num_classes=2, dim=2, spread=0.05, seed=0):
     labels = rng.integers(0, num_classes, size=n)
     x = centers[labels][:, None] + rng.normal(0.0, spread, size=(n, dim))
     return make_dataset(np.clip(x, 0.0, 1.0), labels, num_classes)
+
+
+def idx_images(arrays):
+    """Pack 2-D uint8 arrays into IDX image bytes."""
+    arr = np.asarray(arrays, dtype=np.uint8)
+    n, rows, cols = arr.shape
+    return struct.pack(">4i", IMAGE_MAGIC, n, rows, cols) + arr.tobytes()
+
+
+def idx_labels(labels):
+    lab = np.asarray(labels, dtype=np.uint8)
+    return struct.pack(">2i", LABEL_MAGIC, lab.size) + lab.tobytes()
+
+
+def write_mnist_fixture(out_dir, gz=False, train_count=1500, test_count=300):
+    """Write the four MNIST IDX files into `out_dir`: 28x28 class blobs of ten
+    classes quantized to uint8, the same bytes on every call. With gz the
+    files carry MNIST's `.gz` names and are gzipped with a zero timestamp."""
+    rng = np.random.default_rng(0)
+    means = rng.uniform(0.2, 0.8, size=(10, 28, 28))
+    blobs = {}
+    for split, count in (("train", train_count), ("t10k", test_count)):
+        labels = rng.integers(0, 10, size=count)
+        x = means[labels] + rng.normal(0.0, 0.3, size=(count, 28, 28))
+        blobs[f"{split}-images-idx3-ubyte"] = idx_images(np.round(np.clip(x, 0, 1) * 255))
+        blobs[f"{split}-labels-idx1-ubyte"] = idx_labels(labels)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, blob in blobs.items():
+        with open(os.path.join(out_dir, name + (".gz" if gz else "")), "wb") as fh:
+            fh.write(gzip.compress(blob, mtime=0) if gz else blob)
+
+
+if __name__ == "__main__":
+    write_mnist_fixture(sys.argv[1])

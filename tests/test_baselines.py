@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from common import blob_data, make_client, make_dataset
+from common import as_view, blob_data, make_client, make_view
 from contractfl import baselines, nn
 from contractfl.errors import ConfigurationError
 from contractfl.seeds import STREAM_TRAIN, child_seed
@@ -26,7 +26,7 @@ def _blob_arrays(n, seed):
 # sample, replayed with the kernel's own shuffle of that batch.
 
 def _one_batch(n, seed, model, lr, mu, epochs=1):
-    data = make_dataset(*_blob_arrays(n, seed), num_classes=2)
+    data = make_view(*_blob_arrays(n, seed), num_classes=2)
     trained, _ = nn.train_epochs_tracked(model, data, epochs, lr, batch_size=n,
                                          rng_seed=seed, mu=mu)
     return data, trained
@@ -37,7 +37,8 @@ def test_fedprox_step_mu_zero_is_plain_sgd():
     data, stepped = _one_batch(8, 3, model, lr=0.1, mu=0.0)
     perm = np.random.default_rng(3).permutation(8)
     _, grad = nn.loss_and_gradient(model.layer_dims, model.params,
-                                   data.features[perm], data.labels[perm])
+                                   data.parent.features[data.indices][perm],
+                                   data.labels[perm])
     assert np.array_equal(stepped.params, model.params - 0.1 * grad)
 
 
@@ -126,7 +127,7 @@ def test_run_sync_improves_accuracy():
 
 
 def test_local_sgd_run_single_worker():
-    pool = blob_data(80, num_classes=2, dim=2, seed=95)
+    pool = as_view(blob_data(80, num_classes=2, dim=2, seed=95))
     test = blob_data(40, num_classes=2, dim=2, seed=94)
     model = nn.init_model(DIMS, seed=9)
     final1, hist1 = baselines.local_sgd_run(model, pool, 3, 2, 0.2, 8, 19, test)

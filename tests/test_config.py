@@ -247,7 +247,7 @@ def test_load_config_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises(ConfigurationError, match="broken.json"):
-        config.load_config(str(p))
+        config.resolve_config(None, str(p))
 
 
 def test_load_config_unknown_key(tmp_path):

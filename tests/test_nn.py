@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from common import blob_data, make_dataset
+from common import as_view, blob_data, make_dataset
 from contractfl import nn
 from contractfl.datasets import DatasetView
 from contractfl.errors import (ConfigurationError, ContractViolation,
@@ -131,7 +131,7 @@ def test_gradient_matches_central_differences():
 
 
 def test_train_epochs_deterministic_and_pure():
-    data = blob_data(40, num_classes=2, dim=3, seed=1)
+    data = as_view(blob_data(40, num_classes=2, dim=3, seed=1))
     m = nn.init_model((3, 4, 4, 2), seed=2)
     before = m.params.copy()
     t1, _ = nn.train_epochs_tracked(m, data, epochs=2, lr=0.1, batch_size=8, rng_seed=42)
@@ -146,8 +146,8 @@ def test_train_epochs_reduces_loss():
     data = blob_data(120, num_classes=2, dim=2, seed=4)
     m = nn.init_model((2, 8, 8, 2), seed=3)
     loss0, _ = nn.evaluate(m, data)
-    trained, _ = nn.train_epochs_tracked(m, data, epochs=5, lr=0.5, batch_size=16,
-                                         rng_seed=0)
+    trained, _ = nn.train_epochs_tracked(m, as_view(data), epochs=5, lr=0.5,
+                                         batch_size=16, rng_seed=0)
     loss1, acc1 = nn.evaluate(trained, data)
     assert loss1 < loss0
     assert acc1 > 0.9
@@ -156,7 +156,7 @@ def test_train_epochs_reduces_loss():
 def test_train_epochs_tracked_matches_manual_replay():
     # freeze the bookkeeping: shuffle stream, batch walk, and the
     # sample-weighted per-epoch mean, including the final partial batch
-    data = blob_data(23, num_classes=2, dim=2, seed=6)
+    data = as_view(blob_data(23, num_classes=2, dim=2, seed=6))
     dims = (2, 4, 4, 2)
     m = nn.init_model(dims, seed=8)
     epochs, lr, bs, seed = 3, 0.2, 8, 17
@@ -164,7 +164,7 @@ def test_train_epochs_tracked_matches_manual_replay():
 
     params = m.params.copy()
     rng = np.random.default_rng(seed)
-    x, y = data.features, data.labels
+    x, y = data.parent.features[data.indices], data.labels
     n = len(data)
     want_losses = []
     for _ in range(epochs):
@@ -246,7 +246,8 @@ def test_kernel_matches_independent_oracle_bitwise(dims, batch_size, n, epochs, 
     m = nn.init_model(dims, seed=5)
     got_model, got_losses = nn.train_epochs_tracked(m, client, epochs, lr,
                                                     batch_size, 31, mu=mu)
-    want_params, want_losses = _oracle_train(m, client.features, client.labels,
+    x = client.parent.features[client.indices]
+    want_params, want_losses = _oracle_train(m, x, client.labels,
                                              epochs, lr, batch_size, 31, mu)
     assert got_model.params.tobytes() == want_params.tobytes()
     assert got_losses.tobytes() == want_losses.tobytes()
@@ -268,7 +269,7 @@ def test_loss_and_gradient_returns_fresh_gradients():
 
 def test_training_divergence_raises():
     # a model that has already gone non-finite must be caught on the first step
-    data = blob_data(16, num_classes=2, dim=2, seed=0)
+    data = as_view(blob_data(16, num_classes=2, dim=2, seed=0))
     dims = (2, 4, 4, 2)
     bad = nn.Model(dims, np.full(nn.param_count(dims), np.nan))
     with pytest.raises(TrainingDiverged) as exc:
@@ -278,13 +279,13 @@ def test_training_divergence_raises():
 
 
 def test_train_epochs_validation():
-    data = blob_data(10, seed=0)
+    data = as_view(blob_data(10, seed=0))
     m = nn.init_model((2, 4, 4, 2), seed=0)
     with pytest.raises(ConfigurationError):
         nn.train_epochs_tracked(m, data, epochs=0, lr=0.1, batch_size=4, rng_seed=0)
     with pytest.raises(ConfigurationError):
         nn.train_epochs_tracked(m, data, epochs=1, lr=0.1, batch_size=0, rng_seed=0)
-    bad = blob_data(10, dim=5, seed=0)
+    bad = as_view(blob_data(10, dim=5, seed=0))
     with pytest.raises(ConfigurationError):
         nn.train_epochs_tracked(m, bad, epochs=1, lr=0.1, batch_size=4, rng_seed=0)
 
@@ -389,7 +390,8 @@ def test_aggregate_validation():
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):
     m = nn.init_model(DIMS, seed=6)
-    trained, _ = nn.train_epochs_tracked(m, blob_data(20, dim=3, seed=0), 1, 0.1, 5, 0)
+    data = as_view(blob_data(20, dim=3, seed=0))
+    trained, _ = nn.train_epochs_tracked(m, data, 1, 0.1, 5, 0)
     path = tmp_path / "model.bin"
     nn.save_model(trained, path)
     loaded = nn.load_model(path)
