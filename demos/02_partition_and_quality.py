@@ -13,10 +13,10 @@ import numpy as np
 
 from contractfl import config
 from contractfl.contracts import QualityParams, data_quality
-from contractfl.experiment import partition_report
+from contractfl.experiment import prepare
 
 cfg = config.preset_desk()
-clients = partition_report(cfg)
+clients = prepare(cfg, solve_menu=False).clients
 
 print("client   d_k    skew   theta  level")
 for p in clients:

@@ -5,8 +5,10 @@
 # Usage: scripts/byte_identity.sh OUT
 #
 # The runs: desk simulate clean and attacked, desk baseline fedavg, fedprox
-# and local-sgd, desk partition-stats, the benchmark's paper-synth workload,
-# and three MNIST-preset runs on IDX files generated into OUT/mnist.
+# and local-sgd, desk partition-stats, desk contract, fit on noiseless
+# accuracy-curve samples written into OUT/fit-samples.csv, the benchmark's
+# paper-synth workload, and three MNIST-preset runs on IDX files generated
+# into OUT/mnist.
 #
 # Each run writes its artifacts to OUT/<run>/, and its stdout and stderr to
 # OUT/<run>.stdout and OUT/<run>.stderr with the output path masked as "OUT",
@@ -56,6 +58,22 @@ for algorithm in fedavg fedprox local-sgd; do
     run "baseline-$algorithm" baseline "$algorithm" --preset desk
 done
 run partition-stats partition-stats --preset desk
+run contract contract --preset desk
+
+# noiseless accuracy-curve points on an 8 x 10 effort-quality grid
+python3 - "$OUT/fit-samples.csv" <<'PY'
+import sys
+import numpy as np
+from contractfl.contracts import AccuracyCurveParams, accuracy_curve
+rows = ["effort,theta,accuracy"]
+for e in np.linspace(50.0, 15000.0, 8):
+    for theta in np.arange(1, 11) / 10.0:
+        acc = accuracy_curve(e, theta, AccuracyCurveParams())
+        rows.append(f"{float(e)!r},{float(theta)!r},{float(acc)!r}")
+with open(sys.argv[1], "w") as fh:
+    fh.write("\n".join(rows) + "\n")
+PY
+run fit fit "$OUT/fit-samples.csv" --model accuracy_curve
 run paper-synth simulate $synth
 
 # the MNIST presets on generated IDX files (tests/common.py writes them),

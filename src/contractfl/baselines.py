@@ -17,11 +17,13 @@ from .simulation import Client
 
 
 def fedavg_round(model: nn.Model, clients: list[Client], epochs: int, lr: float,
-                 batch_size: int, seed_for_client, mu: float = 0.0) -> nn.Model:
+                 batch_size: int, master_seed: int, round_idx: int,
+                 mu: float = 0.0) -> nn.Model:
     """One synchronous round: every client trains, deltas merge by data share.
 
-    Each `Client` trains its `data`. seed_for_client maps a client id to that
-    client's shuffle seed for this round. Aggregation weights are d_k / D.
+    Each `Client` trains its `data` with the shuffle seed
+    child_seed(master_seed, STREAM_TRAIN, client_id, round_idx), the stream
+    the async simulator uses too. Aggregation weights are d_k / D.
     With mu > 0 each client's SGD is pulled toward this round's starting
     model (FedProx).
     """
@@ -29,8 +31,9 @@ def fedavg_round(model: nn.Model, clients: list[Client], epochs: int, lr: float,
     total = sum(c.d_k for c in ordered)
     deltas, weights = [], []
     for c in ordered:
+        seed = child_seed(master_seed, STREAM_TRAIN, c.client_id, round_idx)
         trained, _ = nn.train_epochs_tracked(model, c.data, epochs, lr, batch_size,
-                                             seed_for_client(c.client_id), mu=mu)
+                                             seed, mu=mu)
         deltas.append(trained.params - model.params)
         weights.append(c.d_k / total)
     return nn.aggregate(model, deltas, weights)
@@ -48,9 +51,8 @@ def run_sync(model: nn.Model, clients: list[Client], rounds: int, epochs: int,
         raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
     history = []
     for r in range(rounds):
-        model = fedavg_round(
-            model, clients, epochs, lr, batch_size,
-            lambda cid: child_seed(master_seed, STREAM_TRAIN, cid, r), mu=mu)
+        model = fedavg_round(model, clients, epochs, lr, batch_size, master_seed, r,
+                             mu=mu)
         loss, acc = nn.evaluate(model, test_data)
         history.append((r, loss, acc, len(clients)))
     return model, history

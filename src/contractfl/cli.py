@@ -16,7 +16,6 @@ laid after every --set, and the whole config is validated once.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -29,9 +28,9 @@ from .config import PRESETS, ExperimentConfig, resolve_config
 from .contracts import solve_contract, verify_contract
 from .errors import (ConfigurationError, ContractViolation, DataFormatError,
                      InfeasibleEffort, TrainingDiverged)
-from .experiment import (BASELINE_ALGORITHMS, partition_report,
-                         run_async_experiment, run_baseline_experiment,
-                         write_contracts_json, write_partition_csv)
+from .experiment import (BASELINE_ALGORITHMS, prepare, run_async_experiment,
+                         run_baseline_experiment, write_contracts_json, write_json,
+                         write_partition_csv)
 
 logger = logging.getLogger(__name__)
 
@@ -90,7 +89,7 @@ def _cmd_contract(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "contracts.json")
-        write_contracts_json(menu, market, path)
+        write_contracts_json(menu, report, path)
         print(f"wrote {path}")
     return 0 if report.ok else 1
 
@@ -151,18 +150,16 @@ def _cmd_fit(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "fit.json")
-        with open(path, "w") as fh:
-            json.dump({"model": result.model_id, "params": result.params,
-                       "rmse": result.rmse, "converged": result.converged,
-                       "n_evals": result.n_evals}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json({"model": result.model_id, "params": result.params,
+                    "rmse": result.rmse, "converged": result.converged,
+                    "n_evals": result.n_evals}, path)
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_partition_stats(args) -> int:
     cfg = _build_config(args)
-    clients = partition_report(cfg)
+    clients = prepare(cfg, solve_menu=False).clients
     print(f"{'client':>6} {'d_k':>6} {'emd':>8} {'theta':>8} {'level':>5} {'mal':>3}")
     for c in clients:
         print(f"{c.client_id:>6} {c.d_k:>6} {c.emd:>8.4f} {c.theta:>8.4f} "

@@ -158,10 +158,13 @@ def _be32(blob: bytes, offset: int, what: str) -> int:
     return int.from_bytes(blob[offset:offset + 4], "big")
 
 
-def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int | None = None) -> Dataset:
+def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int | None = None,
+              max_rows: int | None = None) -> Dataset:
     """Decode a big-endian IDX image/label file pair into a Dataset.
 
     Pixels are scaled by 1/255 into [0, 1] and images are flattened to rows.
+    With `max_rows`, only the first min(max_rows, count) images are decoded;
+    the header, both payload lengths and every label are still checked.
     Malformed input raises DataFormatError naming the byte offset at fault.
     """
     magic = _be32(image_bytes, 0, "image file")
@@ -189,8 +192,10 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int | None = 
         raise DataFormatError(
             f"label file: count {label_count} at offset 4 does not match image count {count}")
 
-    pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
-    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    keep = count if max_rows is None else min(max_rows, count)
+    pixels = np.frombuffer(image_bytes, dtype=np.uint8, count=keep * rows * cols,
+                           offset=16)
+    features = pixels.reshape(keep, rows * cols).astype(np.float64)
     features /= 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     if num_classes is None:
@@ -200,7 +205,7 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int | None = 
         raise DataFormatError(
             f"label file: label {labels[bad[0]]} at offset {8 + int(bad[0])} "
             f"exceeds class count {num_classes}")
-    return Dataset(features, labels, num_classes)
+    return Dataset(features, labels[:keep], num_classes)
 
 
 def _read_maybe_gzip(path) -> bytes:
@@ -211,9 +216,11 @@ def _read_maybe_gzip(path) -> bytes:
     return blob
 
 
-def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dataset:
+def load_idx_pair(image_path, label_path, num_classes: int | None = None,
+                  max_rows: int | None = None) -> Dataset:
     """Read an IDX image/label pair from disk, transparently ungzipping."""
-    return parse_idx(_read_maybe_gzip(image_path), _read_maybe_gzip(label_path), num_classes)
+    return parse_idx(_read_maybe_gzip(image_path), _read_maybe_gzip(label_path),
+                     num_classes, max_rows)
 
 
 # ---------------------------------------------------------------------------

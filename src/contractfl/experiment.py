@@ -3,7 +3,9 @@
 Everything an experiment run produces goes through this module so that the
 pipeline is identical whether it is driven from the command line, a demo
 script, or a test. All randomness derives from the config seed through named
-streams; runs with equal configs produce byte-identical artifacts.
+streams; runs with equal configs produce byte-identical artifacts. This is
+the only module that knows a file format: every CSV goes through
+`write_csv` and every JSON file through `write_json`.
 
 `prepare` describes each client once, as a frozen `simulation.Client`: its
 id (the position of its shard in `partition`'s list, the only place an id is
@@ -33,15 +35,15 @@ import numpy as np
 
 from . import baselines, nn
 from .config import ExperimentConfig, check_pool
-from .contracts import (ContractMenu, MarketModel, client_utility, data_quality,
-                        local_epochs, quality_level, solve_contract, verify_contract)
+from .contracts import (ContractMenu, ContractReport, MarketModel, client_utility,
+                        data_quality, local_epochs, quality_level, solve_contract,
+                        verify_contract)
 from .datasets import (Dataset, DatasetView, emd, flip_labels, load_idx_pair,
                        partition, split_holdout, synthetic_pair, uniform_benchmark)
 from .errors import ConfigurationError
 from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
                     STREAM_INIT, STREAM_PARTITION, child_seed)
-from .simulation import (AsyncSimulation, Client, settle_rewards, write_ledger_csv,
-                         write_round_summary_csv)
+from .simulation import AsyncSimulation, Client, settle_rewards
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +90,9 @@ def _resolve_mnist_path(explicit: str | None, default_name: str, field: str) -> 
 def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
     """Build (train pool, test set) for a config. The train pool is a view of
     one loaded or generated matrix: the synthetic split shuffled, the MNIST
-    train set in file order, cut to its first `dataset.subset` rows."""
+    train set in file order. Only the first `dataset.subset` train and
+    `dataset.test_subset` test images are decoded; a subset larger than its
+    file is a configuration error."""
     dc = cfg.dataset
     if dc.kind == "synthetic":
         return synthetic_pair(dc.classes, dc.dim, dc.train_count, dc.test_count,
@@ -97,16 +101,22 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
         field: _resolve_mnist_path(getattr(dc, field), name, field)
         for field, name in _MNIST_FILES.items()
     }
-    train = load_idx_pair(paths["train_images"], paths["train_labels"], num_classes=10)
-    test = load_idx_pair(paths["test_images"], paths["test_labels"], num_classes=10)
-    labels = train.labels[:dc.subset]
-    check_pool(labels.size, cfg.partition,
-               f"dataset.subset {dc.subset}" if labels.size < len(train) else
+    train = load_idx_pair(paths["train_images"], paths["train_labels"],
+                          num_classes=10, max_rows=dc.subset)
+    test = load_idx_pair(paths["test_images"], paths["test_labels"],
+                         num_classes=10, max_rows=dc.test_subset)
+    # the loader decodes min(subset, file rows), so a short result means the
+    # file itself holds fewer rows than asked for
+    for field, split, path in (("subset", train, paths["train_images"]),
+                               ("test_subset", test, paths["test_images"])):
+        want = getattr(dc, field)
+        if want is not None and want > len(split):
+            raise ConfigurationError(f"dataset.{field} {want} exceeds the "
+                                     f"{len(split)} rows of {path}")
+    check_pool(len(train), cfg.partition,
+               f"dataset.subset {dc.subset}" if dc.subset is not None else
                f"the train file {paths['train_images']} ({len(train)} rows)")
-    if dc.test_subset is not None:
-        test = Dataset(test.features[:dc.test_subset], test.labels[:dc.test_subset],
-                       test.num_classes)
-    return DatasetView(train, np.arange(labels.size), labels), test
+    return DatasetView(train, np.arange(len(train)), train.labels), test
 
 
 def select_attackers(clients: list[Client], count: int) -> set[int]:
@@ -201,47 +211,58 @@ def _init_model(cfg: ExperimentConfig, data: Dataset) -> nn.Model:
     return nn.init_model(dims, seed=child_seed(cfg.seed, STREAM_INIT))
 
 
-def _dump_json(obj, path) -> None:
+def write_json(obj, path) -> None:
+    """Write `obj` as sorted, indented JSON with a trailing newline."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row. Floats are written with
+    repr, which round-trips exactly, and flags as 0/1."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 def write_config_echo(cfg: ExperimentConfig, out_dir) -> None:
-    _dump_json(cfg.to_dict(), os.path.join(out_dir, "config-echo.json"))
+    write_json(cfg.to_dict(), os.path.join(out_dir, "config-echo.json"))
+
+
+# partition.csv columns, each named after the `Client` attribute it holds;
+# without a menu the contract terms are left out
+_PARTITION_COLUMNS = ("client_id", "d_k", "emd", "theta", "level", "tau",
+                      "tau_clamped", "effort", "reward", "malicious")
+_PARTITION_NO_MENU = ("client_id", "d_k", "emd", "theta", "level", "malicious")
+# rounds.csv of both drivers; the last column counts admitted uploads (async)
+# or participants (baselines), the fourth field of each `history` row
+_ROUNDS_COLUMNS = ("round", "test_loss", "test_accuracy")
+_LEDGER_COLUMNS = ("round", "sim_time", "client_id", "level", "staleness", "m", "q",
+                   "admitted", "alpha")
 
 
 def write_partition_csv(clients: list[Client], path) -> None:
-    full = clients and clients[0].effort is not None
-    with open(path, "w") as fh:
-        if full:
-            fh.write("client_id,d_k,emd,theta,level,tau,tau_clamped,"
-                     "effort,reward,malicious\n")
-            for c in clients:
-                fh.write(f"{c.client_id},{c.d_k},{c.emd!r},{c.theta!r},{c.level},"
-                         f"{c.tau},{int(c.tau_clamped)},{c.effort!r},{c.reward!r},"
-                         f"{int(c.malicious)}\n")
-        else:
-            fh.write("client_id,d_k,emd,theta,level,malicious\n")
-            for c in clients:
-                fh.write(f"{c.client_id},{c.d_k},{c.emd!r},{c.theta!r},{c.level},"
-                         f"{int(c.malicious)}\n")
+    columns = (_PARTITION_COLUMNS if clients and clients[0].effort is not None
+               else _PARTITION_NO_MENU)
+    write_csv(path, columns, ([getattr(c, name) for name in columns] for c in clients))
 
 
-def _report_dict(menu: ContractMenu, market: MarketModel) -> dict:
-    rep = verify_contract(menu, market)
-    return {
-        "ok": rep.ok,
-        "ir": [float(v) for v in rep.ir],
-        "binding_ir": list(rep.binding_ir),
-        "binding_ic_down": [list(pair) for pair in rep.binding_ic_down],
-        "violations": list(rep.violations),
-    }
-
-
-def write_contracts_json(menu: ContractMenu, market: MarketModel, path) -> None:
-    _dump_json({"menu": menu.to_dict(), "verification": _report_dict(menu, market)},
-               path)
+def write_contracts_json(menu: ContractMenu, report: ContractReport, path) -> None:
+    write_json({"menu": menu.to_dict(), "verification": {
+        "ok": report.ok,
+        "ir": [float(v) for v in report.ir],
+        "binding_ir": list(report.binding_ir),
+        "binding_ic_down": [list(pair) for pair in report.binding_ic_down],
+        "violations": list(report.violations),
+    }}, path)
 
 
 def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -266,13 +287,16 @@ def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_config_echo(cfg, out_dir)
-        write_contracts_json(prep.menu, prep.market,
+        write_contracts_json(prep.menu, verify_contract(prep.menu, prep.market),
                              os.path.join(out_dir, "contracts.json"))
         write_partition_csv(prep.clients, os.path.join(out_dir, "partition.csv"))
-        write_round_summary_csv(ledgers, os.path.join(out_dir, "rounds.csv"))
-        write_ledger_csv(ledgers, os.path.join(out_dir, "ledger.csv"))
+        write_csv(os.path.join(out_dir, "rounds.csv"),
+                  (*_ROUNDS_COLUMNS, "admitted_count"), result["history"])
+        write_csv(os.path.join(out_dir, "ledger.csv"), _LEDGER_COLUMNS,
+                  ((lg.round, r.sim_time, r.client_id, r.level, r.staleness, r.m, r.q,
+                    r.admitted, r.alpha) for lg in ledgers for r in lg.uploads))
         settlement = {k: v for k, v in result.items() if k != "history"}
-        _dump_json(settlement, os.path.join(out_dir, "settlement.json"))
+        write_json(settlement, os.path.join(out_dir, "settlement.json"))
         nn.save_model(sim.model, os.path.join(out_dir, "model.bin"))
     return result
 
@@ -313,19 +337,9 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
         os.makedirs(out_dir, exist_ok=True)
         write_config_echo(cfg, out_dir)
         write_partition_csv(prep.clients, os.path.join(out_dir, "partition.csv"))
-        with open(os.path.join(out_dir, "rounds.csv"), "w") as fh:
-            fh.write("round,test_loss,test_accuracy,participants\n")
-            for r, loss, acc, n in history:
-                fh.write(f"{r},{loss!r},{acc!r},{n}\n")
-        _dump_json({k: v for k, v in result.items() if k != "history"},
+        write_csv(os.path.join(out_dir, "rounds.csv"), (*_ROUNDS_COLUMNS, "participants"),
+                  history)
+        write_json({k: v for k, v in result.items() if k != "history"},
                    os.path.join(out_dir, "summary.json"))
         nn.save_model(final, os.path.join(out_dir, "model.bin"))
     return result
-
-
-def partition_report(cfg: ExperimentConfig, out_path=None) -> list[Client]:
-    """Describe the partition a config would produce, without training."""
-    prep = prepare(cfg, solve_menu=False)
-    if out_path is not None:
-        write_partition_csv(prep.clients, out_path)
-    return prep.clients

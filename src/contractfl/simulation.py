@@ -117,12 +117,14 @@ class LevelStats:
 
 @dataclass(frozen=True)
 class AccessDecision:
-    admitted: tuple[int, ...]
+    """One round's verdict. `alphas` maps each admitted client id, in
+    ascending order, to its aggregation weight; it is empty when the round
+    is a no-op."""
+
     alphas: dict
     removed_by_filter: tuple[int, ...]
     removed_nonpositive: tuple[int, ...]
     level_stats: dict
-    no_op: bool
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,6 @@ class RoundLedger:
     uploads: tuple[UploadRecord, ...]
     level_stats: dict
     admitted_count: int
-    no_op: bool
     val_loss: float
     test_loss: float
     test_accuracy: float
@@ -204,13 +205,12 @@ def access_control(entries: list[tuple[int, int, float]], a: float,
     if not kept:
         if entries:
             logger.warning("access control removed every upload; round is a no-op")
-        return AccessDecision((), {}, tuple(sorted(removed_filter)),
-                              tuple(sorted(removed_nonpositive)), level_stats, True)
+        return AccessDecision({}, tuple(sorted(removed_filter)),
+                              tuple(sorted(removed_nonpositive)), level_stats)
     total = sum(q for _, q in kept)
     alphas = {cid: q / total for cid, q in sorted(kept)}
-    return AccessDecision(tuple(sorted(cid for cid, _ in kept)), alphas,
-                          tuple(sorted(removed_filter)),
-                          tuple(sorted(removed_nonpositive)), level_stats, False)
+    return AccessDecision(alphas, tuple(sorted(removed_filter)),
+                          tuple(sorted(removed_nonpositive)), level_stats)
 
 
 class AsyncSimulation:
@@ -248,7 +248,6 @@ class AsyncSimulation:
         self.master_seed = master_seed
         self.lr = lr
         self.batch_size = batch_size
-        self.t = 0
         self.ledgers: list[RoundLedger] = []
         self._cycles: dict[int, _Cycle] = {}
         self.val_losses = [nn.evaluate(model, val_data)[0]]
@@ -269,7 +268,7 @@ class AsyncSimulation:
 
     def run_round(self) -> RoundLedger:
         """Process one aggregation window and return its ledger entry."""
-        t = self.t
+        t = len(self.ledgers)
         dt = self.timing.delta_t
         window_lo, window_hi = t * dt, (t + 1) * dt
         # (client, finish, staleness, m, q); holding no delta lets each one be
@@ -286,20 +285,18 @@ class AsyncSimulation:
 
         decision = access_control([(c.client_id, c.level, q) for c, *_, q in uploads],
                                   self.a, self.phi)
-        if decision.admitted:
-            deltas = [self._cycles[cid].delta for cid in decision.admitted]
-            weights = [decision.alphas[cid] for cid in decision.admitted]
-            self.model = nn.aggregate(self.model, deltas, weights)
+        if decision.alphas:
+            deltas = [self._cycles[cid].delta for cid in decision.alphas]
+            self.model = nn.aggregate(self.model, deltas, list(decision.alphas.values()))
             val_loss = nn.evaluate(self.model, self.val_data)[0]
             self._test_loss, self._test_acc = nn.evaluate(self.model, self.test_data)
         else:
             val_loss = self.val_losses[-1]
         self.val_losses.append(val_loss)
 
-        admitted = set(decision.admitted)
         records = tuple(
             UploadRecord(c.client_id, c.level, staleness, m, q, sim_time=finish,
-                         admitted=c.client_id in admitted,
+                         admitted=c.client_id in decision.alphas,
                          alpha=decision.alphas.get(c.client_id, 0.0))
             for c, finish, staleness, m, q in uploads)
         # every uploader, kept or filtered, starts over from the fresh model
@@ -311,20 +308,19 @@ class AsyncSimulation:
             time_end=window_hi,
             uploads=records,
             level_stats=decision.level_stats,
-            admitted_count=len(decision.admitted),
-            no_op=not decision.admitted,
+            admitted_count=len(decision.alphas),
             val_loss=val_loss,
             test_loss=self._test_loss,
             test_accuracy=self._test_acc,
         )
         self.ledgers.append(ledger)
-        self.t += 1
         return ledger
 
     def run(self, rounds: int) -> list[RoundLedger]:
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-        horizon = (self.t + rounds) * self.timing.delta_t
+        first_round = len(self.ledgers)
+        horizon = (first_round + rounds) * self.timing.delta_t
         first = min((c.finish for c in self._cycles.values()), default=math.inf)
         if first > horizon:
             logger.warning(
@@ -332,7 +328,6 @@ class AsyncSimulation:
                 "simulated seconds (%d rounds of delta_t %g); the first finishes "
                 "at %g, so the run trains nothing", horizon, rounds,
                 self.timing.delta_t, first)
-        first_round = len(self.ledgers)
         for _ in range(rounds):
             self.run_round()
         uploads = [r for lg in self.ledgers[first_round:] for r in lg.uploads]
@@ -407,23 +402,3 @@ def settle_rewards(ledgers: list[RoundLedger], clients: list[Client],
             "final_test_loss": final.test_loss if final else None,
         },
     }
-
-
-def write_round_summary_csv(ledgers: list[RoundLedger], path) -> None:
-    """One row per round: round, test_loss, test_accuracy, admitted_count."""
-    with open(path, "w") as fh:
-        fh.write("round,test_loss,test_accuracy,admitted_count\n")
-        for lg in ledgers:
-            fh.write(f"{lg.round},{lg.test_loss!r},{lg.test_accuracy!r},"
-                     f"{lg.admitted_count}\n")
-
-
-def write_ledger_csv(ledgers: list[RoundLedger], path) -> None:
-    """One row per upload: full admission trail for audit and tests."""
-    with open(path, "w") as fh:
-        fh.write("round,sim_time,client_id,level,staleness,m,q,admitted,alpha\n")
-        for lg in ledgers:
-            for r in lg.uploads:
-                fh.write(f"{lg.round},{r.sim_time!r},{r.client_id},{r.level},"
-                         f"{r.staleness},{r.m!r},{r.q!r},{int(r.admitted)},"
-                         f"{r.alpha!r}\n")

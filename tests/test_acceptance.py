@@ -198,7 +198,7 @@ def test_filter_removes_scores_far_below_level_mean():
             sizes[level] = n_honest + 1
             cid += 1
         decision = access_control(entries, a=0.5, phi=3.0)
-        if not decision.no_op:
+        if decision.alphas:
             assert abs(sum(decision.alphas.values()) - 1.0) <= 1e-9
         gone = set(decision.removed_by_filter) | set(decision.removed_nonpositive)
         for level, planted in targets.items():

@@ -71,10 +71,10 @@ def test_fedprox_step_rejects_negative_mu():
 def test_fedavg_round_weights_by_data_share():
     clients = client_pool([30, 10])
     model = nn.init_model(DIMS, seed=5)
-    seeds = {c.client_id: child_seed(9, STREAM_TRAIN, c.client_id, 0)
+    seeds = {c.client_id: child_seed(9, STREAM_TRAIN, c.client_id, 4)
              for c in clients}
     out = baselines.fedavg_round(model, clients, epochs=1, lr=0.1, batch_size=8,
-                                 seed_for_client=lambda cid: seeds[cid])
+                                 master_seed=9, round_idx=4)
     deltas = []
     for c in clients:
         trained, _ = nn.train_epochs_tracked(model, c.data, 1, 0.1, 8, seeds[c.client_id])

@@ -33,6 +33,23 @@ def test_contract_command(capsys, tmp_path):
     assert data["verification"]["ok"] is True
 
 
+def test_contract_out_verifies_the_menu_once(capsys, tmp_path, monkeypatch):
+    reports = []
+
+    def spy(menu, market):
+        reports.append(verify(menu, market))
+        return reports[-1]
+
+    verify = cli.verify_contract
+    for owner in (cli, experiment):
+        monkeypatch.setattr(owner, "verify_contract", spy)
+    assert cli.main(["contract", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(reports) == 1
+    data = json.loads((tmp_path / "contracts.json").read_text())
+    assert data["verification"]["ir"] == [float(v) for v in reports[0].ir]
+
+
 def test_contract_rows_cover_all_levels(capsys):
     rc = cli.main(["contract", "--preset", "paper-noattack"])
     out = capsys.readouterr().out

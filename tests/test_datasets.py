@@ -55,6 +55,22 @@ def test_parse_idx_label_out_of_range():
         datasets.parse_idx(idx_images([[[0]]]), idx_labels([4]), num_classes=3)
 
 
+def test_parse_idx_max_rows_decodes_a_prefix_and_checks_every_label():
+    imgs = [[[0, 51], [102, 255]], [[255, 0], [0, 0]], [[9, 9], [9, 9]]]
+    full = datasets.parse_idx(idx_images(imgs), idx_labels([7, 0, 2]), num_classes=8)
+    for max_rows, keep in ((1, 1), (2, 2), (3, 3), (5, 3)):
+        ds = datasets.parse_idx(idx_images(imgs), idx_labels([7, 0, 2]),
+                                num_classes=8, max_rows=max_rows)
+        assert np.array_equal(ds.features, full.features[:keep])
+        assert np.array_equal(ds.labels, full.labels[:keep])
+    # a label past the decoded rows is still checked, and so is the payload
+    with pytest.raises(DataFormatError, match="offset 10"):
+        datasets.parse_idx(idx_images(imgs), idx_labels([7, 0, 9]), num_classes=8,
+                           max_rows=1)
+    with pytest.raises(DataFormatError, match="offset"):
+        datasets.parse_idx(idx_images(imgs)[:-1], idx_labels([7, 0, 2]), max_rows=1)
+
+
 def test_load_idx_pair_plain_and_gzip(tmp_path):
     img_blob = idx_images([[[10, 20], [30, 40]], [[1, 2], [3, 4]]])
     lab_blob = idx_labels([1, 0])

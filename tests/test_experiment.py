@@ -240,7 +240,8 @@ def test_baseline_shares_partition_with_async():
 
 def test_partition_report_csv(tmp_path):
     out = tmp_path / "partition.csv"
-    clients = experiment.partition_report(tiny_config(), str(out))
+    clients = experiment.prepare(tiny_config(), solve_menu=False).clients
+    experiment.write_partition_csv(clients, str(out))
     rows = out.read_text().splitlines()
     assert rows[0] == "client_id,d_k,emd,theta,level,malicious"
     assert len(rows) == len(clients) + 1

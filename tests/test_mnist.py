@@ -47,6 +47,8 @@ def test_mnist_pool_and_clients_share_the_loaded_matrix(tmp_path, monkeypatch,
                                                         subset, rows):
     write_mnist_fixture(tmp_path)
     monkeypatch.setenv("MNIST_DIR", str(tmp_path))
+    full = load_idx_pair(tmp_path / "train-images-idx3-ubyte",
+                         tmp_path / "train-labels-idx1-ubyte", num_classes=10)
     loaded = []
 
     def spy(*args, **kwargs):
@@ -59,8 +61,11 @@ def test_mnist_pool_and_clients_share_the_loaded_matrix(tmp_path, monkeypatch,
     prep = experiment.prepare(config.resolve_config("paper-attack30", None, [
         "partition.num_clients=10", "attack.count=3", *overrides]))
     train = loaded[0]
-    assert len(train) == 1500
-    # dataset.subset keeps the file's first rows: holdout and pool split them
+    # only the subset's rows are decoded, and they are the file's first rows
+    assert len(train) == rows
+    assert np.array_equal(train.labels, full.labels[:rows])
+    assert np.array_equal(train.features, full.features[:rows])
+    # holdout and pool split the decoded rows
     assert len(prep.val) == holdout_count(rows, 0.1)
     assert len(prep.pool) == rows - len(prep.val)
     assert prep.pool.indices.max() < rows
@@ -86,3 +91,21 @@ def test_mnist_pool_too_small_names_the_fields(tmp_path, monkeypatch, capsys,
     assert len(err.splitlines()) == 1
     assert source in err
     assert "partition.num_clients" in err and "partition.zipf_exponent" in err
+
+
+@pytest.mark.parametrize("override,message", [
+    ("dataset.subset=5000", "dataset.subset 5000 exceeds the 1500 rows of"),
+    ("dataset.test_subset=99999", "dataset.test_subset 99999 exceeds the 300 rows of"),
+])
+def test_mnist_subset_larger_than_its_file_names_the_field(tmp_path, monkeypatch, capsys,
+                                                           override, message):
+    write_mnist_fixture(tmp_path)
+    monkeypatch.setenv("MNIST_DIR", str(tmp_path))
+    out = tmp_path / "out"
+    rc = cli.main(["partition-stats", "--preset", "paper-noattack", "--set", override,
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert message in err
+    assert not out.exists()  # nothing records sizes that never ran

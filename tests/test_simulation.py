@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from common import make_dataset, make_view
-from contractfl import nn, simulation
+from contractfl import config, experiment, nn, simulation
 from contractfl.contracts import MarketModel, solve_contract
 from contractfl.errors import ConfigurationError
 from contractfl.seeds import STREAM_TRAIN, child_seed
-from contractfl.simulation import (AccessDecision, AsyncSimulation, Client,
+from contractfl.simulation import (AsyncSimulation, Client,
                                    RoundLedger, TimingParams, UploadRecord,
                                    access_control, access_indicator,
                                    settle_rewards)
@@ -105,7 +105,7 @@ def test_access_control_tight_branch_worked_example():
     assert abs(stats.std - 1.3009611831257687) < 1e-12  # population std
     assert abs(stats.threshold - (-0.050961183125768745)) < 1e-12
     assert decision.removed_by_filter == (3,)
-    assert decision.admitted == (0, 1, 2)
+    assert tuple(decision.alphas) == (0, 1, 2)
     assert abs(decision.alphas[0] - 2.0 / 6.0) < 1e-12
     assert abs(decision.alphas[1] - 1.9 / 6.0) < 1e-12
     assert abs(decision.alphas[2] - 2.1 / 6.0) < 1e-12
@@ -118,7 +118,7 @@ def test_access_control_loose_branch_keeps_everything():
     stats = decision.level_stats[1]
     assert not stats.tight_branch  # mean == median == 2.0
     assert abs(stats.threshold - (2.0 - 3.0 * stats.std)) < 1e-12
-    assert decision.admitted == (0, 1, 2)
+    assert tuple(decision.alphas) == (0, 1, 2)
     assert decision.removed_by_filter == ()
 
 
@@ -129,28 +129,24 @@ def test_access_control_drops_nonpositive_survivors():
     decision = access_control(entries, a=10.0, phi=3.0)
     assert decision.removed_by_filter == ()
     assert decision.removed_nonpositive == (9,)
-    assert decision.admitted == (7,)
     assert decision.alphas == {7: 1.0}
 
 
 def test_access_control_all_removed_is_noop():
     decision = access_control([(0, 1, -0.5), (1, 1, -0.7)], a=0.5, phi=3.0)
-    assert decision.no_op
-    assert decision.admitted == ()
     assert decision.alphas == {}
+    assert decision.removed_nonpositive == (0, 1)
 
 
 def test_access_control_empty_round():
     decision = access_control([], a=0.5, phi=3.0)
-    assert decision.no_op
+    assert decision.alphas == {}
     assert decision.level_stats == {}
 
 
 def test_access_control_single_upload():
     decision = access_control([(4, 6, 0.42)], a=0.5, phi=3.0)
-    assert decision.admitted == (4,)
     assert decision.alphas == {4: 1.0}
-    assert not decision.no_op
 
 
 def test_access_control_levels_filtered_independently():
@@ -159,7 +155,7 @@ def test_access_control_levels_filtered_independently():
                (10, 9, 0.2), (11, 9, 0.25)]
     decision = access_control(entries, a=0.5, phi=3.0)
     assert 3 in decision.removed_by_filter
-    assert 10 in decision.admitted and 11 in decision.admitted
+    assert 10 in decision.alphas and 11 in decision.alphas
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,16 +166,18 @@ def test_access_control_invariants(rows):
     entries = [(cid, level, float(q)) for cid, (level, q) in enumerate(rows)]
     decision = access_control(entries, a=0.5, phi=3.0)
     ids = {cid for cid, _, _ in entries}
-    assert set(decision.admitted) <= ids
-    if decision.no_op:
-        assert decision.alphas == {}
-    else:
+    assert set(decision.alphas) <= ids
+    assert list(decision.alphas) == sorted(decision.alphas)  # ascending ids
+    if decision.alphas:
         assert abs(sum(decision.alphas.values()) - 1.0) < 1e-9
         assert all(a > 0 for a in decision.alphas.values())
-        assert set(decision.alphas) == set(decision.admitted)
+    # every upload is admitted or removed by exactly one of the two passes
+    gone = decision.removed_by_filter + decision.removed_nonpositive
+    assert len(gone) == len(set(gone)) and not set(gone) & set(decision.alphas)
+    assert set(gone) | set(decision.alphas) == ids
     # every admitted upload cleared both the spread filter and the sign guard
     by_id = dict((cid, q) for cid, _, q in entries)
-    for cid in decision.admitted:
+    for cid in decision.alphas:
         assert by_id[cid] > 0
 
 
@@ -234,7 +232,7 @@ def test_slow_clients_make_noop_rounds():
     sim = make_sim([c])
     before = sim.model.params.copy()
     ledgers = sim.run(3)
-    assert all(lg.no_op for lg in ledgers)
+    assert all(lg.admitted_count == 0 for lg in ledgers)
     assert all(not lg.uploads for lg in ledgers)
     assert np.array_equal(sim.model.params, before)  # bitwise unchanged
     assert len({lg.val_loss for lg in ledgers}) == 1  # carried forward
@@ -432,7 +430,7 @@ def test_settle_rewards_books_follow_the_ledgers(data):
                                                admitted=v)
                                   for cid, v in enumerate(row) if v is not None),
                     level_stats={}, admitted_count=row.count(True),
-                    no_op=True not in row, val_loss=0.0, test_loss=0.0,
+                    val_loss=0.0, test_loss=0.0,
                     test_accuracy=0.0)
         for t, row in enumerate(verdicts)]
     result = settle_rewards(ledgers, clients, MENU, MARKET)
@@ -449,31 +447,42 @@ def test_settle_rewards_books_follow_the_ledgers(data):
                         rel_tol=1e-12)
 
 
-def test_round_summary_csv_schema(tmp_path):
-    sim, ledgers = _finished_sim()
-    path = tmp_path / "rounds.csv"
-    simulation.write_round_summary_csv(ledgers, path)
-    lines = path.read_text().splitlines()
+def _driver_ledgers(out_dir, monkeypatch):
+    """Run the async driver on a small synthetic population into out_dir and
+    return the ledgers it settled: the records its CSV files write out."""
+    seen = []
+
+    def spy(ledgers, *args):
+        seen.append(ledgers)
+        return settle_rewards(ledgers, *args)
+
+    monkeypatch.setattr(experiment, "settle_rewards", spy)
+    cfg = config.resolve_config("desk", None, [
+        "rounds=4", "partition.num_clients=6", "dataset.train_count=400",
+        "dataset.test_count=120", "partition.max_classes_per_client=10"])
+    experiment.run_async_experiment(cfg, str(out_dir))
+    return seen[0]
+
+
+def test_round_summary_csv_schema(tmp_path, monkeypatch):
+    ledgers = _driver_ledgers(tmp_path, monkeypatch)
+    lines = (tmp_path / "rounds.csv").read_text().splitlines()
     assert lines[0] == "round,test_loss,test_accuracy,admitted_count"
-    assert len(lines) == 1 + len(ledgers)
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == ledgers[0].test_loss  # repr round-trips exactly
-    assert float(first[2]) == ledgers[0].test_accuracy
+    # one line per round, floats in repr, which round-trips exactly
+    assert lines[1:] == [f"{lg.round},{lg.test_loss!r},{lg.test_accuracy!r},"
+                         f"{lg.admitted_count}" for lg in ledgers]
+    assert len(ledgers) == 4
 
 
-def test_ledger_csv_schema(tmp_path):
-    sim, ledgers = _finished_sim()
-    path = tmp_path / "ledger.csv"
-    simulation.write_ledger_csv(ledgers, path)
-    lines = path.read_text().splitlines()
+def test_ledger_csv_schema(tmp_path, monkeypatch):
+    ledgers = _driver_ledgers(tmp_path, monkeypatch)
+    lines = (tmp_path / "ledger.csv").read_text().splitlines()
     assert lines[0] == "round,sim_time,client_id,level,staleness,m,q,admitted,alpha"
-    n_uploads = sum(len(lg.uploads) for lg in ledgers)
-    assert len(lines) == 1 + n_uploads
-    for line in lines[1:]:
-        parts = line.split(",")
-        assert len(parts) == 9
-        assert parts[7] in ("0", "1")
+    # one line per upload in round order, the admission flag as 0/1
+    assert lines[1:] == [f"{lg.round},{r.sim_time!r},{r.client_id},{r.level},"
+                         f"{r.staleness},{r.m!r},{r.q!r},{int(r.admitted)},{r.alpha!r}"
+                         for lg in ledgers for r in lg.uploads]
+    assert lines[1:] and {line.split(",")[7] for line in lines[1:]} <= {"0", "1"}
 
 
 def test_timing_params_validation():
