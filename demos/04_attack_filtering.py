@@ -17,7 +17,7 @@ that was filtered out is never paid.
 
 from contractfl import config, experiment
 
-cfg = config.apply_overrides(config.preset_desk(), [
+cfg = config.resolve_config("desk", None, [
     "attack.count=6", "attack.flip_fraction=1.0"])
 
 res = experiment.run_async_experiment(cfg)

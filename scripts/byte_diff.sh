@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# Show that the working tree moves no artifact byte against a revision.
+#
+# Usage: scripts/byte_diff.sh REV OUT
+#
+# Exports REV with `git archive` into OUT/parent-tree (no worktree, nothing
+# under .git is touched), copies this tree's scripts/byte_identity.sh over the
+# exported copy so both sides run the same runs, runs it in both trees into
+# OUT/parent and OUT/change, then compares the two with `diff -r` and exits
+# with its status: 0 when every artifact and every masked stdout and stderr
+# is identical. Either byte_identity.sh run failing exits 1 before the diff.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 REV OUT" >&2
+    exit 2
+fi
+REV=$1
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$2"
+OUT=$(cd "$2" && pwd)
+
+rm -rf "$OUT/parent-tree" "$OUT/parent" "$OUT/change"
+mkdir "$OUT/parent-tree"
+git -C "$ROOT" archive "$REV" | tar -x -C "$OUT/parent-tree"
+mkdir -p "$OUT/parent-tree/scripts"
+cp "$ROOT/scripts/byte_identity.sh" "$OUT/parent-tree/scripts/byte_identity.sh"
+
+bash "$OUT/parent-tree/scripts/byte_identity.sh" "$OUT/parent"
+bash "$ROOT/scripts/byte_identity.sh" "$OUT/change"
+diff -r "$OUT/parent" "$OUT/change"

@@ -163,6 +163,8 @@ class ExperimentConfig:
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's seed sequences take no negative entropy
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         # limits that span two sections
@@ -268,33 +270,6 @@ def _read_config_file(path) -> dict:
     return raw
 
 
-def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
-    """Apply 'section.key=value' (or 'seed=7') strings on top of a config.
-
-    Each override is the patch {"section": {"key": value}}, laid over the
-    config exactly as a config file is laid over a preset: a JSON object
-    value patches the fields it names and keeps the rest. The patched tree
-    is validated once, as a whole, after the last override.
-    """
-    return _build(cfg.to_dict(), overrides)
-
-
-def _build(d: dict, overrides: list[str]) -> ExperimentConfig:
-    """Lay each override over the config dict `d`, then build it once."""
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigurationError(f"override {item!r} is not of the form key=value")
-        path, _, raw = item.partition("=")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw  # bare strings are allowed unquoted
-        for key in reversed(path.split(".")):
-            value = {key: value}
-        _deep_update(d, value, "")
-    return ExperimentConfig.from_dict(d)
-
-
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------
@@ -349,11 +324,14 @@ PRESETS = {
 
 def resolve_config(preset: str | None, config_path: str | None,
                    overrides: list[str] | None = None) -> ExperimentConfig:
-    """Lay a config file, then each override, over a base; validate once.
+    """Build a config, the only way the package does: lay a config file,
+    then each override, over a base, and validate once.
 
     The base is the named preset; the library defaults (`ExperimentConfig()`)
-    when only a file is given; desk when neither is. A later patch wins, and
-    a limit spanning two patched fields is judged on their final values.
+    when only a file is given; desk when neither is. An override
+    'section.key=value' (or 'seed=7') is laid over the dict as the file is,
+    and a value that is not JSON is a bare string. A later patch wins, and a
+    limit spanning two patched fields is judged on their final values.
     """
     if preset is not None and preset not in PRESETS:
         raise ConfigurationError(
@@ -365,7 +343,18 @@ def resolve_config(preset: str | None, config_path: str | None,
     d = base.to_dict()
     if config_path is not None:
         _deep_update(d, _read_config_file(config_path), "")
-    return _build(d, overrides or [])
+    for item in overrides or []:
+        if "=" not in item:
+            raise ConfigurationError(f"override {item!r} is not of the form key=value")
+        path, _, raw = item.partition("=")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw  # bare strings are allowed unquoted
+        for key in reversed(path.split(".")):
+            value = {key: value}
+        _deep_update(d, value, "")
+    return ExperimentConfig.from_dict(d)
 
 
 def _deep_update(base: dict, patch: dict, path: str) -> None:

@@ -15,15 +15,12 @@ computation time and xi * e * c * f^2 is computation energy.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, InfeasibleEffort
-
-logger = logging.getLogger(__name__)
 
 THETA_FLOOR = 0.01
 EFFORT_MIN = 1.0
@@ -216,22 +213,14 @@ class ContractReport:
 # Quality and accuracy response curves
 # ---------------------------------------------------------------------------
 
-def _note_clamp(clamps, kind: str, msg: str, *args) -> None:
-    """Append `kind` to the caller's list, or log a warning without one."""
-    if clamps is None:
-        logger.warning(msg, *args)
-    else:
-        clamps.append(kind)
-
-
 def data_quality(d: float, s: float, qp: QualityParams = QualityParams(),
                  clamps: list[str] | None = None) -> float:
     """Map sample count d and skew s to a quality score in [0.01, 1].
 
     A nonpositive effective quantity d - g3 * s means the skew penalty has
     consumed the whole sample budget; quality drops to the floor. Each
-    clamp is logged as a warning, or appended to `clamps` when given, so a
-    caller scoring many clients can report them in one line.
+    clamp is appended to `clamps` when one is given, so a caller scoring
+    many clients can report them in one line.
     """
     if d < 0:
         raise ConfigurationError(f"sample count must be >= 0, got {d}")
@@ -239,13 +228,16 @@ def data_quality(d: float, s: float, qp: QualityParams = QualityParams(),
         raise ConfigurationError(f"skew score must be >= 0, got {s}")
     z = d - qp.gamma3 * s
     if z <= 0:
-        _note_clamp(clamps, "effective quantity <= 0",
-                    "effective quantity %.3f <= 0 (d=%s, s=%s); quality floored", z, d, s)
+        if clamps is not None:
+            clamps.append("effective quantity <= 0")
         return THETA_FLOOR
-    theta = 1.0 - qp.gamma1 * math.exp(-qp.gamma2 * z ** qp.gamma4)
-    if theta < THETA_FLOOR or theta > 1.0:
-        _note_clamp(clamps, f"quality outside [{THETA_FLOOR:.2f}, 1]",
-                    "quality %.4f outside [%.2f, 1]; clamped", theta, THETA_FLOOR)
+    try:
+        power = z ** qp.gamma4
+    except OverflowError:  # exp(-gamma2 * power) below is then 0
+        power = math.inf
+    theta = 1.0 - qp.gamma1 * math.exp(-qp.gamma2 * power)
+    if (theta < THETA_FLOOR or theta > 1.0) and clamps is not None:
+        clamps.append(f"quality outside [{THETA_FLOOR:.2f}, 1]")
     return float(min(1.0, max(THETA_FLOOR, theta)))
 
 
@@ -253,17 +245,16 @@ def quality_level(theta: float, market: MarketModel,
                   clamps: list[str] | None = None) -> int:
     """Smallest level n with theta <= theta_n (levels are 1-based).
 
-    A value above the top boundary is clamped to level N with a warning (or
-    an entry in `clamps`, as in data_quality) so that extrapolated quality
-    estimates stay usable.
+    A value above the top boundary is clamped to level N so that
+    extrapolated quality estimates stay usable; the clamp is appended to
+    `clamps` when one is given, as in data_quality.
     """
     if not np.isfinite(theta) or theta <= 0:
         raise ConfigurationError(f"quality must be a positive finite number, got {theta}")
     idx = int(np.searchsorted(market.theta, theta, side="left"))
     if idx >= market.n_levels:
-        _note_clamp(clamps, "quality above the top level",
-                    "quality %.4f above top level boundary %.4f; clamped to level %d",
-                    theta, market.theta[-1], market.n_levels)
+        if clamps is not None:
+            clamps.append("quality above the top level")
         return market.n_levels
     return idx + 1
 

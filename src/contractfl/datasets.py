@@ -158,7 +158,7 @@ def _be32(blob: bytes, offset: int, what: str) -> int:
     return int.from_bytes(blob[offset:offset + 4], "big")
 
 
-def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int | None = None,
+def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int,
               max_rows: int | None = None) -> Dataset:
     """Decode a big-endian IDX image/label file pair into a Dataset.
 
@@ -198,8 +198,6 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int | None = 
     features = pixels.reshape(keep, rows * cols).astype(np.float64)
     features /= 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 1
     bad = np.flatnonzero(labels >= num_classes)
     if bad.size:
         raise DataFormatError(
@@ -216,7 +214,7 @@ def _read_maybe_gzip(path) -> bytes:
     return blob
 
 
-def load_idx_pair(image_path, label_path, num_classes: int | None = None,
+def load_idx_pair(image_path, label_path, num_classes: int,
                   max_rows: int | None = None) -> Dataset:
     """Read an IDX image/label pair from disk, transparently ungzipping."""
     return parse_idx(_read_maybe_gzip(image_path), _read_maybe_gzip(label_path),

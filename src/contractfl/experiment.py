@@ -36,8 +36,7 @@ import numpy as np
 from . import baselines, nn
 from .config import ExperimentConfig, check_pool
 from .contracts import (ContractMenu, ContractReport, MarketModel, client_utility,
-                        data_quality, local_epochs, quality_level, solve_contract,
-                        verify_contract)
+                        data_quality, quality_level, solve_contract, verify_contract)
 from .datasets import (Dataset, DatasetView, emd, flip_labels, load_idx_pair,
                        partition, split_holdout, synthetic_pair, uniform_benchmark)
 from .errors import ConfigurationError
@@ -147,9 +146,11 @@ def select_attackers(clients: list[Client], count: int) -> set[int]:
 
 def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
     """Build data, partition, quality levels, delays, attackers, and
-    (optionally) the menu, as one `Client` record per client. With a menu,
-    one WARNING names every client whose contract utility at its realized
-    effort (tau epochs of d_k samples) is negative."""
+    (optionally) the menu, as one `Client` record per client. One WARNING
+    names every client whose quality score or level was clamped. With a
+    menu, each client gets its level's effort and reward, and one WARNING
+    names every client whose contract utility at its realized effort (tau
+    epochs of d_k samples) is negative."""
     market = cfg.market.to_market()
     train, test = build_dataset(cfg)
     val, pool = split_holdout(train, cfg.partition.val_fraction,
@@ -183,9 +184,7 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
         terms = {}
         if menu is not None:
             entry = menu.entry(c.level)
-            terms.update(effort=entry.effort, reward=entry.reward,
-                         tau=local_epochs(entry.effort, c.d_k),
-                         tau_clamped=entry.effort < c.d_k)
+            terms.update(effort=entry.effort, reward=entry.reward)
         # quality and level were assessed on the data as declared, before any
         # corruption: a label flipper looks exactly like an honest client upstream
         if c.client_id in attackers:

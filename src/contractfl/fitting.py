@@ -30,6 +30,8 @@ PARAM_NAMES = {
     "accuracy_curve": ("beta1", "beta2", "beta3", "beta4", "beta5"),
     "data_quality": ("gamma1", "gamma2", "gamma4"),
 }
+# simplex iterations and objective evaluations allowed per start
+MAX_ITER = 4000
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ def predict(model_id: str, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     raise ConfigurationError(f"unknown curve model {model_id!r}")
 
 
-def fit_curve(samples: np.ndarray, model_id: str, seed: int = 0, n_starts: int = 8,
-              max_iter: int = 4000) -> FitResult:
+def fit_curve(samples: np.ndarray, model_id: str, seed: int = 0,
+              n_starts: int = 8) -> FitResult:
     """Fit a response curve by mean squared residual.
 
     samples: 2-D array, one observation per row, target in the last column.
@@ -71,9 +73,9 @@ def fit_curve(samples: np.ndarray, model_id: str, seed: int = 0, n_starts: int =
     if model_id not in PARAM_NAMES:
         raise ConfigurationError(
             f"unknown curve model {model_id!r}; choose from {sorted(PARAM_NAMES)}")
-    for name, value in (("n_starts", n_starts), ("max_iter", max_iter)):
-        if value < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    for name, value, low in (("seed", seed, 0), ("n_starts", n_starts, 1)):
+        if value < low:
+            raise ConfigurationError(f"{name} must be >= {low}, got {value}")
     samples = np.asarray(samples, dtype=np.float64)
     n_inputs = 2 if model_id == "accuracy_curve" else 1
     if samples.ndim != 2 or samples.shape[1] != n_inputs + 1:
@@ -116,7 +118,7 @@ def fit_curve(samples: np.ndarray, model_id: str, seed: int = 0, n_starts: int =
     for start in starts:
         res = optimize.minimize(
             mse, start, method="Nelder-Mead",
-            options={"maxiter": max_iter, "maxfev": max_iter,
+            options={"maxiter": MAX_ITER, "maxfev": MAX_ITER,
                      "xatol": 1e-12, "fatol": 1e-14})
         total_evals += res.nfev
         if best is None or res.fun < best.fun:

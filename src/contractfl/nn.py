@@ -98,10 +98,6 @@ def _forward(views, x):
     return a1, a2, logits
 
 
-def _forward_raw(layer_dims, params, x):
-    return _forward(_views(layer_dims, params), x)
-
-
 def _log_softmax(logits):
     """Row-wise log-softmax, computed in place over `logits`."""
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -227,12 +223,13 @@ def evaluate(model: Model, data) -> tuple[float, float]:
     n = x.shape[0]
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
+    views = _views(model.layer_dims, model.params)
     loss_sum = 0.0
     correct = 0
     for start in range(0, n, _EVAL_CHUNK):
         xs = x[start:start + _EVAL_CHUNK]
         ys = y[start:start + _EVAL_CHUNK]
-        logits = _forward_raw(model.layer_dims, model.params, xs)[-1]
+        logits = _forward(views, xs)[-1]
         correct += int((logits.argmax(axis=1) == ys).sum())
         log_p = _log_softmax(logits)
         loss_sum += float(-log_p[np.arange(ys.shape[0]), ys].sum())

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .contracts import ContractMenu, MarketModel, client_utility
+from .contracts import ContractMenu, MarketModel, client_utility, local_epochs
 from .datasets import Dataset, DatasetView
 from .errors import ConfigurationError
 from .seeds import STREAM_TRAIN, child_seed
@@ -58,8 +58,9 @@ class TimingParams:
 class Client:
     """One client as a run sees it, fixed before any training happens.
 
-    The contract terms (effort, reward, tau, tau_clamped) are None when no
-    menu was solved. Quality and level describe the data as declared; for an
+    The contract terms (effort, reward) are None when no menu was solved, and
+    so are the epochs they buy (tau, tau_clamped), which are derived from
+    effort and d_k. Quality and level describe the data as declared; for an
     attacker, `data` holds the corrupted labels it actually trains on. The
     id lives here alone: `data` is an index view of the pool that knows
     nothing of whose it is.
@@ -74,12 +75,21 @@ class Client:
     malicious: bool = False
     effort: float | None = None
     reward: float | None = None
-    tau: int | None = None
-    tau_clamped: bool | None = None
 
     @property
     def d_k(self) -> int:
         return self.data.d_k
+
+    @property
+    def tau(self) -> int | None:
+        """Local epochs per cycle: `contracts.local_epochs(effort, d_k)`."""
+        return None if self.effort is None else local_epochs(self.effort, self.d_k)
+
+    @property
+    def tau_clamped(self) -> bool | None:
+        """Whether the realized effort tau * d_k exceeds the contracted one,
+        which happens exactly when the effort is below one pass (d_k)."""
+        return None if self.effort is None else self.tau * self.d_k > self.effort
 
 
 @dataclass(frozen=True)
@@ -133,10 +143,14 @@ class RoundLedger:
     time_end: float
     uploads: tuple[UploadRecord, ...]
     level_stats: dict
-    admitted_count: int
     val_loss: float
     test_loss: float
     test_accuracy: float
+
+    @property
+    def admitted_count(self) -> int:
+        """Uploads admitted this round; 0 makes the round a no-op."""
+        return sum(r.admitted for r in self.uploads)
 
 
 def access_indicator(m: float, theta: float, staleness: int, epsilon: float) -> float:
@@ -258,11 +272,12 @@ class AsyncSimulation:
 
     def _start_cycle(self, client: Client, round_idx: int, start_time: float):
         seed = child_seed(self.master_seed, STREAM_TRAIN, client.client_id, round_idx)
+        tau = client.tau
         trained, epoch_losses = nn.train_epochs_tracked(
-            self.model, client.data, client.tau, self.lr, self.batch_size, seed)
+            self.model, client.data, tau, self.lr, self.batch_size, seed)
         self._cycles[client.client_id] = _Cycle(
             base_round=round_idx,
-            finish=start_time + client.tau * client.per_epoch_delay,
+            finish=start_time + tau * client.per_epoch_delay,
             delta=trained.params - self.model.params,
             loss=float(epoch_losses[-1]))
 
@@ -308,7 +323,6 @@ class AsyncSimulation:
             time_end=window_hi,
             uploads=records,
             level_stats=decision.level_stats,
-            admitted_count=len(decision.alphas),
             val_loss=val_loss,
             test_loss=self._test_loss,
             test_accuracy=self._test_acc,

@@ -257,7 +257,7 @@ def test_desk_comparison_clean_parity_and_attack_margin():
             if attacked:
                 # 30% of the 20-client population flips half its labels
                 overrides += ["attack.count=6", "attack.flip_fraction=0.5"]
-            cfg = config.apply_overrides(config.preset_desk(), overrides)
+            cfg = config.resolve_config("desk", None, overrides)
             arm = "attacked" if attacked else "clean"
             res = experiment.run_async_experiment(cfg)
             acc[f"{arm}_async"].append(res["publisher"]["final_test_accuracy"])
@@ -343,7 +343,7 @@ def test_full_scale_mnist_run_reaches_reference_accuracy():
 
 
 def test_fedprox_with_zero_mu_reduces_to_fedavg(tmp_path):
-    cfg = config.apply_overrides(config.preset_desk(), [
+    cfg = config.resolve_config("desk", None, [
         "rounds=5", "partition.num_clients=8",
         "dataset.train_count=800", "dataset.test_count=200",
         "baseline.prox_mu=0.0"])

@@ -236,6 +236,32 @@ def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, f
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--seed", "-1"],
+    ["baseline", "fedavg", "--seed", "-1"],
+    ["partition-stats", "--seed", "-1"],
+    ["contract", "--seed", "-1"],  # draws nothing, but the config is still invalid
+    ["simulate", "--set", "seed=-1"],
+    ["simulate", "--config", "{tmp}/seed.json"],
+    ["fit", "{tmp}/samples.csv", "--model", "accuracy_curve", "--seed", "-1"],
+])
+def test_negative_seed_exits_two_naming_the_seed(capsys, tmp_path, args):
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": -1}))
+    (tmp_path / "samples.csv").write_text("1000,0.5,0.6\n2000,0.5,0.7\n4000,0.9,0.8\n"
+                                          "8000,0.9,0.85\n16000,0.3,0.7\n")
+    rc = cli.main([a.format(tmp=tmp_path) for a in args])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["partition-stats", "simulate"])
+def test_large_quality_gamma4_runs(capsys, command):
+    # desk's largest shards hold about 1,000 samples, and 1000 ** 120
+    # overflows a float; the quality score is then its limit, 1.0
+    rc = cli.main([command, "--set", "rounds=1", "--set", "quality.gamma4=120"])
+    assert rc == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", ["dataset.train_count=23",
                                       "partition.zipf_exponent=30"])
 def test_zero_zipf_share_on_desk_rejected_before_data_is_built(capsys, monkeypatch,

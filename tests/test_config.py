@@ -43,7 +43,7 @@ def _override():
 @given(st.sampled_from(sorted(config.PRESETS)), st.lists(_override(), max_size=6))
 def test_any_valid_override_survives_a_json_round_trip(preset, overrides):
     try:
-        cfg = config.apply_overrides(config.PRESETS[preset](), overrides)
+        cfg = config.resolve_config(preset, None, overrides)
     except ConfigurationError:
         assume(False)  # an invalid patch is rejected at parse time; not this property
     again = config.ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -52,24 +52,23 @@ def test_any_valid_override_survives_a_json_round_trip(preset, overrides):
 
 
 def test_cross_section_limits_checked_at_parse():
-    desk = config.preset_desk()
     # 11 rows lose 1 to the holdout; Zipf shares of the pool of 10 over 6
     # clients round to [4, 2, 1, 1, 1, 1]
-    ok = config.apply_overrides(desk, ["partition.num_clients=6",
-                                       "dataset.train_count=11", "attack.count=6"])
+    six = ["partition.num_clients=6", "dataset.train_count=11", "attack.count=6"]
+    ok = config.resolve_config("desk", None, six)
     assert ok.attack.count == ok.partition.num_clients == 6
     # a pool of 9 still holds 6 clients, but rounds to [4, 2, 1, 1, 1, 0]
     with pytest.raises(ConfigurationError,
                        match=r"^dataset\.train_count 10 leaves a pool of 9 .*"
                              r"partition\.zipf_exponent 1\.0"):
-        config.apply_overrides(ok, ["dataset.train_count=10"])
+        config.resolve_config("desk", None, [*six, "dataset.train_count=10"])
     with pytest.raises(ConfigurationError, match=r"^dataset\.train_count 6 leaves a pool of 5"):
-        config.apply_overrides(ok, ["dataset.train_count=6"])
+        config.resolve_config("desk", None, [*six, "dataset.train_count=6"])
     with pytest.raises(ConfigurationError, match=r"^attack\.count 7 exceeds"):
-        config.apply_overrides(ok, ["attack.count=7"])
+        config.resolve_config("desk", None, [*six, "attack.count=7"])
     # the pool of an IDX file is only known once it is read
-    assert config.apply_overrides(config.preset_paper_noattack(),
-                                  ["dataset.train_count=6"]).dataset.kind == "mnist"
+    assert config.resolve_config("paper-noattack", None,
+                                 ["dataset.train_count=6"]).dataset.kind == "mnist"
 
 
 def test_from_dict_partial_sections():
@@ -97,8 +96,7 @@ def test_dataset_kind_validated():
 
 
 def test_apply_overrides_json_and_bare_string():
-    cfg = config.ExperimentConfig()
-    out = config.apply_overrides(cfg, [
+    out = config.resolve_config("desk", None, [
         "rounds=7",
         "market.lambda1=1e5",
         "dataset.kind=synthetic",
@@ -108,41 +106,37 @@ def test_apply_overrides_json_and_bare_string():
     assert out.market.lambda1 == 1e5
     assert out.dataset.kind == "synthetic"
     assert out.attack.count == 2
-    # original untouched
-    assert cfg.rounds == config.ExperimentConfig().rounds
+    # the preset itself is untouched
+    assert config.resolve_config("desk", None, []) == config.preset_desk()
 
 
 def test_apply_overrides_bad_path():
-    cfg = config.ExperimentConfig()
     with pytest.raises(ConfigurationError, match="market.nope"):
-        config.apply_overrides(cfg, ["market.nope=1"])
+        config.resolve_config("desk", None, ["market.nope=1"])
     with pytest.raises(ConfigurationError, match="="):
-        config.apply_overrides(cfg, ["no_equals_sign"])
+        config.resolve_config("desk", None, ["no_equals_sign"])
 
 
 def test_apply_overrides_nested_two_deep():
-    cfg = config.ExperimentConfig()
-    out = config.apply_overrides(cfg, ["timing.delta_t=8.0"])
+    out = config.resolve_config("desk", None, ["timing.delta_t=8.0"])
     assert out.timing.delta_t == 8.0
 
 
 def test_apply_overrides_rejects_wrong_value_types():
-    cfg = config.ExperimentConfig()
     with pytest.raises(ConfigurationError, match="rounds.*integer"):
-        config.apply_overrides(cfg, ["rounds=abc"])
+        config.resolve_config("desk", None, ["rounds=abc"])
     with pytest.raises(ConfigurationError, match="training.lr.*number"):
-        config.apply_overrides(cfg, ["training.lr=fast"])
+        config.resolve_config("desk", None, ["training.lr=fast"])
     with pytest.raises(ConfigurationError, match="dataset.kind.*string"):
-        config.apply_overrides(cfg, ["dataset.kind=3"])
+        config.resolve_config("desk", None, ["dataset.kind=3"])
     # bool is an int subclass but makes no sense as a count
     with pytest.raises(ConfigurationError, match="attack.count"):
-        config.apply_overrides(cfg, ["attack.count=true"])
+        config.resolve_config("desk", None, ["attack.count=true"])
 
 
 def test_apply_overrides_validates_once_after_every_patch():
     # (3.0, 2.0) would fail on its own; the pair is checked only as a whole
-    out = config.apply_overrides(config.ExperimentConfig(),
-                                 ["timing.delay_lo=3", "timing.delay_hi=4"])
+    out = config.resolve_config("desk", None, ["timing.delay_lo=3", "timing.delay_hi=4"])
     assert (out.timing.delay_lo, out.timing.delay_hi) == (3.0, 4.0)
 
 
@@ -154,8 +148,7 @@ def test_section_errors_name_the_dotted_field_once():
 
 
 def test_apply_overrides_coerces_compatible_numbers():
-    cfg = config.ExperimentConfig()
-    out = config.apply_overrides(cfg, [
+    out = config.resolve_config("desk", None, [
         "rounds=7.0",            # integral float narrows to int
         "training.lr=1",         # int widens to float
         "dataset.subset=null",   # optional field accepts null

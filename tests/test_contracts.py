@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 
 import numpy as np
@@ -38,6 +37,14 @@ def test_data_quality_floor_on_consumed_budget():
     assert contracts.data_quality(0, 0.0) == 0.01  # z = 0 exactly
 
 
+def test_data_quality_large_gamma4_reaches_its_limit_without_overflow():
+    # 1000 ** 200 overflows a float; exp(-gamma2 * z ** gamma4) is then 0
+    assert contracts.data_quality(1000, 0.0, QualityParams(gamma4=200)) == 1.0
+    clamps = []
+    assert contracts.data_quality(1000, 0.0, QualityParams(gamma4=120), clamps) == 1.0
+    assert clamps == []
+
+
 def test_data_quality_monotone_in_quantity():
     qs = [contracts.data_quality(d, 0.5) for d in (100, 300, 1000, 5000, 50000)]
     assert all(a < b for a, b in zip(qs, qs[1:]))
@@ -68,11 +75,12 @@ def test_quality_level_boundaries(market):
         contracts.quality_level(float("nan"), market)
 
 
-def test_quality_level_clamps_above_top(market, caplog):
+def test_quality_level_clamps_above_top(market):
     small = MarketModel(theta=np.array([0.3, 0.6]), p=np.array([0.5, 0.5]))
-    with caplog.at_level(logging.WARNING):
-        assert contracts.quality_level(0.9, small) == 2
-    assert any("clamped" in r.message for r in caplog.records)
+    clamps = []
+    assert contracts.quality_level(0.9, small, clamps) == 2
+    assert clamps == ["quality above the top level"]
+    assert contracts.quality_level(0.9, small) == 2  # without a list, not recorded
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ from contractfl.errors import ConfigurationError, DataFormatError
 
 def test_parse_idx_worked_example():
     imgs = [[[0, 51], [102, 255]], [[255, 0], [0, 0]]]
-    ds = datasets.parse_idx(idx_images(imgs), idx_labels([7, 0]))
+    ds = datasets.parse_idx(idx_images(imgs), idx_labels([7, 0]), num_classes=8)
     assert ds.features.shape == (2, 4)
     assert np.allclose(ds.features[0], [0, 51 / 255, 102 / 255, 1.0], atol=1e-12)
     assert ds.labels.tolist() == [7, 0]
-    assert ds.num_classes == 8  # max label + 1 when not given
 
 
 def test_parse_idx_explicit_num_classes():
@@ -28,26 +27,26 @@ def test_parse_idx_explicit_num_classes():
 def test_parse_idx_bad_image_magic():
     blob = struct.pack(">4i", 0x00000801, 1, 1, 1) + b"\x00"
     with pytest.raises(DataFormatError, match="offset 0"):
-        datasets.parse_idx(blob, idx_labels([0]))
+        datasets.parse_idx(blob, idx_labels([0]), num_classes=10)
 
 
 def test_parse_idx_bad_label_magic():
     with pytest.raises(DataFormatError, match="offset 0"):
         datasets.parse_idx(idx_images([[[0]]]),
-                           struct.pack(">2i", 0x00000803, 1) + b"\x00")
+                           struct.pack(">2i", 0x00000803, 1) + b"\x00", num_classes=10)
 
 
 def test_parse_idx_truncated_payload():
     good = idx_images([[[0, 1], [2, 3]]])
     with pytest.raises(DataFormatError, match="offset"):
-        datasets.parse_idx(good[:-2], idx_labels([0]))
+        datasets.parse_idx(good[:-2], idx_labels([0]), num_classes=10)
     with pytest.raises(DataFormatError, match="offset"):
-        datasets.parse_idx(good[:9], idx_labels([0]))  # header itself cut short
+        datasets.parse_idx(good[:9], idx_labels([0]), num_classes=10)  # header itself cut short
 
 
 def test_parse_idx_count_mismatch():
     with pytest.raises(DataFormatError, match="does not match image count"):
-        datasets.parse_idx(idx_images([[[0]]]), idx_labels([0, 1]))
+        datasets.parse_idx(idx_images([[[0]]]), idx_labels([0, 1]), num_classes=10)
 
 
 def test_parse_idx_label_out_of_range():
@@ -68,7 +67,8 @@ def test_parse_idx_max_rows_decodes_a_prefix_and_checks_every_label():
         datasets.parse_idx(idx_images(imgs), idx_labels([7, 0, 9]), num_classes=8,
                            max_rows=1)
     with pytest.raises(DataFormatError, match="offset"):
-        datasets.parse_idx(idx_images(imgs)[:-1], idx_labels([7, 0, 2]), max_rows=1)
+        datasets.parse_idx(idx_images(imgs)[:-1], idx_labels([7, 0, 2]), num_classes=8,
+                           max_rows=1)
 
 
 def test_load_idx_pair_plain_and_gzip(tmp_path):
@@ -80,8 +80,8 @@ def test_load_idx_pair_plain_and_gzip(tmp_path):
         fh.write(img_blob)
     with gzip.open(tmp_path / "lab.gz", "wb") as fh:
         fh.write(lab_blob)
-    plain = datasets.load_idx_pair(tmp_path / "img", tmp_path / "lab")
-    zipped = datasets.load_idx_pair(tmp_path / "img.gz", tmp_path / "lab.gz")
+    plain = datasets.load_idx_pair(tmp_path / "img", tmp_path / "lab", num_classes=2)
+    zipped = datasets.load_idx_pair(tmp_path / "img.gz", tmp_path / "lab.gz", num_classes=2)
     assert np.array_equal(plain.features, zipped.features)
     assert np.array_equal(plain.labels, zipped.labels)
 

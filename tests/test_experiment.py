@@ -18,7 +18,6 @@ from contractfl.errors import ConfigurationError
 
 def tiny_config(**over):
     """Small synthetic setup that runs a full async experiment in well under a second."""
-    cfg = config.preset_desk()
     overrides = [
         "rounds=4",
         "partition.num_clients=6",
@@ -27,7 +26,7 @@ def tiny_config(**over):
         "partition.max_classes_per_client=10",
     ]
     overrides += [f"{k}={v}" for k, v in over.items()]
-    return config.apply_overrides(cfg, overrides)
+    return config.resolve_config("desk", None, overrides)
 
 
 def client(cid, d_k, level):
@@ -252,7 +251,7 @@ def test_partition_report_csv(tmp_path):
 
 def test_mnist_paths_resolved_from_env(tmp_path, monkeypatch):
     monkeypatch.delenv("MNIST_DIR", raising=False)
-    cfg = config.apply_overrides(config.preset_paper_noattack(), ["rounds=1"])
+    cfg = config.resolve_config("paper-noattack", None, ["rounds=1"])
     with pytest.raises(ConfigurationError, match="dataset.train_images"):
         experiment.build_dataset(cfg)
     monkeypatch.setenv("MNIST_DIR", str(tmp_path))
@@ -261,8 +260,7 @@ def test_mnist_paths_resolved_from_env(tmp_path, monkeypatch):
 
 
 def test_explicit_mnist_path_must_exist(tmp_path):
-    cfg = config.apply_overrides(
-        config.preset_paper_noattack(),
-        [f"dataset.train_images={tmp_path}/missing-file"])
+    cfg = config.resolve_config(
+        "paper-noattack", None, [f"dataset.train_images={tmp_path}/missing-file"])
     with pytest.raises(ConfigurationError, match="missing-file"):
         experiment.build_dataset(cfg)

@@ -78,11 +78,16 @@ def test_fit_validation():
         fitting.fit_curve(neg, "data_quality")
 
 
-@pytest.mark.parametrize("name,value", [("n_starts", 0), ("n_starts", -3),
-                                        ("max_iter", 0)])
+@pytest.mark.parametrize("name,value", [("n_starts", 0), ("n_starts", -3)])
 def test_fit_rejects_nonpositive_starts_and_iterations(name, value):
     with pytest.raises(ConfigurationError, match=f"^{name} must be >= 1, got {value}$"):
         fitting.fit_curve(accuracy_samples(), "accuracy_curve", **{name: value})
+
+
+def test_fit_rejects_a_negative_seed():
+    # numpy's seed sequences take no negative entropy; the fit says so first
+    with pytest.raises(ConfigurationError, match=r"^seed must be >= 0, got -1$"):
+        fitting.fit_curve(accuracy_samples(), "accuracy_curve", seed=-1)
 
 
 def test_fit_reports_fit_quality_on_noisy_data():

@@ -48,7 +48,7 @@ def test_model_params_frozen():
 
 
 def _loop_forward(dims, params, x):
-    """Per-sample reference: explicit loops, no shared code with nn._forward_raw."""
+    """Per-sample reference: explicit loops, no shared code with nn._forward."""
     sizes = []
     offset = 0
     mats = []
@@ -73,7 +73,7 @@ def test_forward_matches_loop_oracle():
     rng = np.random.default_rng(3)
     m = nn.init_model(DIMS, seed=5)
     x = rng.uniform(0.0, 1.0, size=(7, DIMS[0]))
-    got = nn._forward_raw(DIMS, m.params, x)[-1]
+    got = nn._forward(nn._views(DIMS, m.params), x)[-1]
     want = _loop_forward(DIMS, m.params, x)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -88,7 +88,7 @@ def _identity_net(width):
 def test_forward_identity_network():
     m = _identity_net(2)
     x = np.array([[0.3, 0.9], [0.0, 1.0]])
-    logits = nn._forward_raw(m.layer_dims, m.params, x)[-1]
+    logits = nn._forward(nn._views(m.layer_dims, m.params), x)[-1]
     assert np.array_equal(logits, x)
 
 
@@ -294,7 +294,7 @@ def test_evaluate_matches_manual():
     data = blob_data(37, num_classes=3, dim=2, seed=5)
     m = nn.init_model((2, 4, 4, 3), seed=5)
     loss, acc = nn.evaluate(m, data)
-    logits = nn._forward_raw(m.layer_dims, m.params, data.features)[-1]
+    logits = nn._forward(nn._views(m.layer_dims, m.params), data.features)[-1]
     log_p = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     assert abs(loss + log_p[np.arange(len(data)), data.labels].mean()) < 1e-12
     assert acc == (logits.argmax(axis=1) == data.labels).mean()

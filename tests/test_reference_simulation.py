@@ -22,7 +22,7 @@ from contractfl.simulation import (AsyncSimulation, Client, RoundLedger, TimingP
 A, EPSILON, PHI, SEED, BATCH = 0.5, 2.0, 3.0, 7, 2
 
 
-def reference(model, clients, dt, val, test, lr, rounds):
+def reference(model, clients, taus, dt, val, test, lr, rounds):
     val_losses, (test_loss, test_acc) = [nn.evaluate(model, val)[0]], nn.evaluate(model, test)
     cycles = {c.client_id: (0.0, 0, model) for c in clients}  # start, base round, base
     ledgers = []
@@ -31,10 +31,11 @@ def reference(model, clients, dt, val, test, lr, rounds):
         ups = []  # (client, finish, staleness, m, q, delta)
         for c in sorted(clients, key=lambda c: c.client_id):
             start, base, base_model = cycles[c.client_id]
-            finish = start + c.tau * c.per_epoch_delay
+            tau = taus[c.client_id]
+            finish = start + tau * c.per_epoch_delay
             if lo < finish <= hi:
                 seed = child_seed(SEED, STREAM_TRAIN, c.client_id, base)
-                trained, losses = nn.train_epochs_tracked(base_model, c.data, c.tau, lr,
+                trained, losses = nn.train_epochs_tracked(base_model, c.data, tau, lr,
                                                           BATCH, seed)
                 m = val_losses[base] - float(losses[-1])
                 q = access_indicator(m, c.theta, t - base, EPSILON)
@@ -52,7 +53,7 @@ def reference(model, clients, dt, val, test, lr, rounds):
                         for c, finish, s, m, q, _ in ups)
         for c, *_ in ups:
             cycles[c.client_id] = (hi, t + 1, model)
-        ledgers.append(RoundLedger(t, hi, records, decision.level_stats, len(kept),
+        ledgers.append(RoundLedger(t, hi, records, decision.level_stats,
                                    val_losses[-1], test_loss, test_acc))
     return model, ledgers, val_losses
 
@@ -69,15 +70,17 @@ HOT = [(2, 0.4, 1, 0.5), (2, 0.45, 1, 0.5), (2, 0.5, 2, 0.5)]  # with lr 1e3
 
 def _run_both(specs, rounds, dt, lr):
     val, test = blob_data(40, dim=1, seed=101), blob_data(30, dim=1, seed=102)
+    # a contracted effort of tau passes over the client's data buys tau epochs
     clients = [Client(cid, as_view(blob_data(6 + cid, dim=1, seed=cid)), 0.0, theta,
-                      level, delay, tau=tau)
+                      level, delay, effort=float(tau * (6 + cid)))
                for cid, (tau, delay, level, theta) in enumerate(specs)]
+    taus = {cid: tau for cid, (tau, *_) in enumerate(specs)}
     model = nn.init_model((1, 4, 4, 2), seed=3)
     sim = AsyncSimulation(model, clients, TimingParams(delta_t=dt), a=A, epsilon=EPSILON,
                           phi=PHI, val_data=val, test_data=test, master_seed=SEED, lr=lr,
                           batch_size=BATCH)
     sim.run(rounds)
-    return sim, reference(model, clients, dt, val, test, lr, rounds)
+    return sim, reference(model, clients, taus, dt, val, test, lr, rounds)
 
 
 @settings(max_examples=60, deadline=None)

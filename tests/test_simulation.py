@@ -32,8 +32,7 @@ def easy_client(cid, n=6, flip=False, seed=0):
 
 def sim_client(cid, data, delay, tau=2, level=5, theta=0.5, reward=100.0):
     return Client(client_id=cid, data=data, emd=0.0, theta=theta, level=level,
-                  per_epoch_delay=delay, effort=float(tau * data.d_k),
-                  reward=reward, tau=tau, tau_clamped=False)
+                  per_epoch_delay=delay, effort=float(tau * data.d_k), reward=reward)
 
 
 def eval_sets(seed=1):
@@ -73,6 +72,38 @@ def test_round_costs_hand_computed():
 def test_round_costs_three_epoch_example():
     c = sim_client(0, easy_client(0, n=100), delay=1.0, tau=3)
     assert MARKET.energy(c.tau * c.d_k) == 3020.0
+
+
+# ---------------------------------------------------------------------------
+# Epochs derived from the contracted effort
+# ---------------------------------------------------------------------------
+
+def _with_effort(effort, d_k=100):
+    return Client(client_id=0, data=easy_client(0, n=d_k), emd=0.0, theta=0.5, level=1,
+                  per_epoch_delay=1.0, effort=effort, reward=1.0)
+
+
+@pytest.mark.parametrize("effort,tau,clamped", [
+    (100.0, 1, False),                     # exactly one pass
+    (math.nextafter(100.0, 0.0), 1, True),  # just below one pass: clamped up
+    (250.0, 2, False),                     # 2.5 passes round down to 2
+])
+def test_client_epochs_at_the_edges(effort, tau, clamped):
+    c = _with_effort(effort)
+    assert (c.tau, c.tau_clamped) == (tau, clamped)
+
+
+def test_client_without_a_contract_has_no_epochs():
+    c = _with_effort(None)
+    assert c.tau is None and c.tau_clamped is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
+       st.integers(1, 2000))
+def test_client_is_clamped_exactly_below_one_pass(effort, d_k):
+    c = _with_effort(effort, d_k)
+    assert c.tau_clamped == (effort < d_k)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +460,9 @@ def test_settle_rewards_books_follow_the_ledgers(data):
                     uploads=tuple(UploadRecord(cid, levels[cid], 0, 0.0, 0.0, t + 0.5,
                                                admitted=v)
                                   for cid, v in enumerate(row) if v is not None),
-                    level_stats={}, admitted_count=row.count(True),
-                    val_loss=0.0, test_loss=0.0,
-                    test_accuracy=0.0)
+                    level_stats={}, val_loss=0.0, test_loss=0.0, test_accuracy=0.0)
         for t, row in enumerate(verdicts)]
+    assert [lg.admitted_count for lg in ledgers] == [row.count(True) for row in verdicts]
     result = settle_rewards(ledgers, clients, MENU, MARKET)
     for row, c in zip(result["clients"], clients):
         column = [r[c.client_id] for r in verdicts]
