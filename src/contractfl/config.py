@@ -64,15 +64,18 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class MarketConfig:
+    """The `market` section: a level count plus `contracts.MarketModel`'s
+    scalars, whose defaults and range checks the model owns."""
+
     levels: int = 10
-    xi: float = 2.0
-    c: float = 5.0
-    f: float = 1.0
-    t_com: float = 10.0
-    e_com: float = 20.0
-    lambda1: float = 5e6
-    lambda2: float = 4e5
-    t_max: float = 1e5
+    xi: float = MarketModel.xi
+    c: float = MarketModel.c
+    f: float = MarketModel.f
+    t_com: float = MarketModel.t_com
+    e_com: float = MarketModel.e_com
+    lambda1: float = MarketModel.lambda1
+    lambda2: float = MarketModel.lambda2
+    t_max: float = MarketModel.t_max
 
     def __post_init__(self):
         if self.levels < 1:

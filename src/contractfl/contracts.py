@@ -52,6 +52,8 @@ class QualityParams:
         for name in ("gamma1", "gamma2", "gamma4"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.gamma3 >= 0:  # 0 ignores skew; below 0, skew would raise quality
+            raise ConfigurationError(f"gamma3 must be >= 0, got {self.gamma3}")
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,11 @@ class MarketModel:
         for name in ("t_com", "e_com", "lambda1", "lambda2"):
             if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.t_max > self.t_com:
+        if not self.max_effort > EFFORT_MIN:
             raise ConfigurationError(
-                f"t_max ({self.t_max}) must exceed t_com ({self.t_com})")
+                f"t_max ({self.t_max}) leaves no effort above {EFFORT_MIN} before the "
+                f"deadline after t_com ({self.t_com}): max feasible effort "
+                f"{self.max_effort:.6g}")
         theta.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "theta", theta)
@@ -125,6 +129,12 @@ class MarketModel:
         theta = np.arange(1, n_levels + 1, dtype=np.float64) / n_levels
         p = np.full(n_levels, 1.0 / n_levels)
         return cls(theta=theta, p=p, **kwargs)
+
+    @property
+    def max_effort(self) -> float:
+        """The largest effort the solver may contract: its completion time
+        e * c / f ends TIME_MARGIN_FRAC * t_max before the deadline t_max."""
+        return (self.t_max - self.t_com - TIME_MARGIN_FRAC * self.t_max) * self.f / self.c
 
     @property
     def n_levels(self) -> int:
@@ -377,25 +387,19 @@ def _golden_max(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 
 def solve_contract(market: MarketModel,
-                   acp: AccuracyCurveParams = AccuracyCurveParams(),
-                   grid_points: int = GRID_POINTS) -> ContractMenu:
+                   acp: AccuracyCurveParams = AccuracyCurveParams()) -> ContractMenu:
     """Maximize the per-level objective over each level's feasible efforts.
 
-    Each level is scanned on a coarse grid over [EFFORT_MIN, e_hi], where
-    e_hi leaves a small margin below the completion deadline; the best
-    bracket is then refined by golden-section search. The resulting efforts
-    must come out nondecreasing across levels; if they do not, the separable
-    relaxation is invalid for this market and we fail loudly rather than
-    return a menu that breaks self-selection.
+    Each level is scanned on a coarse grid of GRID_POINTS efforts over
+    [EFFORT_MIN, market.max_effort], a range the market keeps non-empty and
+    a small margin below the completion deadline; the best bracket is then
+    refined by golden-section search. The resulting efforts must come out
+    nondecreasing across levels; if they do not, the separable relaxation is
+    invalid for this market and we fail loudly rather than return a menu
+    that breaks self-selection.
     """
-    if grid_points < 8:
-        raise ConfigurationError(f"grid_points must be >= 8, got {grid_points}")
-    delta = TIME_MARGIN_FRAC * market.t_max
-    e_hi = (market.t_max - market.t_com - delta) * market.f / market.c
-    if e_hi <= EFFORT_MIN:
-        raise ConfigurationError(
-            f"deadline too tight: max feasible effort {e_hi:.6g} <= {EFFORT_MIN}")
-    grid = np.linspace(EFFORT_MIN, e_hi, grid_points)
+    e_hi = market.max_effort
+    grid = np.linspace(EFFORT_MIN, e_hi, GRID_POINTS)
     l = effort_cost_coeffs(market)
 
     efforts = np.empty(market.n_levels)
@@ -404,7 +408,7 @@ def solve_contract(market: MarketModel,
         vals = per_level_objective(grid, n, l, market, acp)
         i = int(np.argmax(vals))
         lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid_points - 1)]
+        hi = grid[min(i + 1, GRID_POINTS - 1)]
         x, fx = _golden_max(lambda e: per_level_objective(float(e), n, l, market, acp),
                             float(lo), float(hi), REFINE_TOL)
         efforts[n - 1] = x
@@ -426,7 +430,7 @@ def solve_contract(market: MarketModel,
         for n in range(market.n_levels)
     )
     provenance = {
-        "grid_points": grid_points,
+        "grid_points": GRID_POINTS,
         "effort_bounds": [EFFORT_MIN, float(e_hi)],
         "grid_step": float(grid[1] - grid[0]),
         "refine_tol": REFINE_TOL,

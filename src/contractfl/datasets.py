@@ -263,16 +263,19 @@ def partition(ds: DatasetView, spec: PartitionSpec, seed: int) -> list[DatasetVi
     Client k (rank k, 1-based) targets a Zipf-weighted share of the pool.
     Its class mix is a Dirichlet draw truncated to the top
     max_classes_per_client classes and renormalized. Samples come from
-    per-class pools without replacement; when a class runs dry the unmet
-    demand spills to the client's next-ranked class, then back across chosen
-    classes with leftovers, and finally to newly opened classes while the
-    client holds fewer than max_classes_per_client distinct ones. The class
-    cap is hard, so a late client can fall short of its target when every
-    class it may touch is dry; the shortfall is logged. Every client ends up
-    non-empty: a pool whose Zipf shares round some client's count to 0 is
-    rejected before anything is drawn. Fully determined by spec and seed;
-    spec.val_fraction is not read here. Shard i is client i's, and it
-    indexes the root Dataset under `ds` directly.
+    per-class pools without replacement, through one step: `draw` takes up
+    to the asked rows from a class and returns what it could not take.
+    Each chosen class is asked for its share plus the unmet demand carried
+    from the classes before it; the chosen classes are then asked once more
+    for what is still unmet, and if they are all dry, the fullest remaining
+    classes are opened while the client holds fewer than
+    max_classes_per_client distinct ones. The class cap is hard, so a late
+    client can fall short of its target when every class it may touch is
+    dry; the shortfall is logged. Every client ends up non-empty: a pool
+    whose Zipf shares round some client's count to 0 is rejected before
+    anything is drawn. Fully determined by spec and seed; spec.val_fraction
+    is not read here. Shard i is client i's, and it indexes the root Dataset
+    under `ds` directly.
     """
     n = len(ds)
     k = spec.num_clients
@@ -284,67 +287,44 @@ def partition(ds: DatasetView, spec: PartitionSpec, seed: int) -> list[DatasetVi
             f"rounds to 0 samples")
     rng = np.random.default_rng(seed)
     c = ds.num_classes
-
-    pools = []
+    pools = [rng.permutation(np.flatnonzero(ds.labels == cls)) for cls in range(c)]
+    sizes = np.array([pool.size for pool in pools])
     cursors = np.zeros(c, dtype=np.int64)
-    for cls in range(c):
-        members = np.flatnonzero(ds.labels == cls)
-        pools.append(rng.permutation(members))
 
-    def take(cls: int, want: int) -> np.ndarray:
-        avail = pools[cls].size - cursors[cls]
-        got = min(want, int(avail))
-        out = pools[cls][cursors[cls]:cursors[cls] + got]
-        cursors[cls] += got
-        return out
+    def draw(cls: int, want: int) -> int:
+        """Take up to `want` rows of class `cls` for the current client;
+        return how many it could not take."""
+        got = pools[cls][cursors[cls]:cursors[cls] + want]
+        cursors[cls] += got.size
+        if got.size:
+            used.add(cls)
+            chosen.append(got)
+        return want - got.size
 
     clients = []
     m = min(spec.max_classes_per_client, c)
     for i in range(k):
         probs = rng.dirichlet(np.full(c, spec.dirichlet_alpha))
         top = np.argsort(-probs, kind="stable")[:m]
-        top_probs = probs[top] / probs[top].sum()
-        wants = largest_remainder(counts[i] * top_probs, int(counts[i]))
-        chosen = []
-        used = set()
-        deficit = 0
+        wants = largest_remainder(counts[i] * (probs[top] / probs[top].sum()),
+                                  int(counts[i]))
+        chosen, used, deficit = [], set(), 0
         for cls, want in zip(top, wants):
-            got = take(int(cls), int(want) + deficit)
-            deficit = int(want) + deficit - got.size
-            if got.size:
-                used.add(int(cls))
-            chosen.append(got)
-        if deficit > 0:
-            # a class further down the ranking may have run dry while an
-            # earlier one kept leftovers; sweep the chosen classes again
-            for cls in top:
-                if deficit <= 0:
-                    break
-                got = take(int(cls), deficit)
-                deficit -= got.size
-                if got.size:
-                    used.add(int(cls))
-                chosen.append(got)
-        if deficit > 0 and len(used) < m:
-            # chosen classes exhausted: open the fullest remaining classes,
-            # but never hold samples from more than m distinct classes
-            remaining = np.array([pools[cls].size - cursors[cls] for cls in range(c)])
-            for cls in np.argsort(-remaining, kind="stable"):
-                if deficit <= 0 or len(used) >= m:
-                    break
-                if int(cls) in used:
-                    continue
-                got = take(int(cls), deficit)
-                deficit -= got.size
-                if got.size:
-                    used.add(int(cls))
-                chosen.append(got)
-        picked = np.concatenate(chosen)
+            deficit = draw(cls, int(want) + deficit)
+        # a later class may have run dry while an earlier one kept rows
+        for cls in top:
+            deficit = draw(cls, deficit)
+        # a deficit left now means every chosen class is dry: open the
+        # fullest others, never holding more than m distinct classes
+        for cls in np.argsort(cursors - sizes, kind="stable"):
+            if deficit == 0 or len(used) == m:
+                break
+            deficit = draw(cls, deficit)
         if deficit > 0:
             logger.warning(
                 "client %d short %d of %d samples: its %d allowed classes ran dry",
                 i, deficit, int(counts[i]), m)
-        picked = np.sort(picked)
+        picked = np.sort(np.concatenate(chosen))
         clients.append(DatasetView(ds.parent, ds.indices[picked], ds.labels[picked]))
     return clients
 

@@ -226,6 +226,11 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
     ("partition-stats", "partition.zipf_exponent=-1000", "partition.zipf_exponent"),
     ("simulate", "training.hidden1=0", "training.hidden1"),
     ("simulate", "training.hidden2=-3", "training.hidden2"),
+    # a deadline that leaves the contract solver no effort above EFFORT_MIN
+    ("partition-stats", "market.t_max=10.000001", "market.t_max"),
+    ("contract", "market.t_max=10.000001", "market.t_max"),
+    # a negative gamma3 would make label skew raise quality
+    ("partition-stats", "quality.gamma3=-20", "quality.gamma3"),
 ])
 def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, field):
     args = [command, "fedavg"] if command == "baseline" else [command]

@@ -405,9 +405,10 @@ def test_solved_effort_dominates_fine_local_sweep(market):
         assert best >= vals.max() - 1e-6
 
 
-def test_solver_golden_refinement_beats_coarse_grid(market):
-    coarse = contracts.solve_contract(market, grid_points=64)
+def test_solver_golden_refinement_beats_coarse_grid(market, monkeypatch):
     fine = contracts.solve_contract(market)
+    monkeypatch.setattr(contracts, "GRID_POINTS", 64)
+    coarse = contracts.solve_contract(market)
     l = contracts.effort_cost_coeffs(market)
     for n in range(2, 11):
         fc = contracts.per_level_objective(coarse.efforts[n - 1], n, l, market)

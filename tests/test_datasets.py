@@ -1,9 +1,13 @@
 import gzip
+import logging
+import re
 import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from common import idx_images, idx_labels, make_dataset, make_view
 from contractfl import datasets
@@ -340,3 +344,159 @@ def test_client_dataset_validation():
         datasets.DatasetView(ds, idx, ds.labels[idx].copy())
     with pytest.raises(ConfigurationError):
         datasets.DatasetView(ds, np.array([7]), np.array([0]))
+
+
+# ---------------------------------------------------------------------------
+# partition against the three-pass partitioner it replaced
+# ---------------------------------------------------------------------------
+
+def three_pass_partition(ds, spec, seed):
+    """The partitioner `partition` replaced, kept as its oracle: a first pass
+    over the chosen classes with a carried deficit, a second sweep of the
+    chosen classes, then newly opened classes, fullest first, up to the cap.
+    Returns each shard's (indices, labels), the shortfall messages it would
+    log, and how many clients each spill pass gave rows to."""
+    n = len(ds)
+    k = spec.num_clients
+    counts = datasets.zipf_counts(n, k, spec.zipf_exponent)
+    if counts.min() < 1:
+        raise ConfigurationError(
+            f"pool of {n} cannot cover {k} clients: at zipf_exponent "
+            f"{spec.zipf_exponent}, client {int(np.argmin(counts))}'s Zipf share "
+            f"rounds to 0 samples")
+    rng = np.random.default_rng(seed)
+    c = ds.num_classes
+
+    pools = []
+    cursors = np.zeros(c, dtype=np.int64)
+    for cls in range(c):
+        members = np.flatnonzero(ds.labels == cls)
+        pools.append(rng.permutation(members))
+
+    def take(cls, want):
+        avail = pools[cls].size - cursors[cls]
+        got = min(want, int(avail))
+        out = pools[cls][cursors[cls]:cursors[cls] + got]
+        cursors[cls] += got
+        return out
+
+    shards, shortfalls, spills = [], [], {"resweep": 0, "opened": 0}
+    m = min(spec.max_classes_per_client, c)
+    for i in range(k):
+        probs = rng.dirichlet(np.full(c, spec.dirichlet_alpha))
+        top = np.argsort(-probs, kind="stable")[:m]
+        top_probs = probs[top] / probs[top].sum()
+        wants = datasets.largest_remainder(counts[i] * top_probs, int(counts[i]))
+        chosen = []
+        used = set()
+        deficit = 0
+        for cls, want in zip(top, wants):
+            got = take(int(cls), int(want) + deficit)
+            deficit = int(want) + deficit - got.size
+            if got.size:
+                used.add(int(cls))
+            chosen.append(got)
+        if deficit > 0:
+            before = deficit
+            for cls in top:
+                if deficit <= 0:
+                    break
+                got = take(int(cls), deficit)
+                deficit -= got.size
+                if got.size:
+                    used.add(int(cls))
+                chosen.append(got)
+            spills["resweep"] += deficit < before
+        if deficit > 0 and len(used) < m:
+            before = deficit
+            remaining = np.array([pools[cls].size - cursors[cls] for cls in range(c)])
+            for cls in np.argsort(-remaining, kind="stable"):
+                if deficit <= 0 or len(used) >= m:
+                    break
+                if int(cls) in used:
+                    continue
+                got = take(int(cls), deficit)
+                deficit -= got.size
+                if got.size:
+                    used.add(int(cls))
+                chosen.append(got)
+            spills["opened"] += deficit < before
+        picked = np.concatenate(chosen)
+        if deficit > 0:
+            shortfalls.append(
+                f"client {i} short {deficit} of {int(counts[i])} samples: "
+                f"its {m} allowed classes ran dry")
+        picked = np.sort(picked)
+        shards.append((ds.indices[picked], ds.labels[picked]))
+    return shards, shortfalls, spills
+
+
+def partition_case(pool_seed, classes, rows, label_alpha, clients, cap, alpha, zipf,
+                   seed):
+    """A pool, spec and seed for partition. The pool is a view over a random
+    subset of a root whose labels follow a Dirichlet(label_alpha) class mix,
+    so some classes are scarce or absent and run dry."""
+    rng = np.random.default_rng(pool_seed)
+    mix = rng.dirichlet(np.full(classes, label_alpha))
+    root = make_dataset(np.zeros((2 * rows, 1)), rng.choice(classes, 2 * rows, p=mix),
+                        classes)
+    idx = np.sort(rng.choice(2 * rows, rows, replace=False))
+    pool = datasets.DatasetView(root, idx, root.labels[idx])
+    spec = datasets.PartitionSpec(num_clients=clients, max_classes_per_client=cap,
+                                  dirichlet_alpha=alpha, zipf_exponent=zipf)
+    return pool, spec, seed
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+# partition_case arguments for paper-like mixes that spill and fall short
+SPILLS = (0, 10, 300, 0.5, 30, 2, 0.1, 1.0, 0)
+OPENS = (3, 6, 120, 0.3, 25, 3, 0.5, 0.5, 1)
+SHORT = (1, 4, 60, 0.2, 12, 1, 0.1, 0.0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 300),
+                 st.sampled_from([0.2, 1.0, 10.0]), st.integers(1, 40),
+                 st.integers(1, 11), st.sampled_from([0.05, 0.1, 0.5, 1.0, 10.0]),
+                 st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5]),
+                 st.integers(0, 2**32 - 1)))
+@example(SPILLS).via("the chosen classes are swept again")
+@example(OPENS).via("new classes are opened")
+@example(SHORT).via("clients fall short")
+def test_partition_matches_the_three_pass_partitioner_bitwise(case):
+    pool, spec, seed = partition_case(*case)
+    try:
+        want = three_pass_partition(pool, spec, seed)
+    except ConfigurationError as exc:  # a Zipf share of 0 rows
+        with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+            datasets.partition(pool, spec, seed)
+        return
+    handler = _Collect()
+    datasets.logger.addHandler(handler)
+    try:
+        got = datasets.partition(pool, spec, seed)
+    finally:
+        datasets.logger.removeHandler(handler)
+    shards, shortfalls, _ = want
+    assert len(got) == len(shards)
+    for view, (indices, labels) in zip(got, shards):
+        assert view.indices.tobytes() == indices.tobytes()
+        assert view.labels.tobytes() == labels.tobytes()
+    assert handler.messages == shortfalls
+
+
+def test_partition_examples_reach_every_spill():
+    _, _, counted = three_pass_partition(*partition_case(*SPILLS))
+    assert counted["resweep"] > 0
+    _, _, counted = three_pass_partition(*partition_case(*OPENS))
+    assert counted["opened"] > 0
+    _, shortfalls, _ = three_pass_partition(*partition_case(*SHORT))
+    assert shortfalls
