@@ -52,6 +52,13 @@ class DatasetConfig:
         if self.kind not in ("synthetic", "mnist"):
             raise ConfigurationError(
                 f"kind must be 'synthetic' or 'mnist', got {self.kind!r}")
+        if self.kind == "synthetic":
+            for name in ("train_images", "train_labels", "test_images", "test_labels",
+                         "subset", "test_subset"):
+                if getattr(self, name) is not None:
+                    raise ConfigurationError(
+                        f"{name} applies only to kind 'mnist', got {getattr(self, name)!r} "
+                        f"with kind 'synthetic'")
         minimums = {"classes": 2, "dim": 1, "train_count": 1, "test_count": 1,
                     "subset": 1, "test_subset": 1}
         for name, low in minimums.items():

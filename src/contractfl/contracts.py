@@ -105,6 +105,9 @@ class MarketModel:
         if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
             raise ConfigurationError(f"level probabilities must be >= 0 and sum to 1, "
                                      f"got sum {p.sum()!r}")
+        for name in ("xi", "c", "f", "t_com", "e_com", "lambda1", "lambda2", "t_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("xi", "c", "f"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")

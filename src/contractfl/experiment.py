@@ -14,6 +14,9 @@ and, when a menu is solved, its contract terms. The async simulator and the
 baselines take the same records; nothing changes them after `prepare`
 returns.
 
+`run_baseline_experiment` holds the one synchronous round loop, for FedAvg,
+FedProx and centralized local SGD alike.
+
 Artifacts written into the output directory:
     config-echo.json   fully resolved configuration that produced the run
     contracts.json     solved menu, per-level diagnostics, verification report
@@ -41,7 +44,7 @@ from .datasets import (Dataset, DatasetView, emd, flip_labels, load_idx_pair,
                        partition, split_holdout, synthetic_pair, uniform_benchmark)
 from .errors import ConfigurationError
 from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
-                    STREAM_INIT, STREAM_PARTITION, child_seed)
+                    STREAM_INIT, STREAM_PARTITION, STREAM_TRAIN, child_seed)
 from .simulation import AsyncSimulation, Client, settle_rewards
 
 logger = logging.getLogger(__name__)
@@ -91,7 +94,8 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
     one loaded or generated matrix: the synthetic split shuffled, the MNIST
     train set in file order. Only the first `dataset.subset` train and
     `dataset.test_subset` test images are decoded; a subset larger than its
-    file is a configuration error."""
+    file, or a test file whose images are not as wide as the train file's,
+    is a configuration error."""
     dc = cfg.dataset
     if dc.kind == "synthetic":
         return synthetic_pair(dc.classes, dc.dim, dc.train_count, dc.test_count,
@@ -112,6 +116,11 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
         if want is not None and want > len(split):
             raise ConfigurationError(f"dataset.{field} {want} exceeds the "
                                      f"{len(split)} rows of {path}")
+    width, test_width = train.features.shape[1], test.features.shape[1]
+    if test_width != width:
+        raise ConfigurationError(
+            f"dataset.test_images: {paths['test_images']} holds {test_width} features "
+            f"per image, but the train file {paths['train_images']} holds {width}")
     check_pool(len(train), cfg.partition,
                f"dataset.subset {dc.subset}" if dc.subset is not None else
                f"the train file {paths['train_images']} ({len(train)} rows)")
@@ -306,24 +315,32 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
 
     Baselines share the partition, attacker set, and model init with the
     async run for the same config, so score differences come from the
-    algorithm alone. They train cfg.baseline.local_epochs per round with no
-    admission gate.
+    algorithm alone. Each round makes one update with no admission gate,
+    cfg.baseline.local_epochs long: `baselines.fedavg_round` over every
+    client (FedProx with mu = cfg.baseline.prox_mu), or, for local SGD, the
+    whole pool as one participant. `history` rows are (round, test_loss,
+    test_accuracy, participants).
     """
     if algorithm not in BASELINE_ALGORITHMS:
         raise ConfigurationError(
             f"unknown baseline {algorithm!r}; choose from {BASELINE_ALGORITHMS}")
     prep = prepare(cfg, solve_menu=False)
     model = _init_model(cfg, prep.pool.parent)
-    epochs = cfg.baseline.local_epochs
-    if algorithm == "local-sgd":
-        final, history = baselines.local_sgd_run(
-            model, prep.pool, cfg.rounds, epochs, cfg.training.lr,
-            cfg.training.batch_size, cfg.seed, prep.test)
-    else:
-        mu = cfg.baseline.prox_mu if algorithm == "fedprox" else 0.0
-        final, history = baselines.run_sync(
-            model, prep.clients, cfg.rounds, epochs, cfg.training.lr,
-            cfg.training.batch_size, cfg.seed, prep.test, mu=mu)
+    epochs, lr, batch_size = (cfg.baseline.local_epochs, cfg.training.lr,
+                              cfg.training.batch_size)
+    mu = cfg.baseline.prox_mu if algorithm == "fedprox" else 0.0
+    participants = 1 if algorithm == "local-sgd" else len(prep.clients)
+    history = []
+    for r in range(cfg.rounds):
+        if algorithm == "local-sgd":
+            seed = child_seed(cfg.seed, STREAM_TRAIN, 0, r)
+            model, _ = nn.train_epochs_tracked(model, prep.pool, epochs, lr,
+                                               batch_size, seed)
+        else:
+            model = baselines.fedavg_round(model, prep.clients, epochs, lr, batch_size,
+                                           cfg.seed, r, mu=mu)
+        loss, acc = nn.evaluate(model, prep.test)
+        history.append((r, loss, acc, participants))
     last = history[-1]
     result = {
         "algorithm": algorithm,
@@ -340,5 +357,5 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
                   history)
         write_json({k: v for k, v in result.items() if k != "history"},
                    os.path.join(out_dir, "summary.json"))
-        nn.save_model(final, os.path.join(out_dir, "model.bin"))
+        nn.save_model(model, os.path.join(out_dir, "model.bin"))
     return result

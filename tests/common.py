@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from contractfl.config import resolve_config
 from contractfl.datasets import IMAGE_MAGIC, LABEL_MAGIC, Dataset, DatasetView
 from contractfl.simulation import Client
 
@@ -61,6 +62,19 @@ def idx_images(arrays):
 def idx_labels(labels):
     lab = np.asarray(labels, dtype=np.uint8)
     return struct.pack(">2i", LABEL_MAGIC, lab.size) + lab.tobytes()
+
+
+def tiny_config(**over):
+    """Small synthetic setup that runs a full async experiment in well under a second."""
+    overrides = [
+        "rounds=4",
+        "partition.num_clients=6",
+        "dataset.train_count=400",
+        "dataset.test_count=120",
+        "partition.max_classes_per_client=10",
+    ]
+    overrides += [f"{k}={v}" for k, v in over.items()]
+    return resolve_config("desk", None, overrides)
 
 
 def write_mnist_fixture(out_dir, gz=False, train_count=1500, test_count=300):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from common import as_view, blob_data, make_client, make_view
-from contractfl import baselines, nn
+from common import blob_data, make_client, make_view, tiny_config
+from contractfl import baselines, experiment, nn
 from contractfl.errors import ConfigurationError
 from contractfl.seeds import STREAM_TRAIN, child_seed
 
@@ -83,14 +83,24 @@ def test_fedavg_round_weights_by_data_share():
     assert np.allclose(out.params, want, rtol=0, atol=1e-12)
 
 
+def run_rounds(model, clients, rounds, epochs, lr, master_seed, test, mu=0.0):
+    """`rounds` rounds of `fedavg_round` at batch size 8, each followed by a
+    test evaluation, with the baseline driver's (round, test_loss,
+    test_accuracy, participants) history rows."""
+    history = []
+    for r in range(rounds):
+        model = baselines.fedavg_round(model, clients, epochs, lr, 8, master_seed, r,
+                                       mu=mu)
+        history.append((r, *nn.evaluate(model, test), len(clients)))
+    return model, history
+
+
 def test_run_fedprox_mu_zero_equals_fedavg_bitwise():
     clients = client_pool([20, 14, 9])
     model = nn.init_model(DIMS, seed=6)
     test = blob_data(40, num_classes=2, dim=2, seed=99)
-    m_avg, h_avg = baselines.run_sync(model, clients, 3, 2, 0.1, 8, 11, test)
-    m_prox, h_prox = baselines.run_sync(model, clients, 3, 2, 0.1, 8, 11, test,
-                                        mu=0.0)
-    assert np.array_equal(m_avg.params, m_prox.params)
+    m_avg, h_avg = run_rounds(model, clients, 3, 2, 0.1, 11, test)
+    m_prox, h_prox = run_rounds(model, clients, 3, 2, 0.1, 11, test, mu=0.0)
     assert m_avg.params.tobytes() == m_prox.params.tobytes()
     assert h_avg == h_prox
 
@@ -99,50 +109,42 @@ def test_run_fedprox_positive_mu_differs():
     clients = client_pool([20, 14])
     model = nn.init_model(DIMS, seed=6)
     test = blob_data(30, num_classes=2, dim=2, seed=98)
-    m_avg, _ = baselines.run_sync(model, clients, 2, 2, 0.1, 8, 11, test)
-    m_prox, _ = baselines.run_sync(model, clients, 2, 2, 0.1, 8, 11, test, mu=0.1)
+    m_avg, _ = run_rounds(model, clients, 2, 2, 0.1, 11, test)
+    m_prox, _ = run_rounds(model, clients, 2, 2, 0.1, 11, test, mu=0.1)
     assert not np.array_equal(m_avg.params, m_prox.params)
-
-
-def test_run_sync_history_and_determinism():
-    clients = client_pool([16, 12])
-    model = nn.init_model(DIMS, seed=7)
-    test = blob_data(30, num_classes=2, dim=2, seed=97)
-    final1, hist1 = baselines.run_sync(model, clients, 8, 3, 0.5, 8, 13, test)
-    final2, hist2 = baselines.run_sync(model, clients, 8, 3, 0.5, 8, 13, test)
-    assert np.array_equal(final1.params, final2.params)
-    assert hist1 == hist2
-    assert [row[0] for row in hist1] == list(range(8))
-    assert all(row[3] == 2 for row in hist1)  # every client participates
-    loss0, acc0 = nn.evaluate(model, test)
-    assert hist1[-1][1] < loss0  # easy blobs: training helps
 
 
 def test_run_sync_improves_accuracy():
     clients = client_pool([40, 40, 40])
     model = nn.init_model(DIMS, seed=8)
     test = blob_data(60, num_classes=2, dim=2, seed=96)
-    _, hist = baselines.run_sync(model, clients, 5, 3, 0.3, 8, 17, test)
+    _, hist = run_rounds(model, clients, 5, 3, 0.3, 17, test)
     assert hist[-1][2] > 0.9
 
 
+# The round loop itself lives in experiment.run_baseline_experiment.
+
+def test_run_sync_history_and_determinism(tmp_path):
+    cfg = tiny_config(rounds=3)
+    runs = [experiment.run_baseline_experiment(cfg, "fedavg", out_dir=tmp_path / str(i))
+            for i in range(2)]
+    hist = runs[0]["history"]
+    assert hist == runs[1]["history"]
+    assert ((tmp_path / "0" / "model.bin").read_bytes()
+            == (tmp_path / "1" / "model.bin").read_bytes())
+    assert [row[0] for row in hist] == list(range(3))
+    # every client participates in every round
+    assert all(row[3] == cfg.partition.num_clients for row in hist)
+    prep = experiment.prepare(cfg, solve_menu=False)
+    start = experiment._init_model(cfg, prep.pool.parent)
+    assert hist[-1][1] < nn.evaluate(start, prep.test)[0]  # training helps
+
+
 def test_local_sgd_run_single_worker():
-    pool = as_view(blob_data(80, num_classes=2, dim=2, seed=95))
-    test = blob_data(40, num_classes=2, dim=2, seed=94)
-    model = nn.init_model(DIMS, seed=9)
-    final1, hist1 = baselines.local_sgd_run(model, pool, 3, 2, 0.2, 8, 19, test)
-    final2, hist2 = baselines.local_sgd_run(model, pool, 3, 2, 0.2, 8, 19, test)
-    assert np.array_equal(final1.params, final2.params)
+    cfg = tiny_config(rounds=3)
+    hist1 = experiment.run_baseline_experiment(cfg, "local-sgd")["history"]
+    hist2 = experiment.run_baseline_experiment(cfg, "local-sgd")["history"]
     assert hist1 == hist2
+    assert [row[0] for row in hist1] == list(range(3))
     assert hist1[-1][1] < hist1[0][1] or hist1[-1][2] >= hist1[0][2]
     assert all(row[3] == 1 for row in hist1)
-
-
-def test_run_sync_validation():
-    clients = client_pool([10])
-    model = nn.init_model(DIMS, seed=0)
-    test = blob_data(10, num_classes=2, dim=2, seed=93)
-    with pytest.raises(ConfigurationError):
-        baselines.run_sync(model, clients, 0, 1, 0.1, 4, 0, test)
-    with pytest.raises(ConfigurationError):
-        baselines.run_sync(model, clients, 1, 1, 0.1, 4, 0, test, mu=-1.0)

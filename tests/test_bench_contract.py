@@ -1,9 +1,11 @@
 """What the benchmark in bench/ relies on, checked without running it.
 
-The benchmark resolves each workload's config through `config.resolve_config`
-and wraps the program's functions by attribute name. A config check that
-rejects a workload, or a rename that leaves a wrap pointing at nothing,
-fails here instead of in the benchmark.
+The benchmark resolves each workload's config through `config.resolve_config`,
+calls the experiment entry points directly and wraps the program's functions
+by attribute name. A config check that rejects a workload, a signature the
+worker's calls no longer bind to, a rename that leaves a wrap pointing at
+nothing, or a caller that bypasses a wrap fails here instead of in the
+benchmark.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from common import make_view
+from common import make_view, tiny_config
 from contractfl import baselines, config, contracts, experiment, nn, simulation
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -73,3 +75,27 @@ def test_traced_layers_wrap_functions_that_exist():
     assert tracer.counts["nn.sgd_samples"] == 2 * 5
     assert tracer.counts["nn.evaluate_rows"] == 5
     assert tracer.counts["nn.aggregate_deltas"] == 3
+
+
+def test_worker_calls_bind_to_current_signatures():
+    # the calls bench/worker.py makes, argument for argument
+    cfg = tiny_config()
+    inspect.signature(experiment.run_async_experiment).bind(cfg, out_dir="out")
+    inspect.signature(experiment.run_baseline_experiment).bind(cfg, "fedavg",
+                                                               out_dir="out")
+    inspect.signature(experiment.prepare).bind(cfg, solve_menu=True)
+
+
+def test_fedavg_rounds_go_through_the_wrapped_attribute(monkeypatch):
+    # the benchmark times each FedAvg round by wrapping baselines.fedavg_round;
+    # a driver that imported the name, or looped elsewhere, would escape it
+    callers = []
+    real = baselines.fedavg_round
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "fedavg_round", counting)
+    experiment.run_baseline_experiment(tiny_config(rounds=2), "fedavg")
+    assert callers == ["run_baseline_experiment"] * 2

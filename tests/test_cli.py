@@ -231,9 +231,14 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
     ("contract", "market.t_max=10.000001", "market.t_max"),
     # a negative gamma3 would make label skew raise quality
     ("partition-stats", "quality.gamma3=-20", "quality.gamma3"),
+    # the MNIST-only fields on synthetic data
+    ("partition-stats", "dataset.subset=100", "dataset.subset"),
+    # the only checks of the baseline round count and proximal weight
+    ("baseline fedprox", "rounds=0", "rounds"),
+    ("baseline fedprox", "baseline.prox_mu=-1", "baseline.prox_mu"),
 ])
 def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, field):
-    args = [command, "fedavg"] if command == "baseline" else [command]
+    args = [command, "fedavg"] if command == "baseline" else command.split()
     rc = cli.main([*args, *TINY, "--set", override])
     assert rc == 2
     err = capsys.readouterr().err

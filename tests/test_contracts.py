@@ -330,6 +330,9 @@ def test_market_validation():
         MarketModel.uniform(c=-1.0)
     with pytest.raises(ConfigurationError):
         MarketModel.uniform(0)
+    for name in ("t_max", "lambda1", "e_com"):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got inf$"):
+            MarketModel.uniform(**{name: float("inf")})
 
 
 def test_market_unit_effort_cost():

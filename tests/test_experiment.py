@@ -7,26 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from common import make_view
+from common import make_view, tiny_config
 from contractfl import config, experiment
 from contractfl.contracts import client_utility
 from contractfl.datasets import synthetic_pair
 from contractfl.seeds import STREAM_HOLDOUT, child_seed
 from contractfl.simulation import Client
 from contractfl.errors import ConfigurationError
-
-
-def tiny_config(**over):
-    """Small synthetic setup that runs a full async experiment in well under a second."""
-    overrides = [
-        "rounds=4",
-        "partition.num_clients=6",
-        "dataset.train_count=400",
-        "dataset.test_count=120",
-        "partition.max_classes_per_client=10",
-    ]
-    overrides += [f"{k}={v}" for k, v in over.items()]
-    return config.resolve_config("desk", None, overrides)
 
 
 def client(cid, d_k, level):

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from common import write_mnist_fixture
+from common import idx_images, write_mnist_fixture
 from contractfl import cli, config, experiment
 from contractfl.datasets import holdout_count, load_idx_pair
 
@@ -109,3 +109,19 @@ def test_mnist_subset_larger_than_its_file_names_the_field(tmp_path, monkeypatch
     assert len(err.splitlines()) == 1
     assert message in err
     assert not out.exists()  # nothing records sizes that never ran
+
+
+@pytest.mark.parametrize("command", [["simulate", "--rounds", "1"], ["baseline", "fedavg"]])
+def test_mnist_test_images_narrower_than_train_names_the_file(tmp_path, monkeypatch,
+                                                             capsys, command):
+    write_mnist_fixture(tmp_path)
+    (tmp_path / "t10k-images-idx3-ubyte").write_bytes(
+        idx_images(np.zeros((300, 14, 14))))
+    monkeypatch.setenv("MNIST_DIR", str(tmp_path))
+    rc = cli.main([*command, "--preset", "paper-noattack",
+                   "--set", "partition.num_clients=10"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "dataset.test_images" in err and "t10k-images-idx3-ubyte" in err
+    assert "196" in err and "784" in err
