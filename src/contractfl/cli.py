@@ -9,8 +9,10 @@ Subcommands:
 
 Every subcommand but fit accepts --preset/--config/--set/--seed, so a run is
 fully pinned by its arguments; rerunning with the same arguments reproduces
-every output byte for byte. Shorthand flags such as --rounds are overrides
-laid after every --set, and the whole config is validated once.
+every output byte for byte, on any host thread count: numpy's OpenBLAS runs
+on one thread for the length of every subcommand. Shorthand flags such as
+--rounds are overrides laid after every --set, and the whole config is
+validated once.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import warnings
 import numpy as np
 
 from . import fitting
+from .blas import set_blas_threads
 from .config import PRESETS, ExperimentConfig, resolve_config
 from .contracts import solve_contract, verify_contract
 from .errors import (ConfigurationError, ContractViolation, DataFormatError,
@@ -230,12 +233,18 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
+    # one BLAS thread, so that equal arguments give equal bytes on any host
+    # thread count; the caller's count is restored on the way out
+    previous = set_blas_threads(1)
     try:
         return args.func(args)
     except (ConfigurationError, ContractViolation, DataFormatError,
             InfeasibleEffort, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 if __name__ == "__main__":

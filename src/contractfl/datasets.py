@@ -69,7 +69,8 @@ class DatasetView:
     Every training pool is one of these: the MNIST train set, the shuffled
     synthetic train split, the pool after the holdout, and each client's
     shard. A view is trained on and split, never evaluated whole, and never
-    copies the parent's features; `rows` gathers them on demand.
+    copies the parent's features: training gathers one batch of rows at a
+    time (`batches`), and `rows` gathers a split's rows on demand.
     """
 
     parent: Dataset
@@ -109,10 +110,26 @@ class DatasetView:
     def num_classes(self) -> int:
         return self.parent.num_classes
 
+    @property
+    def dim(self) -> int:
+        """Feature width of the parent pool."""
+        return self.parent.features.shape[1]
+
     def rows(self, order) -> np.ndarray:
         """A fresh copy of the view's feature rows at positions `order`,
         gathered straight from the parent pool."""
         return self.parent.features[self.indices[order]]
+
+    def batches(self, order, size: int):
+        """Walk positions `order` in contiguous batches of `size` rows (the
+        last may be shorter), yielding each batch's features and labels.
+        Each batch's rows are a fresh copy gathered from the parent pool, so
+        only one batch of features is held at a time."""
+        src = self.indices[order]
+        y = self.labels[order]
+        features = self.parent.features
+        for start in range(0, src.size, size):
+            yield features.take(src[start:start + size], axis=0), y[start:start + size]
 
     @property
     def label_hist(self) -> np.ndarray:

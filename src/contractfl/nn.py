@@ -168,8 +168,9 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
     baseline train through it. The caller's model is never mutated. Sample
     order is reshuffled once per epoch from a generator seeded with
     rng_seed, so equal seeds reproduce the exact trajectory. Each epoch
-    gathers its shuffled rows once (`data.rows`) and walks them in
-    contiguous batches; the final partial batch is included.
+    walks its shuffled rows in contiguous batches (`data.batches`), the
+    final partial batch included, and gathers one batch of rows per step,
+    so a call holds one batch of features however large `data` is.
 
     With mu > 0 every gradient gains mu * (w - w0), FedProx's proximal pull
     toward the starting parameters w0; mu = 0 is plain SGD, bit for bit.
@@ -181,36 +182,26 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
     if not mu >= 0:
         raise ConfigurationError(f"mu must be >= 0, got {mu}")
     dims = model.layer_dims
-    y = np.asarray(data.labels, dtype=np.int64)
-    n = y.shape[0]
-    if n == 0:
-        raise ConfigurationError("cannot train on an empty dataset")
+    n = len(data)  # a DatasetView is never empty
+    if data.dim != dims[0]:
+        raise ConfigurationError(
+            f"feature dim {data.dim} does not match input dim {dims[0]}")
     params = model.params.copy()
     workspace = _Workspace(dims, params)
     rng = np.random.default_rng(rng_seed)
     epoch_losses = np.zeros(epochs)
     step = 0
     for ep in range(epochs):
-        perm = rng.permutation(n)
-        # one client-sized copy at a time: the previous epoch's is released
-        x = None
-        x = data.rows(perm)
-        if x.shape[1] != dims[0]:
-            raise ConfigurationError(
-                f"feature dim {x.shape[1]} does not match input dim {dims[0]}")
-        y_ep = y[perm]
         total = 0.0
-        for start in range(0, n, batch_size):
-            stop = min(start + batch_size, n)
-            loss, grad = loss_and_gradient(dims, params, x[start:stop],
-                                           y_ep[start:stop], workspace)
+        for x, y in data.batches(rng.permutation(n), batch_size):
+            loss, grad = loss_and_gradient(dims, params, x, y, workspace)
             if not math.isfinite(loss):
                 raise TrainingDiverged(step, loss)
             if mu:
                 grad += mu * (params - model.params)
             grad *= lr
             params -= grad
-            total += loss * (stop - start)
+            total += loss * y.shape[0]
             step += 1
         epoch_losses[ep] = total / n
     return Model(dims, params), epoch_losses

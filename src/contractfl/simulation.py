@@ -286,8 +286,10 @@ class AsyncSimulation:
         t = len(self.ledgers)
         dt = self.timing.delta_t
         window_lo, window_hi = t * dt, (t + 1) * dt
-        # (client, finish, staleness, m, q); holding no delta lets each one be
-        # freed as soon as its client starts the next cycle
+        # (client, finish, staleness, m, q). Neither this list nor the merge
+        # below keeps a delta, so each uploader's old delta is freed as soon
+        # as its next cycle replaces it: one delta per client is held, plus
+        # the restarting client's new one
         uploads = []
         for c in self.clients:
             cycle = self._cycles[c.client_id]
@@ -301,8 +303,9 @@ class AsyncSimulation:
         decision = access_control([(c.client_id, c.level, q) for c, *_, q in uploads],
                                   self.a, self.phi)
         if decision.alphas:
-            deltas = [self._cycles[cid].delta for cid in decision.alphas]
-            self.model = nn.aggregate(self.model, deltas, list(decision.alphas.values()))
+            self.model = nn.aggregate(
+                self.model, [self._cycles[cid].delta for cid in decision.alphas],
+                list(decision.alphas.values()))
             val_loss = nn.evaluate(self.model, self.val_data)[0]
             self._test_loss, self._test_acc = nn.evaluate(self.model, self.test_data)
         else:

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from contractfl import cli, experiment, nn
+from contractfl import blas, cli, experiment, nn
 from contractfl.contracts import AccuracyCurveParams, accuracy_curve
 from contractfl.errors import InfeasibleEffort, TrainingDiverged
 
@@ -336,3 +337,76 @@ def test_runs_other_than_fit_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# paper-shaped matrix products, large enough for OpenBLAS to split them across
+# threads when it has more than one; about 1.6 s a run
+PAPER_SHAPE = [
+    "simulate", "--preset", "paper-noattack",
+    "--set", "dataset.kind=synthetic", "--set", "dataset.dim=784",
+    "--set", "dataset.train_count=3000", "--set", "dataset.test_count=2000",
+    "--set", "partition.num_clients=10", "--rounds", "2", "--seed", "0",
+]
+
+
+def _fresh_interpreter(args, threads):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_artifact_bytes_do_not_depend_on_blas_threads(tmp_path):
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out, threads in zip(outs, ("1", "2")):
+        _fresh_interpreter(["-m", "contractfl.cli", *PAPER_SHAPE, "--out", str(out)],
+                           threads)
+    names = sorted(os.listdir(outs[0]))
+    assert "model.bin" in names and names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_importing_the_package_leaves_blas_threads_alone():
+    script = ("from contractfl import cli, experiment, simulation\n"
+              "from contractfl.blas import blas_info\n"
+              "print(blas_info()['blas_threads'])")
+    assert _fresh_interpreter(["-c", script], "2").split() == ["2"]
+
+
+def test_main_pins_one_blas_thread_and_restores_the_callers(monkeypatch):
+    before = blas.set_blas_threads(2)
+    if before is None:
+        pytest.skip("no OpenBLAS thread setter in numpy's libraries")
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_contract",
+                        lambda args: seen.append(blas.blas_info()["blas_threads"]) or 0)
+    try:
+        assert cli.main(["contract"]) == 0
+        after = blas.blas_info()["blas_threads"]
+    finally:
+        blas.set_blas_threads(before)
+    assert seen == [1]
+    assert after == 2
+
+
+@pytest.mark.parametrize("library_found,named", [(True, "keeps 3 threads"),
+                                                 (False, "unknown number")])
+def test_main_warns_once_without_a_blas_thread_setter(monkeypatch, caplog,
+                                                      library_found, named):
+    def no_setter(name, restype, argtypes=()):
+        if name == "openblas_get_num_threads" and library_found:
+            return lambda: 3
+        return None
+
+    monkeypatch.setattr(blas, "_function", no_setter)
+    monkeypatch.setattr(cli, "_cmd_contract", lambda args: 0)
+    with caplog.at_level(logging.WARNING):
+        assert cli.main(["contract"]) == 0
+    records = [r for r in caplog.records if r.name == "contractfl.blas"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.WARNING
+    assert named in records[0].getMessage()

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from common import as_view, blob_data, make_dataset
+from common import as_view, blob_data, make_dataset, make_view
 from contractfl import nn
 from contractfl.datasets import DatasetView
 from contractfl.errors import (ConfigurationError, ContractViolation,
@@ -179,6 +180,23 @@ def test_train_epochs_tracked_matches_manual_replay():
     assert np.array_equal(got_model.params, params)
     assert np.allclose(got_losses, want_losses, rtol=0, atol=0)
     assert len(got_losses) == epochs
+
+
+def test_training_gathers_one_batch_of_rows_at_a_time():
+    # an epoch of 4,000 rows x 256 features is 8 MB; a batch of 10 is 20 kB
+    rng = np.random.default_rng(0)
+    n, dim = 4000, 256
+    data = make_view(rng.uniform(0.0, 1.0, size=(n, dim)),
+                     rng.integers(0, 2, size=n), 2)
+    m = nn.init_model((dim, 4, 4, 2), seed=0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        nn.train_epochs_tracked(m, data, epochs=1, lr=0.1, batch_size=10, rng_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1_000_000
 
 
 def _oracle_loss_and_gradient(dims, params, x, y):

@@ -1,5 +1,6 @@
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -381,6 +382,31 @@ def test_aggregation_applies_weighted_deltas():
     assert np.allclose(sim.model.params,
                        init_params + (trained.params - init_params),
                        rtol=0, atol=1e-12)
+
+
+def test_each_restart_finds_earlier_uploaders_old_deltas_freed(monkeypatch):
+    # a round that admits several uploads must not keep their deltas alive
+    # while it restarts the uploaders, so that one delta per client is held
+    clients = [sim_client(i, easy_client(i, n=8), delay=0.3 + 0.05 * i, tau=2)
+               for i in range(4)]
+    sim = make_sim(clients)
+    pending = {cid: weakref.ref(cycle.delta) for cid, cycle in sim._cycles.items()
+               if cycle.finish <= sim.timing.delta_t}
+    owner = {id(c.data): c.client_id for c in clients}
+    restarted = []
+    train = nn.train_epochs_tracked
+
+    def checked(model, data, *args, **kwargs):
+        held = [cid for cid in restarted if pending[cid]() is not None]
+        assert not held, f"old deltas of clients {held} are still held"
+        restarted.append(owner[id(data)])
+        return train(model, data, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "train_epochs_tracked", checked)
+    ledger = sim.run_round()
+    assert ledger.admitted_count >= 2
+    assert restarted == sorted(pending) == [r.client_id for r in ledger.uploads]
+    assert all(ref() is None for ref in pending.values())
 
 
 def test_full_run_deterministic():
