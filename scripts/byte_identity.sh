@@ -4,8 +4,9 @@
 #
 # Usage: scripts/byte_identity.sh OUT
 #
-# The runs: desk simulate clean and attacked, desk baseline fedavg, fedprox
-# and local-sgd, desk partition-stats, desk contract, fit on noiseless
+# The runs: desk simulate clean and attacked, a desk simulate whose
+# validation split spans two evaluation chunks, desk baseline fedavg,
+# fedprox and local-sgd, desk partition-stats, desk contract, fit on noiseless
 # accuracy-curve samples written into OUT/fit-samples.csv, the benchmark's
 # paper-synth workload, and three MNIST-preset runs on IDX files generated
 # into OUT/mnist.
@@ -54,6 +55,9 @@ PY
 
 run simulate-clean simulate --preset desk
 run simulate-attacked simulate --preset desk --attackers 6 --flip-fraction 1.0
+# 46,000 rows hold out 4,600 for validation: more than one 4,096-row chunk
+run simulate-val-chunks simulate --preset desk \
+    --set dataset.train_count=46000 --rounds 2
 for algorithm in fedavg fedprox local-sgd; do
     run "baseline-$algorithm" baseline "$algorithm" --preset desk
 done

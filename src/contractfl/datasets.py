@@ -1,16 +1,17 @@
 """Dataset handling: IDX files, non-IID client partitioning, label statistics.
 
-Two types, one job each. A `Dataset` is a flat pool of feature rows scaled
-to [0, 1] with its labels; it is only ever evaluated whole, so the loaded
-MNIST files, the generated blob matrices, and the validation and test splits
-are Datasets. A `DatasetView` is an index view into one root Dataset plus
-its own label array; it is only ever trained on and split. Every training
-pool is one: the MNIST train set (every row, or the first `subset`), the
-shuffled synthetic train split, the pool left after the validation holdout,
-and each client's shard. Views compose, so every view indexes the root
-matrix directly, and a client's labels can be corrupted without touching the
-pool or any sibling client. A view carries no client id; `partition` returns
-the shards in client order, and the caller numbers them.
+Two types. A `Dataset` owns a feature matrix scaled to [0, 1] with its
+labels: the loaded MNIST files, the generated blob matrices and the test
+split are Datasets. A `DatasetView` is an index view into one root Dataset
+plus its own label array. Every split of the training data is one: the
+MNIST train set (every row, or the first `subset`), the shuffled synthetic
+train split, the validation holdout, the pool left after it, and each
+client's shard. Views are trained on one batch of rows at a time
+(`batches`), and both types are evaluated one chunk at a time (`chunks`).
+Views compose, so every view indexes the root matrix directly, and a
+client's labels can be corrupted without touching the pool or any sibling
+client. A view carries no client id; `partition` returns the shards in
+client order, and the caller numbers them.
 """
 
 from __future__ import annotations
@@ -61,16 +62,23 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
+    def chunks(self, size: int):
+        """Walk every row in order, `size` rows at a time (the last chunk may
+        be shorter), yielding each chunk's features and labels as read-only
+        slices, so nothing is copied."""
+        for start in range(0, len(self), size):
+            yield self.features[start:start + size], self.labels[start:start + size]
+
 
 @dataclass(frozen=True)
 class DatasetView:
     """Rows `indices` of a root Dataset `parent`, with a private label array.
 
-    Every training pool is one of these: the MNIST train set, the shuffled
-    synthetic train split, the pool after the holdout, and each client's
-    shard. A view is trained on and split, never evaluated whole, and never
-    copies the parent's features: training gathers one batch of rows at a
-    time (`batches`), and `rows` gathers a split's rows on demand.
+    Every split of the training data is one of these: the MNIST train set,
+    the shuffled synthetic train split, the validation holdout, the pool
+    after it, and each client's shard. A view never copies the parent's features whole:
+    training and evaluation gather one batch of rows at a time (`batches`,
+    `chunks`).
     """
 
     parent: Dataset
@@ -115,11 +123,6 @@ class DatasetView:
         """Feature width of the parent pool."""
         return self.parent.features.shape[1]
 
-    def rows(self, order) -> np.ndarray:
-        """A fresh copy of the view's feature rows at positions `order`,
-        gathered straight from the parent pool."""
-        return self.parent.features[self.indices[order]]
-
     def batches(self, order, size: int):
         """Walk positions `order` in contiguous batches of `size` rows (the
         last may be shorter), yielding each batch's features and labels.
@@ -130,6 +133,11 @@ class DatasetView:
         features = self.parent.features
         for start in range(0, src.size, size):
             yield features.take(src[start:start + size], axis=0), y[start:start + size]
+
+    def chunks(self, size: int):
+        """Walk every row in order, `size` rows at a time, as `batches`
+        gathers them: one chunk of rows is copied at a time."""
+        return self.batches(np.arange(self.d_k), size)
 
     @property
     def label_hist(self) -> np.ndarray:
@@ -353,13 +361,12 @@ def holdout_count(n: int, fraction: float) -> int:
 
 
 def split_holdout(ds: DatasetView, fraction: float,
-                  seed: int) -> tuple[Dataset, DatasetView]:
+                  seed: int) -> tuple[DatasetView, DatasetView]:
     """Split off a held-out slice (e.g. a validation set) from a pool.
 
-    Returns (holdout, remainder). Only the holdout is materialized, as a
-    standalone Dataset, because it is evaluated whole; the remainder is a
-    view over the root Dataset under `ds`, so no feature row is copied for
-    it, and the clients partitioned from it are views of that root too.
+    Returns (holdout, remainder), both views over the root Dataset under
+    `ds`, so no feature row is copied for either, and the clients
+    partitioned from the remainder are views of that root too.
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigurationError(f"holdout fraction must be in (0, 1), got {fraction}")
@@ -367,7 +374,7 @@ def split_holdout(ds: DatasetView, fraction: float,
     h = holdout_count(n, fraction)
     perm = np.random.default_rng(seed).permutation(n)
     held, rest = np.sort(perm[:h]), np.sort(perm[h:])
-    return (Dataset(ds.rows(held), ds.labels[held], ds.num_classes),
+    return (DatasetView(ds.parent, ds.indices[held], ds.labels[held]),
             DatasetView(ds.parent, ds.indices[rest], ds.labels[rest]))
 
 

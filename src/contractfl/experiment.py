@@ -65,7 +65,7 @@ class Prepared:
 
     market: MarketModel
     pool: DatasetView
-    val: Dataset
+    val: DatasetView
     test: Dataset
     clients: list[Client]
     menu: ContractMenu | None

@@ -208,19 +208,20 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
 
 
 def evaluate(model: Model, data) -> tuple[float, float]:
-    """Mean cross-entropy loss and top-1 accuracy over a dataset."""
-    x = np.asarray(data.features, dtype=np.float64)
-    y = np.asarray(data.labels, dtype=np.int64)
-    n = x.shape[0]
+    """Mean cross-entropy loss and top-1 accuracy over a Dataset or a view.
+
+    The rows are walked in order, `_EVAL_CHUNK` at a time (`data.chunks`):
+    a Dataset's chunks are slices, and a view gathers one chunk at a time.
+    """
+    n = len(data)
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
     views = _views(model.layer_dims, model.params)
     loss_sum = 0.0
     correct = 0
-    for start in range(0, n, _EVAL_CHUNK):
-        xs = x[start:start + _EVAL_CHUNK]
-        ys = y[start:start + _EVAL_CHUNK]
+    for xs, ys in data.chunks(_EVAL_CHUNK):
         logits = _forward(views, xs)[-1]
+        del xs  # free a gathered chunk before the next one is gathered
         correct += int((logits.argmax(axis=1) == ys).sum())
         log_p = _log_softmax(logits)
         loss_sum += float(-log_p[np.arange(ys.shape[0]), ys].sum())

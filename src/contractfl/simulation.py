@@ -8,7 +8,8 @@ cycle with the contract's own cost model, `MarketModel.energy` at the
 realized effort tau * d_k.
 
 Round t covers the window (t * delta_t, (t + 1) * delta_t]. Clients whose
-cycles finish inside the window form the upload set. Each upload is scored
+cycles finish inside the window form the upload set. Each uploader is
+trained then, from the global model its cycle started on, and scored
 by q = (global validation loss at its base round - its final-epoch training
 loss) * theta * (staleness + 1)^(-epsilon), filtered per level by a
 mean/median spread rule, and the survivors' deltas are applied to the
@@ -94,13 +95,14 @@ class Client:
 
 @dataclass(frozen=True)
 class _Cycle:
-    """A training cycle in flight: trained from the global model of
-    `base_round`, it uploads `delta` and its final-epoch loss at `finish`."""
+    """A training cycle in flight: it starts from `base`, the global model of
+    `base_round` (shared by reference, never copied), and uploads at
+    `finish`. Nothing is trained until the upload lands, so a cycle holds no
+    delta and no loss while it is in flight."""
 
     base_round: int
     finish: float
-    delta: np.ndarray
-    loss: float
+    base: nn.Model
 
 
 @dataclass(frozen=True)
@@ -237,8 +239,9 @@ class AsyncSimulation:
         timing: simulated-delay distribution and aggregation period.
         a, epsilon, phi: access-control spread gate, staleness decay, and
             outlier width.
-        val_data: held-out split scored after every aggregation; its loss
-            history is the reference for upload scores.
+        val_data: held-out split scored after every aggregation (a view
+            or a Dataset: `nn.evaluate` takes either); its loss history is
+            the reference for upload scores.
         test_data: reporting split for the per-round summary.
         master_seed: seeds each client's per-round shuffle stream.
         lr, batch_size: local SGD settings handed to every client.
@@ -246,7 +249,7 @@ class AsyncSimulation:
 
     def __init__(self, model: nn.Model, clients: list[Client],
                  timing: TimingParams, a: float, epsilon: float, phi: float,
-                 val_data: Dataset, test_data: Dataset, master_seed: int,
+                 val_data: DatasetView, test_data: Dataset, master_seed: int,
                  lr: float, batch_size: int):
         ids = [c.client_id for c in clients]
         if len(set(ids)) != len(ids):
@@ -271,32 +274,37 @@ class AsyncSimulation:
             self._start_cycle(client, round_idx=0, start_time=0.0)
 
     def _start_cycle(self, client: Client, round_idx: int, start_time: float):
-        seed = child_seed(self.master_seed, STREAM_TRAIN, client.client_id, round_idx)
-        tau = client.tau
-        trained, epoch_losses = nn.train_epochs_tracked(
-            self.model, client.data, tau, self.lr, self.batch_size, seed)
         self._cycles[client.client_id] = _Cycle(
             base_round=round_idx,
-            finish=start_time + tau * client.per_epoch_delay,
-            delta=trained.params - self.model.params,
-            loss=float(epoch_losses[-1]))
+            finish=start_time + client.tau * client.per_epoch_delay,
+            base=self.model)
+
+    def _train(self, client: Client, cycle: _Cycle) -> tuple[np.ndarray, float]:
+        """Train `client`'s cycle from its base on the cycle's own seed;
+        return the parameter delta and the final-epoch training loss."""
+        seed = child_seed(self.master_seed, STREAM_TRAIN, client.client_id,
+                          cycle.base_round)
+        trained, epoch_losses = nn.train_epochs_tracked(
+            cycle.base, client.data, client.tau, self.lr, self.batch_size, seed)
+        return trained.params - cycle.base.params, float(epoch_losses[-1])
 
     def run_round(self) -> RoundLedger:
         """Process one aggregation window and return its ledger entry."""
         t = len(self.ledgers)
         dt = self.timing.delta_t
         window_lo, window_hi = t * dt, (t + 1) * dt
-        # (client, finish, staleness, m, q). Neither this list nor the merge
-        # below keeps a delta, so each uploader's old delta is freed as soon
-        # as its next cycle replaces it: one delta per client is held, plus
-        # the restarting client's new one
-        uploads = []
+        # each uploader is trained here, from its cycle's base, in ascending
+        # client id; `deltas` is the only holder of the round's updates, and
+        # it is dropped as soon as the merge returns, before any evaluation
+        uploads = []  # (client, finish, staleness, m, q)
+        deltas = {}
         for c in self.clients:
             cycle = self._cycles[c.client_id]
             if window_lo < cycle.finish <= window_hi:
+                deltas[c.client_id], loss = self._train(c, cycle)
                 staleness = t - cycle.base_round
                 # loss reduction over the base model; negative when training hurt
-                m = self.val_losses[cycle.base_round] - cycle.loss
+                m = self.val_losses[cycle.base_round] - loss
                 q = access_indicator(m, c.theta, staleness, self.epsilon)
                 uploads.append((c, cycle.finish, staleness, m, q))
 
@@ -304,8 +312,9 @@ class AsyncSimulation:
                                   self.a, self.phi)
         if decision.alphas:
             self.model = nn.aggregate(
-                self.model, [self._cycles[cid].delta for cid in decision.alphas],
+                self.model, [deltas[cid] for cid in decision.alphas],
                 list(decision.alphas.values()))
+            deltas.clear()
             val_loss = nn.evaluate(self.model, self.val_data)[0]
             self._test_loss, self._test_acc = nn.evaluate(self.model, self.test_data)
         else:
@@ -334,6 +343,19 @@ class AsyncSimulation:
         return ledger
 
     def run(self, rounds: int) -> list[RoundLedger]:
+        """Run `rounds` aggregation windows and return every ledger so far.
+
+        A cycle is trained when its upload lands (`run_round`), so a cycle
+        that diverges raises `TrainingDiverged` at its upload. The run then
+        trains every cycle still in flight at the horizon once, one at a
+        time, and drops each result: it keeps the SGD work, and with it
+        the step count that the benchmark's traced check derives from the
+        artifacts (one cycle per upload plus one in flight per client), as
+        it was when every cycle was trained at its start. A cycle in flight
+        that diverges therefore raises at the end of the run, and a later
+        `run` call trains such a cycle again when it uploads. Once that
+        check follows the training policy, this end-of-run training can go.
+        """
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
         first_round = len(self.ledgers)
@@ -343,10 +365,12 @@ class AsyncSimulation:
             logger.warning(
                 "no client finishes a training cycle within the horizon of %g "
                 "simulated seconds (%d rounds of delta_t %g); the first finishes "
-                "at %g, so the run trains nothing", horizon, rounds,
+                "at %g, so no update is uploaded", horizon, rounds,
                 self.timing.delta_t, first)
         for _ in range(rounds):
             self.run_round()
+        for c in self.clients:  # every cycle in flight: trained, then dropped
+            self._train(c, self._cycles[c.client_id])
         uploads = [r for lg in self.ledgers[first_round:] for r in lg.uploads]
         # m <= 0 scores q <= 0, which access control never admits
         if uploads and all(r.m <= 0 for r in uploads):

@@ -8,10 +8,14 @@ nothing, or a caller that bypasses a wrap fails here instead of in the
 benchmark.
 """
 
+import csv
 import importlib.util
 import inspect
+import json
+import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -99,3 +103,28 @@ def test_fedavg_rounds_go_through_the_wrapped_attribute(monkeypatch):
     monkeypatch.setattr(baselines, "fedavg_round", counting)
     experiment.run_baseline_experiment(tiny_config(rounds=2), "fedavg")
     assert callers == ["run_baseline_experiment"] * 2
+
+
+def test_sgd_steps_match_what_the_artifacts_imply(monkeypatch, tmp_path):
+    # the identity bench/run.py checks on traced runs: every client trains
+    # one cycle per upload plus the one still in flight at the horizon, each
+    # tau * ceil(d_k / batch_size) steps, read back from the artifacts
+    steps = []
+    real = nn.loss_and_gradient
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "loss_and_gradient", counting)
+    experiment.run_async_experiment(tiny_config(rounds=6), out_dir=tmp_path)
+    with open(tmp_path / "config-echo.json") as fh:
+        batch = json.load(fh)["training"]["batch_size"]
+    with open(tmp_path / "partition.csv", newline="") as fh:
+        part = list(csv.DictReader(fh))
+    with open(tmp_path / "ledger.csv", newline="") as fh:
+        uploads = Counter(int(r["client_id"]) for r in csv.DictReader(fh))
+    assert sum(uploads.values()) > 0
+    assert len(steps) == sum(
+        (uploads[int(r["client_id"])] + 1) * int(r["tau"])
+        * math.ceil(int(r["d_k"]) / batch) for r in part)

@@ -200,8 +200,13 @@ def test_split_holdout_partitions_everything():
     # the two slices together reproduce the pool's label multiset
     assert sorted(held.labels.tolist() + rest.labels.tolist()) \
         == sorted(ds.labels.tolist())
+    # both slices are views of the pool's root, disjoint and covering it
+    assert held.parent is rest.parent is ds.parent
+    assert np.union1d(held.indices, rest.indices).tolist() == list(range(1000))
     again = datasets.split_holdout(ds, 0.1, seed=11)
-    assert np.array_equal(again[0].features, held.features)
+    assert np.array_equal(again[0].indices, held.indices)
+    assert np.array_equal(ds.parent.features[again[0].indices],
+                          ds.parent.features[held.indices])
 
 
 def test_split_holdout_validation():

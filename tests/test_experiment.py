@@ -88,7 +88,7 @@ def test_prepare_gathers_pool_and_clients_from_one_matrix(monkeypatch):
     assert np.shares_memory(root, prep.pool.parent.features)
     for c in prep.clients:
         assert np.shares_memory(root, c.data.parent.features)
-    # the pool holds the rows the copying holdout split used to produce
+    # the pool and the validation split hold the rows the holdout seed picks
     n = len(train)
     perm = np.random.default_rng(
         child_seed(cfg.seed, STREAM_HOLDOUT)).permutation(n)
@@ -97,9 +97,11 @@ def test_prepare_gathers_pool_and_clients_from_one_matrix(monkeypatch):
     assert (prep.pool.parent.features[prep.pool.indices].tobytes()
             == train.parent.features[train.indices][rest].tobytes())
     assert prep.pool.labels.tobytes() == train.labels[rest].tobytes()
-    assert (prep.val.features.tobytes()
+    # the validation split is a view of the same matrix: no row is copied
+    assert prep.val.parent is prep.pool.parent
+    assert (prep.val.parent.features[prep.val.indices].tobytes()
             == train.parent.features[train.indices][held].tobytes())
-    assert not np.shares_memory(root, prep.val.features)
+    assert prep.val.labels.tobytes() == train.labels[held].tobytes()
 
 
 def test_prepare_folds_quality_clamps_into_one_warning(caplog):

@@ -1,13 +1,13 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from common import as_view, blob_data, make_dataset, make_view
 from contractfl import nn
-from contractfl.datasets import DatasetView
+from contractfl.datasets import Dataset, DatasetView
 from contractfl.errors import (ConfigurationError, ContractViolation,
                                DataFormatError, TrainingDiverged)
 
@@ -93,10 +93,19 @@ def test_forward_identity_network():
     assert np.array_equal(logits, x)
 
 
+@dataclass
+class _Unchecked:
+    """Rows that skip Dataset's [0, 1] feature check, walked as a Dataset."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    __len__ = Dataset.__len__
+    chunks = Dataset.chunks
+
+
 def test_uniform_logits_loss_is_log_num_classes():
     m = nn.Model((1, 1, 1, 10), np.zeros(nn.param_count((1, 1, 1, 10))))
-    data = SimpleNamespace(features=np.ones((6, 1)),
-                           labels=np.arange(6, dtype=np.int64) % 10)
+    data = _Unchecked(np.ones((6, 1)), np.arange(6, dtype=np.int64) % 10)
     loss, _ = nn.evaluate(m, data)
     assert abs(loss - math.log(10)) < 1e-12
 
@@ -104,9 +113,9 @@ def test_uniform_logits_loss_is_log_num_classes():
 def test_cross_entropy_extremes_are_stable():
     logits = np.array([[1e4, 0.0], [0.0, 1e4]])
     m = _identity_net(2)
-    right = SimpleNamespace(features=logits, labels=np.array([0, 1]))
+    right = _Unchecked(logits, np.array([0, 1]))
     assert nn.evaluate(m, right)[0] < 1e-12
-    wrong = SimpleNamespace(features=logits, labels=np.array([1, 0]))
+    wrong = _Unchecked(logits, np.array([1, 0]))
     loss, _ = nn.evaluate(m, wrong)
     assert np.isfinite(loss) and abs(loss - 1e4) < 1e-6
 
@@ -326,6 +335,20 @@ def test_evaluate_chunking_invariant(monkeypatch):
     chunked = nn.evaluate(m, data)
     assert abs(whole[0] - chunked[0]) < 1e-12
     assert whole[1] == chunked[1]
+
+
+@pytest.mark.parametrize("n", [1, nn._EVAL_CHUNK, nn._EVAL_CHUNK + 1])
+def test_evaluate_view_matches_its_gathered_rows_bitwise(n):
+    # the validation split is a view, whose chunks are gathered copies; the
+    # test split is a Dataset, whose chunks are slices: the two must give
+    # the same bits on one row, one full chunk and two chunks
+    root = blob_data(n + 40, num_classes=3, dim=3, seed=n)
+    idx = np.sort(np.random.default_rng(n).permutation(len(root))[:n])
+    view = DatasetView(root, idx, root.labels[idx])
+    rows = make_dataset(root.features[idx], root.labels[idx], 3)
+    m = nn.init_model((3, 5, 4, 3), seed=2)
+    assert (np.array(nn.evaluate(m, view)).tobytes()
+            == np.array(nn.evaluate(m, rows)).tobytes())
 
 
 def test_aggregate_matches_manual_combination():

@@ -384,29 +384,46 @@ def test_aggregation_applies_weighted_deltas():
                        rtol=0, atol=1e-12)
 
 
-def test_each_restart_finds_earlier_uploaders_old_deltas_freed(monkeypatch):
-    # a round that admits several uploads must not keep their deltas alive
-    # while it restarts the uploaders, so that one delta per client is held
+def test_cycles_train_at_upload_and_deltas_die_before_evaluation(monkeypatch):
+    # a cycle holds its base model, not a trained result: building the
+    # simulator trains nothing, and a round's deltas do not outlive its merge
     clients = [sim_client(i, easy_client(i, n=8), delay=0.3 + 0.05 * i, tau=2)
                for i in range(4)]
-    sim = make_sim(clients)
-    pending = {cid: weakref.ref(cycle.delta) for cid, cycle in sim._cycles.items()
-               if cycle.finish <= sim.timing.delta_t}
-    owner = {id(c.data): c.client_id for c in clients}
-    restarted = []
+    trained = []
     train = nn.train_epochs_tracked
 
-    def checked(model, data, *args, **kwargs):
-        held = [cid for cid in restarted if pending[cid]() is not None]
-        assert not held, f"old deltas of clients {held} are still held"
-        restarted.append(owner[id(data)])
+    def counting(model, data, *args, **kwargs):
+        trained.append(id(data))
         return train(model, data, *args, **kwargs)
 
-    monkeypatch.setattr(nn, "train_epochs_tracked", checked)
+    monkeypatch.setattr(nn, "train_epochs_tracked", counting)
+    sim = make_sim(clients)
+    assert trained == []
+    assert all(cycle.base is sim.model for cycle in sim._cycles.values())
+
+    merged, checked = [], []
+    aggregate, evaluate = nn.aggregate, nn.evaluate
+
+    def recording(base, deltas, weights):
+        merged.extend(weakref.ref(d) for d in deltas)
+        return aggregate(base, deltas, weights)
+
+    def checking(model, data):
+        if merged and not checked:
+            held = [i for i, ref in enumerate(merged) if ref() is not None]
+            assert not held, f"merged deltas {held} are still held"
+            checked.append(True)
+        return evaluate(model, data)
+
+    monkeypatch.setattr(nn, "aggregate", recording)
+    monkeypatch.setattr(nn, "evaluate", checking)
     ledger = sim.run_round()
     assert ledger.admitted_count >= 2
-    assert restarted == sorted(pending) == [r.client_id for r in ledger.uploads]
-    assert all(ref() is None for ref in pending.values())
+    assert len(merged) == ledger.admitted_count
+    assert checked
+    # each uploader was trained in this round, once, in client order
+    owner = {id(c.data): c.client_id for c in clients}
+    assert [owner[i] for i in trained] == [r.client_id for r in ledger.uploads]
 
 
 def test_full_run_deterministic():
