@@ -4,7 +4,8 @@
 #
 # Usage: scripts/byte_identity.sh OUT
 #
-# The runs: desk simulate clean and attacked, a desk simulate whose
+# The runs: desk simulate clean and attacked, desk simulate attacked at a
+# gate far from its defaults, a desk simulate whose
 # validation split spans two evaluation chunks, desk baseline fedavg,
 # fedprox and local-sgd, desk partition-stats, desk contract, fit on noiseless
 # accuracy-curve samples written into OUT/fit-samples.csv, the benchmark's
@@ -55,6 +56,9 @@ PY
 
 run simulate-clean simulate --preset desk
 run simulate-attacked simulate --preset desk --attackers 6 --flip-fraction 1.0
+# every gate field off its default, so a simulator that ignored cfg.gate differs
+run simulate-gate simulate --preset desk --attackers 6 --flip-fraction 1.0 \
+    --set gate.a=0.1 --set gate.epsilon=1.0 --set gate.phi=1.0
 # 46,000 rows hold out 4,600 for validation: more than one 4,096-row chunk
 run simulate-val-chunks simulate --preset desk \
     --set dataset.train_count=46000 --rounds 2

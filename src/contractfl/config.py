@@ -1,11 +1,11 @@
 """Experiment configuration: one dataclass tree, JSON round-trip, presets.
 
-Each section is one frozen dataclass that checks its own ranges. Three of
+Each section is one frozen dataclass that checks its own ranges. Four of
 them are the library's parameter types, used as they are: `quality` is
-`contracts.QualityParams`, `timing` is `simulation.TimingParams` and
-`partition` is `datasets.PartitionSpec`. `curve` is
-`contracts.AccuracyCurveParams` under a subclass that adds no field. The rest
-live here.
+`contracts.QualityParams`, `timing` is `simulation.TimingParams`, `gate` is
+`simulation.GateParams` and `partition` is `datasets.PartitionSpec`.
+`curve` is `contracts.AccuracyCurveParams` under a subclass that adds no
+field. The rest live here.
 
 Every preset, config file and dotted-path override (section.key=value) is
 parsed, patched and validated on one path: `resolve_config` takes the base
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 from .contracts import AccuracyCurveParams, MarketModel, QualityParams
 from .datasets import PartitionSpec, holdout_count, zipf_counts
 from .errors import ConfigurationError
-from .simulation import TimingParams
+from .simulation import GateParams, TimingParams
 
 
 @dataclass(frozen=True)
@@ -121,18 +121,6 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class GateConfig:
-    a: float = 0.5
-    epsilon: float = 2.0
-    phi: float = 3.0
-
-    def __post_init__(self):
-        for name in ("a", "epsilon", "phi"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class AttackConfig:
     count: int = 0
     flip_fraction: float = 0.5
@@ -168,7 +156,7 @@ class ExperimentConfig:
     curve: CurveConfig = field(default_factory=CurveConfig)
     timing: TimingParams = field(default_factory=TimingParams)
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    gate: GateConfig = field(default_factory=GateConfig)
+    gate: GateParams = field(default_factory=GateParams)
     attack: AttackConfig = field(default_factory=AttackConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
 

@@ -130,27 +130,22 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
 def select_attackers(clients: list[Client], count: int) -> set[int]:
     """Pick `count` clients to corrupt, spread across quality levels.
 
-    Selection walks the levels from highest to lowest, taking one client per
-    level per pass (largest d_k first within a level), so attackers land in
-    every stratum instead of clustering at the bottom. Deterministic.
+    Selection takes one client per level per pass, highest level first and
+    largest d_k first within a level (ties to the lower id), so attackers
+    land in every stratum instead of clustering at the bottom: the first
+    `count` clients by (rank within their level, -level). Deterministic.
     """
     if count < 0:
         raise ConfigurationError(f"attacker count must be >= 0, got {count}")
-    if count == 0:
-        return set()
     if count > len(clients):
         raise ConfigurationError(
             f"cannot mark {count} attackers among {len(clients)} clients")
-    queues: dict[int, list[int]] = {}
-    for c in sorted(clients, key=lambda c: (-c.level, -c.d_k, c.client_id)):
-        queues.setdefault(c.level, []).append(c.client_id)
-    order: list[int] = []
-    levels = sorted(queues, reverse=True)
-    while len(order) < len(clients):
-        for lv in levels:
-            if queues[lv]:
-                order.append(queues[lv].pop(0))
-    return set(order[:count])
+    last_rank: dict[int, int] = {}
+    keys = []
+    for c in sorted(clients, key=lambda c: (-c.d_k, c.client_id)):
+        rank = last_rank[c.level] = last_rank.get(c.level, -1) + 1
+        keys.append((rank, -c.level, c.client_id))
+    return {cid for *_, cid in sorted(keys)[:count]}
 
 
 def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
@@ -282,8 +277,7 @@ def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     prep = prepare(cfg, solve_menu=True)
     model = _init_model(cfg, prep.pool.parent)
     sim = AsyncSimulation(
-        model, prep.clients, cfg.timing, a=cfg.gate.a,
-        epsilon=cfg.gate.epsilon, phi=cfg.gate.phi, val_data=prep.val,
+        model, prep.clients, cfg.timing, cfg.gate, val_data=prep.val,
         test_data=prep.test, master_seed=cfg.seed, lr=cfg.training.lr,
         batch_size=cfg.training.batch_size)
     ledgers = sim.run(cfg.rounds)

@@ -23,24 +23,32 @@ _EVAL_CHUNK = 4096
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable network state: layer sizes plus the flat parameter vector."""
+    """Immutable network state: layer sizes plus the flat parameter vector.
+    A float64 vector that owns its data is handed over and frozen in place;
+    one that does not (a view, a `frombuffer` array) is copied first."""
 
     layer_dims: tuple[int, int, int, int]
     params: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
-        if len(dims) != 4 or any(d <= 0 for d in dims):
-            raise ConfigurationError(f"layer_dims must be 4 positive ints, got {self.layer_dims}")
+        dims = _layer_dims(self.layer_dims)
         params = np.asarray(self.params, dtype=np.float64)
         if params.ndim != 1 or params.size != param_count(dims):
             raise ConfigurationError(
                 f"parameter vector has length {params.size}, expected {param_count(dims)}"
             )
-        params = params.copy()
+        if not params.flags.owndata:
+            params = params.copy()
         params.flags.writeable = False
         object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "params", params)
+
+
+def _layer_dims(layer_dims) -> tuple[int, int, int, int]:
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) != 4 or any(d <= 0 for d in dims):
+        raise ConfigurationError(f"layer_dims must be 4 positive ints, got {layer_dims}")
+    return dims
 
 
 def param_count(layer_dims) -> int:
@@ -71,9 +79,7 @@ def init_model(layer_dims, seed: int) -> Model:
     Each weight matrix is drawn from U(-a, a) with a = sqrt(6 / (fan_in +
     fan_out)), which keeps activation variance stable across layers.
     """
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) != 4 or any(d <= 0 for d in dims):
-        raise ConfigurationError(f"layer_dims must be 4 positive ints, got {layer_dims}")
+    dims = _layer_dims(layer_dims)
     rng = np.random.default_rng(seed)
     params = np.zeros(param_count(dims))
     w1, b1, w2, b2, w3, b3 = _views(dims, params)
@@ -289,5 +295,4 @@ def load_model(path) -> Model:
         raise DataFormatError(
             f"checkpoint payload ends at offset {len(blob)}, expected {expected} "
             f"for layer dims {dims}")
-    params = np.frombuffer(blob, dtype="<f8", offset=16).copy()
-    return Model(dims, params)
+    return Model(dims, np.frombuffer(blob, dtype="<f8", offset=16))

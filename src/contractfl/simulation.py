@@ -56,6 +56,21 @@ class TimingParams:
 
 
 @dataclass(frozen=True)
+class GateParams:
+    """The admission gate: the spread bound `a` that picks a level's filter
+    branch, the staleness decay `epsilon` and the outlier width `phi`."""
+
+    a: float = 0.5
+    epsilon: float = 2.0
+    phi: float = 3.0
+
+    def __post_init__(self):
+        for name in ("a", "epsilon", "phi"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
 class Client:
     """One client as a run sees it, fixed before any training happens.
 
@@ -155,15 +170,13 @@ class RoundLedger:
         return sum(r.admitted for r in self.uploads)
 
 
-def access_indicator(m: float, theta: float, staleness: int, epsilon: float) -> float:
-    """Contribution score: loss reduction scaled by quality and staleness decay."""
+def access_indicator(m: float, theta: float, staleness: int, gate: GateParams) -> float:
+    """Contribution score: m * theta * (staleness + 1)^(-gate.epsilon)."""
     if staleness < 0:
         raise ConfigurationError(f"staleness must be >= 0, got {staleness}")
     if not 0 < theta <= 1:
         raise ConfigurationError(f"theta must be in (0, 1], got {theta}")
-    if epsilon < 0:
-        raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
-    return m * theta * (staleness + 1) ** (-epsilon)
+    return m * theta * (staleness + 1) ** (-gate.epsilon)
 
 
 def _median(qs: np.ndarray) -> float:
@@ -177,23 +190,21 @@ def _median(qs: np.ndarray) -> float:
     return float((0.0 + ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
-def access_control(entries: list[tuple[int, int, float]], a: float,
-                   phi: float) -> AccessDecision:
+def access_control(entries: list[tuple[int, int, float]],
+                   gate: GateParams) -> AccessDecision:
     """Filter upload scores level by level, then weight the survivors.
 
     entries: (client_id, level, q) triples for one round's uploads.
 
     Within each level the filter compares the mean and median of the level's
-    scores. A gap above `a` signals contamination, so anything below
+    scores. A gap above `gate.a` signals contamination, so anything below
     mean - std is removed; otherwise only extreme outliers below
-    mean - phi * std are removed. Statistics use the population std. After
-    the per-level pass, survivors with q <= 0 are dropped as well, since a
-    nonpositive score would turn aggregation weights meaningless. Weights
-    are q / sum(q) over all remaining uploads, across levels. If nothing
-    survives the round is a no-op.
+    mean - gate.phi * std are removed. Statistics use the population std.
+    After the per-level pass, survivors with q <= 0 are dropped as well,
+    since a nonpositive score would turn aggregation weights meaningless.
+    Weights are q / sum(q) over all remaining uploads, across levels. If
+    nothing survives the round is a no-op.
     """
-    if a < 0 or phi < 0:
-        raise ConfigurationError("a and phi must be nonnegative")
     by_level: dict[int, list[tuple[int, float]]] = {}
     for cid, level, q in entries:
         by_level.setdefault(level, []).append((cid, q))
@@ -207,8 +218,8 @@ def access_control(entries: list[tuple[int, int, float]], a: float,
         mean = float(qs.mean())
         median = _median(qs)
         std = float(qs.std())  # population std
-        tight = abs(mean - median) > a
-        threshold = mean - std if tight else mean - phi * std
+        tight = abs(mean - median) > gate.a
+        threshold = mean - std if tight else mean - gate.phi * std
         level_stats[level] = LevelStats(len(rows), mean, median, std, threshold, tight)
         for cid, q in rows:
             if q < threshold:
@@ -237,8 +248,8 @@ class AsyncSimulation:
         clients: the population, each with its contract terms (ids must be
             unique; any order).
         timing: simulated-delay distribution and aggregation period.
-        a, epsilon, phi: access-control spread gate, staleness decay, and
-            outlier width.
+        gate: the admission gate's spread bound, staleness decay and
+            outlier width, read by `access_indicator` and `access_control`.
         val_data: held-out split scored after every aggregation (a view
             or a Dataset: `nn.evaluate` takes either); its loss history is
             the reference for upload scores.
@@ -248,7 +259,7 @@ class AsyncSimulation:
     """
 
     def __init__(self, model: nn.Model, clients: list[Client],
-                 timing: TimingParams, a: float, epsilon: float, phi: float,
+                 timing: TimingParams, gate: GateParams,
                  val_data: DatasetView, test_data: Dataset, master_seed: int,
                  lr: float, batch_size: int):
         ids = [c.client_id for c in clients]
@@ -257,9 +268,7 @@ class AsyncSimulation:
         self.model = model
         self.clients = sorted(clients, key=lambda c: c.client_id)
         self.timing = timing
-        self.a = a
-        self.epsilon = epsilon
-        self.phi = phi
+        self.gate = gate
         self.val_data = val_data
         self.test_data = test_data
         self.master_seed = master_seed
@@ -305,11 +314,11 @@ class AsyncSimulation:
                 staleness = t - cycle.base_round
                 # loss reduction over the base model; negative when training hurt
                 m = self.val_losses[cycle.base_round] - loss
-                q = access_indicator(m, c.theta, staleness, self.epsilon)
+                q = access_indicator(m, c.theta, staleness, self.gate)
                 uploads.append((c, cycle.finish, staleness, m, q))
 
         decision = access_control([(c.client_id, c.level, q) for c, *_, q in uploads],
-                                  self.a, self.phi)
+                                  self.gate)
         if decision.alphas:
             self.model = nn.aggregate(
                 self.model, [deltas[cid] for cid in decision.alphas],

@@ -32,7 +32,7 @@ from contractfl.contracts import (
     rewards_from_efforts,
     solve_contract,
 )
-from contractfl.simulation import access_control
+from contractfl.simulation import GateParams, access_control
 
 # ten-level reference market used throughout the contract checks
 FULL_MARKET = MarketModel.uniform(
@@ -197,7 +197,7 @@ def test_filter_removes_scores_far_below_level_mean():
             targets[level] = cid
             sizes[level] = n_honest + 1
             cid += 1
-        decision = access_control(entries, a=0.5, phi=3.0)
+        decision = access_control(entries, GateParams(a=0.5, phi=3.0))
         if decision.alphas:
             assert abs(sum(decision.alphas.values()) - 1.0) <= 1e-9
         gone = set(decision.removed_by_filter) | set(decision.removed_nonpositive)

@@ -105,10 +105,12 @@ def test_fedavg_rounds_go_through_the_wrapped_attribute(monkeypatch):
     assert callers == ["run_baseline_experiment"] * 2
 
 
-def test_sgd_steps_match_what_the_artifacts_imply(monkeypatch, tmp_path):
-    # the identity bench/run.py checks on traced runs: every client trains
-    # one cycle per upload plus the one still in flight at the horizon, each
-    # tau * ceil(d_k / batch_size) steps, read back from the artifacts
+def _check_sgd_steps(monkeypatch, tmp_path, pipeline):
+    """The identity bench/run.py checks on traced runs, summed here and by
+    its own artifact reader: an async client trains one cycle per upload
+    plus the one still in flight at the horizon, each
+    tau * ceil(d_k / batch_size) steps; a FedAvg client trains
+    local_epochs * ceil(d_k / batch_size) steps every round."""
     steps = []
     real = nn.loss_and_gradient
 
@@ -117,14 +119,39 @@ def test_sgd_steps_match_what_the_artifacts_imply(monkeypatch, tmp_path):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nn, "loss_and_gradient", counting)
-    experiment.run_async_experiment(tiny_config(rounds=6), out_dir=tmp_path)
+    # run.py puts bench/ on sys.path and turns bytecode writing off
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    artifact_facts = _load("run").artifact_facts
+    if pipeline == "async":
+        experiment.run_async_experiment(tiny_config(rounds=6), out_dir=tmp_path)
+    else:
+        experiment.run_baseline_experiment(tiny_config(rounds=3), "fedavg",
+                                           out_dir=tmp_path)
     with open(tmp_path / "config-echo.json") as fh:
-        batch = json.load(fh)["training"]["batch_size"]
+        cfg = json.load(fh)
+    batch = cfg["training"]["batch_size"]
     with open(tmp_path / "partition.csv", newline="") as fh:
         part = list(csv.DictReader(fh))
-    with open(tmp_path / "ledger.csv", newline="") as fh:
-        uploads = Counter(int(r["client_id"]) for r in csv.DictReader(fh))
-    assert sum(uploads.values()) > 0
-    assert len(steps) == sum(
-        (uploads[int(r["client_id"])] + 1) * int(r["tau"])
-        * math.ceil(int(r["d_k"]) / batch) for r in part)
+    if pipeline == "async":
+        with open(tmp_path / "ledger.csv", newline="") as fh:
+            uploads = Counter(int(r["client_id"]) for r in csv.DictReader(fh))
+        assert sum(uploads.values()) > 0
+        want = sum((uploads[int(r["client_id"])] + 1) * int(r["tau"])
+                   * math.ceil(int(r["d_k"]) / batch) for r in part)
+    else:
+        with open(tmp_path / "rounds.csv", newline="") as fh:
+            rounds = len(list(csv.DictReader(fh)))
+        assert rounds == 3
+        want = rounds * sum(cfg["baseline"]["local_epochs"]
+                            * math.ceil(int(r["d_k"]) / batch) for r in part)
+    assert len(steps) == want
+    assert artifact_facts(tmp_path, pipeline)["trained_steps"] == want
+
+
+def test_sgd_steps_match_what_the_artifacts_imply(monkeypatch, tmp_path):
+    _check_sgd_steps(monkeypatch, tmp_path, "async")
+
+
+def test_fedavg_sgd_steps_match_what_the_artifacts_imply(monkeypatch, tmp_path):
+    _check_sgd_steps(monkeypatch, tmp_path, "fedavg")

@@ -206,6 +206,8 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
     ("contract", "quality.gamma1=-1", "quality.gamma1"),
     ("contract", "partition.val_fraction=1.5", "partition.val_fraction"),
     ("contract", "gate.epsilon=-1", "gate.epsilon"),
+    ("simulate", "gate.a=-1", "gate.a"),
+    ("simulate", "gate.phi=-1", "gate.phi"),
     ("simulate", "timing.delta_t=NaN", "timing.delta_t"),
     ("simulate", "market.xi=NaN", "market.xi"),
     ("partition-stats", "attack.flip_fraction=2", "attack.flip_fraction"),

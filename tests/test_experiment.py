@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from common import make_view, tiny_config
 from contractfl import config, experiment
@@ -51,6 +53,34 @@ def test_select_attackers_count_exceeds_population():
         experiment.select_attackers([client(0, 10, 1)], 2)
     with pytest.raises(ConfigurationError, match="attacker count"):
         experiment.select_attackers([client(0, 10, 1)], -1)
+
+
+def round_robin_attackers(clients, count):
+    """The queue walk select_attackers replaced, kept as its reference: one
+    queue per level, largest d_k first (ties to the lower id), popped one
+    client per level per pass from the highest level down."""
+    queues = {}
+    for c in sorted(clients, key=lambda c: (-c.level, -c.d_k, c.client_id)):
+        queues.setdefault(c.level, []).append(c.client_id)
+    order = []
+    levels = sorted(queues, reverse=True)
+    while len(order) < len(clients):
+        for lv in levels:
+            if queues[lv]:
+                order.append(queues[lv].pop(0))
+    return set(order[:count])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10), st.integers(1, 6)), min_size=1,
+                max_size=30), st.data())
+def test_select_attackers_matches_the_round_robin_walk(rows, data):
+    # few d_k values, so ties within a level are common
+    ids = data.draw(st.permutations(range(len(rows))))
+    clients = [client(cid, d_k, level) for cid, (level, d_k) in zip(ids, rows)]
+    count = data.draw(st.integers(0, len(clients)))
+    assert experiment.select_attackers(clients, count) == \
+        round_robin_attackers(clients, count)
 
 
 def test_prepare_quality_assessed_before_flip():

@@ -48,6 +48,53 @@ def test_model_params_frozen():
         m.params[0] = 1.0
 
 
+def test_model_keeps_an_owned_vector_and_copies_a_view():
+    owned = np.zeros(nn.param_count(DIMS))
+    m = nn.Model(DIMS, owned)
+    assert m.params is owned and not owned.flags.writeable
+    backing = np.zeros(owned.size + 1)
+    v = nn.Model(DIMS, backing[1:])
+    assert not np.shares_memory(v.params, backing)
+    backing[1] = 5.0
+    assert v.params[0] == 0.0
+    for model in (m, v):
+        with pytest.raises(ValueError):
+            model.params[0] = 1.0
+
+
+def _peak_vectors(model, fn):
+    """fn()'s result and its traced peak, in parameter vectors of `model`."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / model.params.nbytes
+
+
+def test_aggregate_of_one_delta_holds_two_parameter_vectors():
+    # the sum and the weighted delta it adds
+    base = nn.init_model((784, 64, 32, 10), seed=0)
+    delta = np.full_like(base.params, 1e-3)
+    out, peak = _peak_vectors(base, lambda: nn.aggregate(base, [delta], [1.0]))
+    assert peak < 2.5
+    with pytest.raises(ValueError):
+        out.params[0] = 1.0
+
+
+def test_training_returns_its_parameters_without_a_copy():
+    # the trained parameters and the gradient buffer; a Model that copied
+    # the vector it is handed adds a third while the buffer is still held
+    base = nn.init_model((784, 64, 32, 10), seed=0)
+    data = make_view(np.full((4, 784), 0.5), [0, 1, 2, 3], 10)
+    (out, _), peak = _peak_vectors(
+        base, lambda: nn.train_epochs_tracked(base, data, 1, 0.1, 4, 0))
+    assert peak < 2.5
+    with pytest.raises(ValueError):
+        out.params[0] = 1.0
+
+
 def _loop_forward(dims, params, x):
     """Per-sample reference: explicit loops, no shared code with nn._forward."""
     sizes = []
@@ -436,6 +483,7 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     path = tmp_path / "model.bin"
     nn.save_model(trained, path)
     loaded = nn.load_model(path)
+    assert loaded.params.flags.owndata and not loaded.params.flags.writeable
     assert loaded.layer_dims == trained.layer_dims
     assert np.array_equal(loaded.params, trained.params)
     assert loaded.params.tobytes() == trained.params.tobytes()

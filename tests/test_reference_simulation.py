@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from common import as_view, blob_data
 from contractfl import nn
 from contractfl.seeds import STREAM_TRAIN, child_seed
-from contractfl.simulation import (AsyncSimulation, Client, RoundLedger, TimingParams,
-                                   UploadRecord, access_control, access_indicator)
+from contractfl.simulation import (AsyncSimulation, Client, GateParams, RoundLedger,
+                                   TimingParams, UploadRecord, access_control,
+                                   access_indicator)
 
-A, EPSILON, PHI, SEED, BATCH = 0.5, 2.0, 3.0, 7, 2
+GATE, SEED, BATCH = GateParams(a=0.5, epsilon=2.0, phi=3.0), 7, 2
 
 
 def reference(model, clients, taus, dt, val, test, lr, rounds):
@@ -38,9 +39,9 @@ def reference(model, clients, taus, dt, val, test, lr, rounds):
                 trained, losses = nn.train_epochs_tracked(base_model, c.data, tau, lr,
                                                           BATCH, seed)
                 m = val_losses[base] - float(losses[-1])
-                q = access_indicator(m, c.theta, t - base, EPSILON)
+                q = access_indicator(m, c.theta, t - base, GATE)
                 ups.append((c, finish, t - base, m, q, trained.params - base_model.params))
-        decision = access_control([(u[0].client_id, u[0].level, u[4]) for u in ups], A, PHI)
+        decision = access_control([(u[0].client_id, u[0].level, u[4]) for u in ups], GATE)
         kept = sorted(decision.alphas)
         if kept:
             delta = {u[0].client_id: u[5] for u in ups}
@@ -76,9 +77,8 @@ def _run_both(specs, rounds, dt, lr):
                for cid, (tau, delay, level, theta) in enumerate(specs)]
     taus = {cid: tau for cid, (tau, *_) in enumerate(specs)}
     model = nn.init_model((1, 4, 4, 2), seed=3)
-    sim = AsyncSimulation(model, clients, TimingParams(delta_t=dt), a=A, epsilon=EPSILON,
-                          phi=PHI, val_data=val, test_data=test, master_seed=SEED, lr=lr,
-                          batch_size=BATCH)
+    sim = AsyncSimulation(model, clients, TimingParams(delta_t=dt), GATE, val_data=val,
+                          test_data=test, master_seed=SEED, lr=lr, batch_size=BATCH)
     sim.run(rounds)
     return sim, reference(model, clients, taus, dt, val, test, lr, rounds)
 

@@ -12,7 +12,7 @@ from contractfl import config, experiment, nn, simulation
 from contractfl.contracts import MarketModel, solve_contract
 from contractfl.errors import ConfigurationError
 from contractfl.seeds import STREAM_TRAIN, child_seed
-from contractfl.simulation import (AsyncSimulation, Client,
+from contractfl.simulation import (AsyncSimulation, Client, GateParams,
                                    RoundLedger, TimingParams, UploadRecord,
                                    access_control, access_indicator,
                                    settle_rewards)
@@ -47,14 +47,14 @@ def eval_sets(seed=1):
     return val, test
 
 
-def make_sim(clients, rounds_seed=7, a=0.5, epsilon=2.0, phi=3.0, delta_t=1.0,
+def make_sim(clients, rounds_seed=7, gate=GateParams(), delta_t=1.0,
              lr=0.5, batch_size=2):
     val, test = eval_sets()
     model = nn.init_model((1, 4, 4, 2), seed=3)
     timing = TimingParams(delta_t=delta_t)
-    return AsyncSimulation(model, clients, timing, a=a, epsilon=epsilon,
-                           phi=phi, val_data=val, test_data=test,
-                           master_seed=rounds_seed, lr=lr, batch_size=batch_size)
+    return AsyncSimulation(model, clients, timing, gate, val_data=val,
+                           test_data=test, master_seed=rounds_seed, lr=lr,
+                           batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -111,25 +111,40 @@ def test_client_is_clamped_exactly_below_one_pass(effort, d_k):
 # Admission scoring
 # ---------------------------------------------------------------------------
 
+GATE = GateParams(a=0.5, epsilon=2.0, phi=3.0)
+
+
 def test_access_indicator_hand_computed():
-    assert abs(access_indicator(0.5, 0.8, 1, 2.0) - 0.1) < 1e-15
-    assert access_indicator(0.5, 0.8, 0, 2.0) == 0.5 * 0.8
-    assert access_indicator(-0.3, 1.0, 0, 2.0) == -0.3  # negative passes through
-    assert access_indicator(1.0, 1.0, 3, 0.0) == 1.0  # no staleness decay
+    assert abs(access_indicator(0.5, 0.8, 1, GATE) - 0.1) < 1e-15
+    assert access_indicator(0.5, 0.8, 0, GATE) == 0.5 * 0.8
+    assert access_indicator(-0.3, 1.0, 0, GATE) == -0.3  # negative passes through
+    # no staleness decay
+    assert access_indicator(1.0, 1.0, 3, GateParams(epsilon=0.0)) == 1.0
 
 
 def test_access_indicator_validation():
     with pytest.raises(ConfigurationError):
-        access_indicator(0.5, 0.8, -1, 2.0)
+        access_indicator(0.5, 0.8, -1, GATE)
     with pytest.raises(ConfigurationError):
-        access_indicator(0.5, 1.2, 0, 2.0)
+        access_indicator(0.5, 1.2, 0, GATE)
     with pytest.raises(ConfigurationError):
-        access_indicator(0.5, 0.8, 0, -2.0)
+        GateParams(epsilon=-2.0)
+
+
+def test_gate_params_own_their_range_checks():
+    # the only check of a, epsilon and phi; NaN fails it too, since a NaN
+    # bound would pass every upload without a word
+    for name in ("a", "epsilon", "phi"):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be >= 0, got -1"):
+            GateParams(**{name: -1.0})
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be >= 0, got nan"):
+            GateParams(**{name: math.nan})
+    assert GateParams(a=0.0, epsilon=0.0, phi=0.0).phi == 0.0
 
 
 def test_access_control_tight_branch_worked_example():
     entries = [(0, 3, 2.0), (1, 3, 1.9), (2, 3, 2.1), (3, 3, -1.0)]
-    decision = access_control(entries, a=0.5, phi=3.0)
+    decision = access_control(entries, GATE)
     stats = decision.level_stats[3]
     assert stats.tight_branch  # |1.25 - 1.95| = 0.7 > 0.5
     assert abs(stats.mean - 1.25) < 1e-12
@@ -146,7 +161,7 @@ def test_access_control_tight_branch_worked_example():
 
 def test_access_control_loose_branch_keeps_everything():
     entries = [(0, 1, 2.0), (1, 1, 2.1), (2, 1, 1.9)]
-    decision = access_control(entries, a=0.5, phi=3.0)
+    decision = access_control(entries, GATE)
     stats = decision.level_stats[1]
     assert not stats.tight_branch  # mean == median == 2.0
     assert abs(stats.threshold - (2.0 - 3.0 * stats.std)) < 1e-12
@@ -158,26 +173,26 @@ def test_access_control_drops_nonpositive_survivors():
     # wide phi lets a negative score through the spread filter; the
     # nonpositive guard still keeps it out of the weights
     entries = [(7, 2, 0.5), (9, 2, -0.2)]
-    decision = access_control(entries, a=10.0, phi=3.0)
+    decision = access_control(entries, GateParams(a=10.0, phi=3.0))
     assert decision.removed_by_filter == ()
     assert decision.removed_nonpositive == (9,)
     assert decision.alphas == {7: 1.0}
 
 
 def test_access_control_all_removed_is_noop():
-    decision = access_control([(0, 1, -0.5), (1, 1, -0.7)], a=0.5, phi=3.0)
+    decision = access_control([(0, 1, -0.5), (1, 1, -0.7)], GATE)
     assert decision.alphas == {}
     assert decision.removed_nonpositive == (0, 1)
 
 
 def test_access_control_empty_round():
-    decision = access_control([], a=0.5, phi=3.0)
+    decision = access_control([], GATE)
     assert decision.alphas == {}
     assert decision.level_stats == {}
 
 
 def test_access_control_single_upload():
-    decision = access_control([(4, 6, 0.42)], a=0.5, phi=3.0)
+    decision = access_control([(4, 6, 0.42)], GATE)
     assert decision.alphas == {4: 1.0}
 
 
@@ -185,7 +200,7 @@ def test_access_control_levels_filtered_independently():
     # the bad upload is an outlier only within its own level
     entries = [(0, 1, 5.0), (1, 1, 5.1), (2, 1, 4.9), (3, 1, 0.1),
                (10, 9, 0.2), (11, 9, 0.25)]
-    decision = access_control(entries, a=0.5, phi=3.0)
+    decision = access_control(entries, GATE)
     assert 3 in decision.removed_by_filter
     assert 10 in decision.alphas and 11 in decision.alphas
 
@@ -196,7 +211,7 @@ def test_access_control_levels_filtered_independently():
                 min_size=1, max_size=30))
 def test_access_control_invariants(rows):
     entries = [(cid, level, float(q)) for cid, (level, q) in enumerate(rows)]
-    decision = access_control(entries, a=0.5, phi=3.0)
+    decision = access_control(entries, GATE)
     ids = {cid for cid, _, _ in entries}
     assert set(decision.alphas) <= ids
     assert list(decision.alphas) == sorted(decision.alphas)  # ascending ids
@@ -333,7 +348,7 @@ def test_poor_upload_rejected_paid_nothing_and_refreshed():
     good1 = sim_client(0, easy_client(0, n=8), delay=0.4, tau=2, level=5)
     good2 = sim_client(1, easy_client(1, n=8), delay=0.5, tau=2, level=5)
     bad = sim_client(2, easy_client(2, n=8, flip=True), delay=0.45, tau=2, level=5)
-    sim = make_sim([good1, good2, bad], a=0.05)
+    sim = make_sim([good1, good2, bad], gate=GateParams(a=0.05))
     ledger = sim.run_round()
     assert ledger.admitted_count == 2
     rec = {r.client_id: r for r in ledger.uploads}
