@@ -6,9 +6,11 @@
 # Exports REV with `git archive` into OUT/parent-tree (no worktree, nothing
 # under .git is touched), copies this tree's scripts/byte_identity.sh over the
 # exported copy so both sides run the same runs, runs it in both trees into
-# OUT/parent and OUT/change, then compares the two with `diff -r` and exits
-# with its status: 0 when every artifact and every masked stdout and stderr
-# is identical. Either byte_identity.sh run failing exits 1 before the diff.
+# OUT/parent and OUT/change, then compares the two with `diff -r`, prints
+# one summary line (the number of files compared, the number that differ or
+# exist on one side only) and exits with diff's status: 0 when every
+# artifact and every masked stdout and stderr is identical. Either
+# byte_identity.sh run failing exits 1 before the diff.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -28,4 +30,10 @@ cp "$ROOT/scripts/byte_identity.sh" "$OUT/parent-tree/scripts/byte_identity.sh"
 
 bash "$OUT/parent-tree/scripts/byte_identity.sh" "$OUT/parent"
 bash "$ROOT/scripts/byte_identity.sh" "$OUT/change"
-diff -r "$OUT/parent" "$OUT/change"
+status=0
+diff -r "$OUT/parent" "$OUT/change" || status=$?
+compared=$(for side in parent change; do (cd "$OUT/$side" && find . -type f); done \
+    | sort -u | wc -l)
+differ=$(diff -rq "$OUT/parent" "$OUT/change" | wc -l || true)
+echo "byte_diff: $compared files compared, $differ differ"
+exit "$status"

@@ -85,9 +85,7 @@ class MarketConfig:
     t_max: float = MarketModel.t_max
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ConfigurationError(f"levels must be >= 1, got {self.levels}")
-        self.to_market()  # the market's own range checks, run at parse time
+        self.to_market()  # the market's own checks, levels included, at parse time
 
     def to_market(self) -> MarketModel:
         return MarketModel.uniform(
@@ -181,7 +179,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigurationError(f"unknown config field {sorted(unknown)[0]!r}")
+            raise ConfigurationError(f"unknown config field {sorted(unknown)[0]}")
         kwargs = {}
         for f in fields(cls):
             if f.name not in d:
@@ -340,7 +338,7 @@ def resolve_config(preset: str | None, config_path: str | None,
         base = PRESETS[preset or "desk"]()
     d = base.to_dict()
     if config_path is not None:
-        _deep_update(d, _read_config_file(config_path), "")
+        _deep_update(d, _read_config_file(config_path))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} is not of the form key=value")
@@ -351,16 +349,14 @@ def resolve_config(preset: str | None, config_path: str | None,
             value = raw  # bare strings are allowed unquoted
         for key in reversed(path.split(".")):
             value = {key: value}
-        _deep_update(d, value, "")
+        _deep_update(d, value)
     return ExperimentConfig.from_dict(d)
 
 
-def _deep_update(base: dict, patch: dict, path: str) -> None:
+def _deep_update(base: dict, patch: dict) -> None:
+    # an unknown key is laid over like any other, for from_dict to reject
     for key, value in patch.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigurationError(f"unknown config field {where}")
-        if isinstance(value, dict) and isinstance(base[key], dict):
-            _deep_update(base[key], value, where)
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _deep_update(base[key], value)
         else:
             base[key] = value

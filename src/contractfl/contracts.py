@@ -128,7 +128,7 @@ class MarketModel:
     def uniform(cls, n_levels: int = 10, **kwargs) -> "MarketModel":
         """Levels at n / N for n = 1..N with equal probabilities."""
         if n_levels < 1:
-            raise ConfigurationError(f"need at least one level, got {n_levels}")
+            raise ConfigurationError(f"levels must be >= 1, got {n_levels}")
         theta = np.arange(1, n_levels + 1, dtype=np.float64) / n_levels
         p = np.full(n_levels, 1.0 / n_levels)
         return cls(theta=theta, p=p, **kwargs)

@@ -194,6 +194,7 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
             f"feature dim {data.dim} does not match input dim {dims[0]}")
     params = model.params.copy()
     workspace = _Workspace(dims, params)
+    prox = np.empty_like(params) if mu else None  # mu * (w - w0), one per call
     rng = np.random.default_rng(rng_seed)
     epoch_losses = np.zeros(epochs)
     step = 0
@@ -204,7 +205,9 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
             if not math.isfinite(loss):
                 raise TrainingDiverged(step, loss)
             if mu:
-                grad += mu * (params - model.params)
+                np.subtract(params, model.params, out=prox)
+                prox *= mu
+                grad += prox
             grad *= lr
             params -= grad
             total += loss * y.shape[0]

@@ -8,14 +8,16 @@ cycle with the contract's own cost model, `MarketModel.energy` at the
 realized effort tau * d_k.
 
 Round t covers the window (t * delta_t, (t + 1) * delta_t]. Clients whose
-cycles finish inside the window form the upload set. Each uploader is
-trained then, from the global model its cycle started on, and scored
-by q = (global validation loss at its base round - its final-epoch training
-loss) * theta * (staleness + 1)^(-epsilon), filtered per level by a
-mean/median spread rule, and the survivors' deltas are applied to the
-current global model with weights proportional to q. Every uploader, kept
-or filtered, receives the fresh global model and starts a new cycle, so a
-rejected client is never stranded on a stale base.
+cycles finish inside the window form the upload set. A cycle carries its
+base, the global model it started on, and that model's validation loss.
+Each uploader is trained then, from its base, and scored by q = (the base's
+validation loss - its final-epoch training loss) * theta *
+(staleness + 1)^(-epsilon), filtered per level by a mean/median spread
+rule, and the survivors' deltas are applied to the current global model
+with weights proportional to q. Every uploader, kept or filtered, receives
+the fresh global model and starts a new cycle, so a rejected client is
+never stranded on a stale base. The simulator holds the live model's
+scores once, with no score history beside the round ledgers.
 
 Execution is single-threaded and clients are always visited in ascending
 client id, which makes every artifact byte-reproducible for a given seed.
@@ -111,13 +113,15 @@ class Client:
 @dataclass(frozen=True)
 class _Cycle:
     """A training cycle in flight: it starts from `base`, the global model of
-    `base_round` (shared by reference, never copied), and uploads at
-    `finish`. Nothing is trained until the upload lands, so a cycle holds no
-    delta and no loss while it is in flight."""
+    `base_round` (shared by reference, never copied), whose validation loss
+    `base_val_loss` its upload is scored against, and uploads at `finish`.
+    Nothing is trained until the upload lands, so a cycle holds no delta
+    and no training loss while it is in flight."""
 
     base_round: int
     finish: float
     base: nn.Model
+    base_val_loss: float
 
 
 @dataclass(frozen=True)
@@ -229,12 +233,9 @@ def access_control(entries: list[tuple[int, int, float]],
 
     removed_nonpositive = [cid for cid, q in survivors if q <= 0]
     kept = [(cid, q) for cid, q in survivors if q > 0]
-    if not kept:
-        if entries:
-            logger.warning("access control removed every upload; round is a no-op")
-        return AccessDecision({}, tuple(sorted(removed_filter)),
-                              tuple(sorted(removed_nonpositive)), level_stats)
-    total = sum(q for _, q in kept)
+    if entries and not kept:
+        logger.warning("access control removed every upload; round is a no-op")
+    total = sum(q for _, q in kept)  # in survivor order: it sets the alphas' bits
     alphas = {cid: q / total for cid, q in sorted(kept)}
     return AccessDecision(alphas, tuple(sorted(removed_filter)),
                           tuple(sorted(removed_nonpositive)), level_stats)
@@ -251,8 +252,8 @@ class AsyncSimulation:
         gate: the admission gate's spread bound, staleness decay and
             outlier width, read by `access_indicator` and `access_control`.
         val_data: held-out split scored after every aggregation (a view
-            or a Dataset: `nn.evaluate` takes either); its loss history is
-            the reference for upload scores.
+            or a Dataset: `nn.evaluate` takes either); each cycle's upload
+            is scored against its base model's loss on it.
         test_data: reporting split for the per-round summary.
         master_seed: seeds each client's per-round shuffle stream.
         lr, batch_size: local SGD settings handed to every client.
@@ -276,17 +277,22 @@ class AsyncSimulation:
         self.batch_size = batch_size
         self.ledgers: list[RoundLedger] = []
         self._cycles: dict[int, _Cycle] = {}
-        self.val_losses = [nn.evaluate(model, val_data)[0]]
-        self._test_loss, self._test_acc = nn.evaluate(model, test_data)
+        self._score_model()
         # every client starts a cycle on the initial model at sim time 0
         for client in self.clients:
             self._start_cycle(client, round_idx=0, start_time=0.0)
+
+    def _score_model(self):
+        """Evaluate the live model: (validation loss, test loss, test accuracy)."""
+        self._scores = (nn.evaluate(self.model, self.val_data)[0],
+                        *nn.evaluate(self.model, self.test_data))
 
     def _start_cycle(self, client: Client, round_idx: int, start_time: float):
         self._cycles[client.client_id] = _Cycle(
             base_round=round_idx,
             finish=start_time + client.tau * client.per_epoch_delay,
-            base=self.model)
+            base=self.model,
+            base_val_loss=self._scores[0])
 
     def _train(self, client: Client, cycle: _Cycle) -> tuple[np.ndarray, float]:
         """Train `client`'s cycle from its base on the cycle's own seed;
@@ -313,7 +319,7 @@ class AsyncSimulation:
                 deltas[c.client_id], loss = self._train(c, cycle)
                 staleness = t - cycle.base_round
                 # loss reduction over the base model; negative when training hurt
-                m = self.val_losses[cycle.base_round] - loss
+                m = cycle.base_val_loss - loss
                 q = access_indicator(m, c.theta, staleness, self.gate)
                 uploads.append((c, cycle.finish, staleness, m, q))
 
@@ -324,11 +330,7 @@ class AsyncSimulation:
                 self.model, [deltas[cid] for cid in decision.alphas],
                 list(decision.alphas.values()))
             deltas.clear()
-            val_loss = nn.evaluate(self.model, self.val_data)[0]
-            self._test_loss, self._test_acc = nn.evaluate(self.model, self.test_data)
-        else:
-            val_loss = self.val_losses[-1]
-        self.val_losses.append(val_loss)
+            self._score_model()
 
         records = tuple(
             UploadRecord(c.client_id, c.level, staleness, m, q, sim_time=finish,
@@ -339,15 +341,10 @@ class AsyncSimulation:
         for c, *_ in uploads:
             self._start_cycle(c, round_idx=t + 1, start_time=window_hi)
 
-        ledger = RoundLedger(
-            round=t,
-            time_end=window_hi,
-            uploads=records,
-            level_stats=decision.level_stats,
-            val_loss=val_loss,
-            test_loss=self._test_loss,
-            test_accuracy=self._test_acc,
-        )
+        val_loss, test_loss, test_accuracy = self._scores
+        ledger = RoundLedger(round=t, time_end=window_hi, uploads=records,
+                             level_stats=decision.level_stats, val_loss=val_loss,
+                             test_loss=test_loss, test_accuracy=test_accuracy)
         self.ledgers.append(ledger)
         return ledger
 

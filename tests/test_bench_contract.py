@@ -81,6 +81,34 @@ def test_traced_layers_wrap_functions_that_exist():
     assert tracer.counts["nn.aggregate_deltas"] == 3
 
 
+def test_traced_layers_wrap_functions_that_are_called(monkeypatch, tmp_path):
+    # a caller that goes around a wrapped attribute would leave its span at 0:
+    # the worker's runs and its contract check must reach every wrap
+    hits = {}
+
+    class CountingTracer(_StubTracer):
+        def wrap(self, owner, attr, name, count=None, phase=False):
+            super().wrap(owner, attr, name, count, phase)
+            real, key = getattr(owner, attr), f"{owner.__name__}.{attr} ({name})"
+            hits[key] = 0
+
+            def counting(*args, **kwargs):
+                hits[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+
+    _load("worker")._trace_layers(
+        CountingTracer(), (baselines, contracts, experiment, nn, simulation))
+    cfg = tiny_config()
+    experiment.run_async_experiment(cfg, out_dir=tmp_path / "async")
+    experiment.run_baseline_experiment(cfg, "fedavg", out_dir=tmp_path / "fedavg")
+    market, curve = cfg.market.to_market(), cfg.curve.to_params()
+    contracts.verify_contract(contracts.solve_contract(market, curve), market)
+    assert hits
+    assert [key for key, n in hits.items() if n == 0] == []
+
+
 def test_worker_calls_bind_to_current_signatures():
     # the calls bench/worker.py makes, argument for argument
     cfg = tiny_config()

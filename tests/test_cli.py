@@ -165,6 +165,19 @@ def test_bad_override_path_exits_two(capsys):
     assert "market.nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,field", [
+    (["--set", "bogus=1"], "bogus"),
+    (["--config", "{tmp}/bogus.json"], "bogus"),
+    (["--config", "{tmp}/nope.json"], "market.nope"),
+])
+def test_unknown_field_exits_two_naming_it(capsys, tmp_path, args, field):
+    (tmp_path / "bogus.json").write_text(json.dumps({"bogus": {"x": 1}}))
+    (tmp_path / "nope.json").write_text(json.dumps({"market": {"nope": 1}}))
+    rc = cli.main(["contract", *(a.format(tmp=tmp_path) for a in args)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: unknown config field {field}\n"
+
+
 def test_bad_config_file_exits_two(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{oops")
