@@ -6,7 +6,8 @@
 #
 # The runs: desk simulate clean and attacked, desk simulate attacked at a
 # gate far from its defaults, a desk simulate whose
-# validation split spans two evaluation chunks, desk baseline fedavg,
+# validation split spans two evaluation chunks, a desk simulate whose
+# clients end their epochs on one-row batches, desk baseline fedavg,
 # fedprox and local-sgd, desk partition-stats, desk contract, fit on noiseless
 # accuracy-curve samples written into OUT/fit-samples.csv, the benchmark's
 # paper-synth workload, and three MNIST-preset runs on IDX files generated
@@ -62,6 +63,10 @@ run simulate-gate simulate --preset desk --attackers 6 --flip-fraction 1.0 \
 # 46,000 rows hold out 4,600 for validation: more than one 4,096-row chunk
 run simulate-val-chunks simulate --preset desk \
     --set dataset.train_count=46000 --rounds 2
+# batches of 11 end every epoch on one row for clients 8, 9, 14 and 17 (111,
+# 100, 67 and 56 rows in partition.csv), all of which upload: the kernel's
+# one-row step, whose products have a vector operand
+run simulate-one-row-batch simulate --preset desk --set training.batch_size=11
 for algorithm in fedavg fedprox local-sgd; do
     run "baseline-$algorithm" baseline "$algorithm" --preset desk
 done

@@ -90,44 +90,79 @@ def init_model(layer_dims, seed: int) -> Model:
     return Model(dims, params)
 
 
-def _forward(views, x):
-    """Hidden activations and logits; each ReLU is applied in place."""
+def _forward(views, x, out=(None, None, None)):
+    """Hidden activations and logits; each ReLU is applied in place. `out`
+    holds the three arrays to write them into, or None for fresh ones."""
     w1, b1, w2, b2, w3, b3 = views
-    a1 = np.matmul(x, w1)
+    a1 = np.dot(x, w1, out=out[0])
     a1 += b1
     np.maximum(a1, 0.0, out=a1)
-    a2 = np.matmul(a1, w2)
+    a2 = np.dot(a1, w2, out=out[1])
     a2 += b2
     np.maximum(a2, 0.0, out=a2)
-    logits = np.matmul(a2, w3)
+    logits = np.dot(a2, w3, out=out[2])
     logits += b3
     return a1, a2, logits
 
 
-def _log_softmax(logits):
-    """Row-wise log-softmax, computed in place over `logits`."""
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
-    logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
+def _log_softmax(logits, tmp=(None, None, None)):
+    """Row-wise log-softmax, computed in place over `logits`. `tmp` holds
+    the (n, classes), (n, 1) and (n, 1) scratch arrays, or None for fresh
+    ones."""
+    exps, row_max, row_sum = tmp
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=row_max)
+    row_sum = np.add.reduce(np.exp(logits, out=exps), axis=1, keepdims=True, out=row_sum)
+    logits -= np.log(row_sum, out=row_sum)
     return logits
+
+
+class _StepBuffers:
+    """Every array one step on a batch of n rows writes: both hidden
+    activations in one block (`a1`, `a2`), both ReLU masks in one bool
+    block, the logits with a flat view, the softmax scratch, d_z2 and d_z1,
+    and each row's offset into the flat logits."""
+
+    __slots__ = ("acts", "a1", "a2", "live", "live1", "live2", "logits", "flat",
+                 "softmax", "d_z2", "d_z1", "offsets", "picks")
+
+    def __init__(self, layer_dims, n):
+        _, d1, d2, d3 = layer_dims
+        self.acts = np.empty(n * (d1 + d2))
+        self.a1 = self.acts[:n * d1].reshape(n, d1)
+        self.a2 = self.acts[n * d1:].reshape(n, d2)
+        self.live = np.empty(self.acts.shape, dtype=bool)
+        self.live1 = self.live[:n * d1].reshape(n, d1)
+        self.live2 = self.live[n * d1:].reshape(n, d2)
+        self.logits = np.empty((n, d3))
+        self.flat = self.logits.reshape(-1)
+        self.softmax = (np.empty((n, d3)), np.empty((n, 1)), np.empty((n, 1)))
+        self.d_z2 = np.empty((n, d2))
+        self.d_z1 = np.empty((n, d1))
+        self.offsets = np.arange(n) * d3
+        self.picks = np.empty_like(self.offsets)
 
 
 class _Workspace:
     """Buffers for one training call: the six parameter views over `params`,
-    one gradient buffer with its views, and np.arange(n) per batch size."""
+    one gradient buffer with its views, and per batch size the
+    `_StepBuffers` that every step of that size writes, built the first
+    time the size is seen. What a warmed step still allocates is the label
+    picks' values and numpy's bool-to-float cast buffer for the masks."""
 
-    __slots__ = ("views", "grad", "grad_views", "_aranges")
+    __slots__ = ("layer_dims", "views", "grad", "grad_views", "_steps")
 
     def __init__(self, layer_dims, params):
+        self.layer_dims = layer_dims
         self.views = _views(layer_dims, params)
         self.grad = np.empty_like(params)
         self.grad_views = _views(layer_dims, self.grad)
-        self._aranges = {}
+        self._steps = {}
 
-    def arange(self, n):
-        rows = self._aranges.get(n)
-        if rows is None:
-            rows = self._aranges[n] = np.arange(n)
-        return rows
+    def step_buffers(self, n):
+        bufs = self._steps.get(n)
+        if bufs is None:
+            bufs = self._steps[n] = _StepBuffers(self.layer_dims, n)
+        return bufs
 
 
 def loss_and_gradient(layer_dims, params, x, y, workspace=None):
@@ -142,25 +177,29 @@ def loss_and_gradient(layer_dims, params, x, y, workspace=None):
     _, _, w2, _, w3, _ = ws.views
     gw1, gb1, gw2, gb2, gw3, gb3 = ws.grad_views
     n = x.shape[0]
-    rows = ws.arange(n)
+    b = ws.step_buffers(n)
 
-    a1, a2, logits = _forward(ws.views, x)
-    log_p = _log_softmax(logits)
-    loss = -float(np.add.reduce(log_p[rows, y])) / n
+    a1, a2, logits = _forward(ws.views, x, (b.a1, b.a2, b.logits))
+    # a ReLU output is positive exactly where its input is
+    np.greater(b.acts, 0.0, out=b.live)
+    log_p = _log_softmax(logits, b.softmax)
+    picks = np.add(b.offsets, y, out=b.picks)  # each row's label in b.flat
+    loss = -float(np.add.reduce(b.flat.take(picks))) / n
 
     d_logits = np.exp(log_p, out=log_p)
-    d_logits[rows, y] -= 1.0
+    b.flat[picks] -= 1.0
     d_logits /= n
 
-    # a ReLU output is positive exactly where its input is
-    np.matmul(a2.T, d_logits, out=gw3)
+    np.dot(a2.T, d_logits, out=gw3)
     np.add.reduce(d_logits, axis=0, out=gb3)
-    d_z2 = np.matmul(d_logits, w3.T)
-    d_z2 *= a2 > 0.0
-    np.matmul(a1.T, d_z2, out=gw2)
+    d_z2 = np.dot(d_logits, w3.T, out=b.d_z2)
+    d_z2 *= b.live2
+    np.dot(a1.T, d_z2, out=gw2)
     np.add.reduce(d_z2, axis=0, out=gb2)
-    d_z1 = np.matmul(d_z2, w2.T)
-    d_z1 *= a1 > 0.0
+    d_z1 = np.dot(d_z2, w2.T, out=b.d_z1)
+    d_z1 *= b.live1
+    # np.dot zero-fills its out before the product; over this (input x
+    # hidden1) block that pass costs more than dot's lighter dispatch saves
     np.matmul(x.T, d_z1, out=gw1)
     np.add.reduce(d_z1, axis=0, out=gb1)
     return loss, ws.grad

@@ -307,11 +307,15 @@ def _oracle_train(model, x, y, epochs, lr, batch_size, seed, mu):
 @pytest.mark.parametrize("dims,batch_size,n,epochs,lr", [
     ((64, 64, 32, 10), 10, 57, 3, 0.15),   # desk shape
     ((784, 64, 32, 10), 20, 53, 2, 0.01),  # MNIST-wide input
+    # one-row steps, where a product has a vector operand (BLAS's gemv)
+    ((64, 64, 32, 10), 10, 51, 3, 0.15),   # every epoch ends on one row
+    ((784, 64, 32, 10), 20, 41, 2, 0.01),
+    ((64, 64, 32, 10), 1, 17, 2, 0.05),    # every step is one row
 ])
 def test_kernel_matches_independent_oracle_bitwise(dims, batch_size, n, epochs, lr, mu):
     # a client holding a scattered subset of a larger pool, and a final
-    # partial batch in every epoch
-    assert n % batch_size
+    # partial batch in every epoch unless every batch is one row
+    assert n % batch_size or batch_size == 1
     rng = np.random.default_rng(dims[0] + n)
     pool = make_dataset(rng.uniform(0.0, 1.0, size=(3 * n, dims[0])),
                         rng.integers(0, dims[-1], size=3 * n), dims[-1])
@@ -339,6 +343,44 @@ def test_loss_and_gradient_returns_fresh_gradients():
     assert loss1 == loss2 and g1.tobytes() == g2.tobytes()
     want_loss, want_grad = _oracle_loss_and_gradient(m.layer_dims, m.params, x, y)
     assert loss1 == want_loss and g1.tobytes() == want_grad.tobytes()
+
+
+def _batch(rng, dims, n):
+    return (rng.uniform(0.0, 1.0, size=(n, dims[0])),
+            rng.integers(0, dims[-1], size=n))
+
+
+def test_warmed_step_allocates_under_16_kb():
+    # at 784-64-32-10 on 20 rows a1 and d_z1 are 10 kB each, a2 and d_z2
+    # 5 kB each: a step that allocated any two of them would exceed 16 kB
+    dims = (784, 64, 32, 10)
+    params = nn.init_model(dims, seed=0).params.copy()
+    workspace = nn._Workspace(dims, params)
+    x, y = _batch(np.random.default_rng(0), dims, 20)
+    for _ in range(2):  # the first step builds the 20-row buffers
+        nn.loss_and_gradient(dims, params, x, y, workspace)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        nn.loss_and_gradient(dims, params, x, y, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 16_000
+
+
+def test_one_workspace_across_batch_sizes_matches_fresh_workspaces():
+    # full and remainder batches alternate, as in a multi-epoch call; each
+    # step's rows differ, so a stale mask or label offset would show
+    dims = (64, 64, 32, 10)
+    rng = np.random.default_rng(3)
+    params = nn.init_model(dims, seed=2).params.copy()
+    workspace = nn._Workspace(dims, params)
+    for n in (10, 3, 10, 3):
+        x, y = _batch(rng, dims, n)
+        loss, grad = nn.loss_and_gradient(dims, params, x, y, workspace)
+        want_loss, want_grad = nn.loss_and_gradient(dims, params, x, y)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
 
 
 def test_training_divergence_raises():
