@@ -8,9 +8,11 @@
 # exported copy so both sides run the same runs, runs it in both trees into
 # OUT/parent and OUT/change, then compares the two with `diff -r`, prints
 # one summary line (the number of files compared, the number that differ or
-# exist on one side only) and exits with diff's status: 0 when every
-# artifact and every masked stdout and stderr is identical. Either
-# byte_identity.sh run failing exits 1 before the diff.
+# exist on one side only) and exits 0 when every artifact and every masked
+# stdout and stderr is identical. A byte_identity.sh run that fails (say,
+# the parent rejects a config field that the change adds) is named on
+# stderr and still compared, so the diff shows which runs it affects; the
+# script then exits 1.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -28,10 +30,12 @@ git -C "$ROOT" archive "$REV" | tar -x -C "$OUT/parent-tree"
 mkdir -p "$OUT/parent-tree/scripts"
 cp "$ROOT/scripts/byte_identity.sh" "$OUT/parent-tree/scripts/byte_identity.sh"
 
-bash "$OUT/parent-tree/scripts/byte_identity.sh" "$OUT/parent"
-bash "$ROOT/scripts/byte_identity.sh" "$OUT/change"
 status=0
-diff -r "$OUT/parent" "$OUT/change" || status=$?
+bash "$OUT/parent-tree/scripts/byte_identity.sh" "$OUT/parent" \
+    || { echo "byte_diff: a parent run failed" >&2; status=1; }
+bash "$ROOT/scripts/byte_identity.sh" "$OUT/change" \
+    || { echo "byte_diff: a change run failed" >&2; status=1; }
+diff -r "$OUT/parent" "$OUT/change" || status=1
 compared=$(for side in parent change; do (cd "$OUT/$side" && find . -type f); done \
     | sort -u | wc -l)
 differ=$(diff -rq "$OUT/parent" "$OUT/change" | wc -l || true)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
+from .nn import check_dtype
 
 logger = logging.getLogger(__name__)
 
@@ -32,15 +33,18 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """A pool of samples: features in [0, 1], integer labels, class count."""
+    """A pool of samples: features in [0, 1], integer labels, class count.
+    The features are float64 or float32, the dtypes `nn` computes in, and
+    keep their dtype; a list of floats becomes float64."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=np.float64)
+        x = np.asarray(self.features)
         y = np.asarray(self.labels, dtype=np.int64)
+        check_dtype(x.dtype, "feature dtype")
         if x.ndim != 2:
             raise ConfigurationError(f"features must be 2-D, got shape {x.shape}")
         if y.shape != (x.shape[0],):
@@ -123,6 +127,11 @@ class DatasetView:
         """Feature width of the parent pool."""
         return self.parent.features.shape[1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """Feature dtype of the parent pool."""
+        return self.parent.features.dtype
+
     def batches(self, order, size: int):
         """Walk positions `order` in contiguous batches of `size` rows (the
         last may be shorter), yielding each batch's features and labels.
@@ -184,10 +193,11 @@ def _be32(blob: bytes, offset: int, what: str) -> int:
 
 
 def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int,
-              max_rows: int | None = None) -> Dataset:
+              max_rows: int | None = None, dtype=np.float64) -> Dataset:
     """Decode a big-endian IDX image/label file pair into a Dataset.
 
-    Pixels are scaled by 1/255 into [0, 1] and images are flattened to rows.
+    Pixels are cast to `dtype` and divided by 255 in it, into [0, 1], and
+    images are flattened to rows.
     With `max_rows`, only the first min(max_rows, count) images are decoded;
     the header, both payload lengths and every label are still checked.
     Malformed input raises DataFormatError naming the byte offset at fault.
@@ -220,8 +230,9 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int,
     keep = count if max_rows is None else min(max_rows, count)
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, count=keep * rows * cols,
                            offset=16)
-    features = pixels.reshape(keep, rows * cols).astype(np.float64)
-    features /= 255.0
+    dtype = check_dtype(dtype, "feature dtype")
+    features = pixels.reshape(keep, rows * cols).astype(dtype)
+    features /= dtype.type(255)
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     bad = np.flatnonzero(labels >= num_classes)
     if bad.size:
@@ -240,10 +251,10 @@ def _read_maybe_gzip(path) -> bytes:
 
 
 def load_idx_pair(image_path, label_path, num_classes: int,
-                  max_rows: int | None = None) -> Dataset:
+                  max_rows: int | None = None, dtype=np.float64) -> Dataset:
     """Read an IDX image/label pair from disk, transparently ungzipping."""
     return parse_idx(_read_maybe_gzip(image_path), _read_maybe_gzip(label_path),
-                     num_classes, max_rows)
+                     num_classes, max_rows, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -429,31 +440,38 @@ def flip_labels(cd: DatasetView, fraction: float, seed: int) -> DatasetView:
 # ---------------------------------------------------------------------------
 
 def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int,
-                   spread: float, seed: int) -> tuple[DatasetView, Dataset]:
+                   spread: float, seed: int,
+                   dtype=np.float64) -> tuple[DatasetView, Dataset]:
     """Generate matching train/test pools of Gaussian class blobs.
 
     Class means are drawn once and shared by both splits; samples add
-    isotropic noise and are clipped into [0, 1], then shuffled. The train
-    split is a shuffled view of its blob matrix, which is never copied; the
-    test split is materialized. Deterministic in seed.
+    isotropic noise and are clipped into [0, 1], then shuffled. The noise is
+    drawn in float64 one class block of rows at a time (the generator fills
+    blocks in sequence, so the values do not depend on the block size), and
+    each block is rounded into a feature matrix of `dtype`. The train split
+    is a shuffled view of its blob matrix, which is never copied; the test
+    split is materialized. Deterministic in seed.
     """
     if num_classes < 2 or dim < 1:
         raise ConfigurationError("synthetic data needs >= 2 classes and >= 1 dim")
     if spread <= 0:
         raise ConfigurationError(f"spread must be > 0, got {spread}")
+    dtype = check_dtype(dtype, "feature dtype")
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.25, 0.75, size=(num_classes, dim))
 
     def draw(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         per = largest_remainder(np.full(num_classes, count / num_classes), count)
         labels = np.repeat(np.arange(num_classes), per)
-        # the labels come in one block per class, so each block takes its
-        # mean in place: noise + mean is bitwise mean + noise
-        x = rng.normal(0.0, spread, size=(count, dim))
-        stops = np.cumsum(per)
+        x = np.empty((count, dim), dtype)
+        start = 0
         for cls in range(num_classes):
-            x[stops[cls] - per[cls]:stops[cls]] += means[cls]
-        np.clip(x, 0.0, 1.0, out=x)
+            # noise + mean is bitwise mean + noise
+            block = rng.normal(0.0, spread, size=(per[cls], dim))
+            block += means[cls]
+            np.clip(block, 0.0, 1.0, out=block)
+            x[start:start + per[cls]] = block
+            start += per[cls]
         return x, labels, rng.permutation(count)
 
     x, labels, perm = draw(train_count)

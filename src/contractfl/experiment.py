@@ -95,19 +95,21 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
     train set in file order. Only the first `dataset.subset` train and
     `dataset.test_subset` test images are decoded; a subset larger than its
     file, or a test file whose images are not as wide as the train file's,
-    is a configuration error."""
+    is a configuration error. Features have the dtype `training.dtype`."""
     dc = cfg.dataset
+    dtype = cfg.training.dtype
     if dc.kind == "synthetic":
         return synthetic_pair(dc.classes, dc.dim, dc.train_count, dc.test_count,
-                              dc.spread, seed=child_seed(cfg.seed, STREAM_DATA))
+                              dc.spread, seed=child_seed(cfg.seed, STREAM_DATA),
+                              dtype=dtype)
     paths = {
         field: _resolve_mnist_path(getattr(dc, field), name, field)
         for field, name in _MNIST_FILES.items()
     }
     train = load_idx_pair(paths["train_images"], paths["train_labels"],
-                          num_classes=10, max_rows=dc.subset)
+                          num_classes=10, max_rows=dc.subset, dtype=dtype)
     test = load_idx_pair(paths["test_images"], paths["test_labels"],
-                         num_classes=10, max_rows=dc.test_subset)
+                         num_classes=10, max_rows=dc.test_subset, dtype=dtype)
     # the loader decodes min(subset, file rows), so a short result means the
     # file itself holds fewer rows than asked for
     for field, split, path in (("subset", train, paths["train_images"]),
@@ -211,7 +213,8 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
 def _init_model(cfg: ExperimentConfig, data: Dataset) -> nn.Model:
     dims = (data.features.shape[1], cfg.training.hidden1, cfg.training.hidden2,
             data.num_classes)
-    return nn.init_model(dims, seed=child_seed(cfg.seed, STREAM_INIT))
+    return nn.init_model(dims, seed=child_seed(cfg.seed, STREAM_INIT),
+                         dtype=cfg.training.dtype)
 
 
 def write_json(obj, path) -> None:

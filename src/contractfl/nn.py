@@ -1,10 +1,16 @@
 """Minimal dense-network engine used by the simulator and baselines.
 
 Architecture is fixed at two hidden layers with ReLU activations and a
-softmax cross-entropy objective. All parameters live in one flat float64
-vector so that client updates can be exchanged, scaled, and aggregated as
-plain arrays. Layout, in order: W1 (in x h1, row-major), b1, W2 (h1 x h2),
-b2, W3 (h2 x out), b3.
+softmax cross-entropy objective. All parameters live in one flat vector so
+that client updates can be exchanged, scaled, and aggregated as plain
+arrays. Layout, in order: W1 (in x h1, row-major), b1, W2 (h1 x h2), b2,
+W3 (h2 x out), b3.
+
+The vector is float64 or float32 (`DTYPES`), and that one dtype is the
+whole computation's: training takes features of the model's dtype and
+rejects others, every buffer of a step is allocated in it, and a delta and
+the merged model keep it. Checkpoints are float64 either way, since
+widening float32 is exact.
 """
 
 from __future__ import annotations
@@ -20,19 +26,34 @@ from .errors import ConfigurationError, ContractViolation, DataFormatError, Trai
 
 _EVAL_CHUNK = 4096
 
+# the parameter and feature dtypes the engine computes in
+DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+
+def check_dtype(dtype, what: str) -> np.dtype:
+    """`dtype` as a numpy dtype if it is one of DTYPES; else a
+    ConfigurationError naming `what`."""
+    dt = np.dtype(dtype)
+    if dt not in DTYPES:
+        raise ConfigurationError(f"{what} must be float64 or float32, got {dt}")
+    return dt
+
 
 @dataclass(frozen=True)
 class Model:
     """Immutable network state: layer sizes plus the flat parameter vector.
-    A float64 vector that owns its data is handed over and frozen in place;
-    one that does not (a view, a `frombuffer` array) is copied first."""
+    The vector is float64 or float32, and a model keeps its dtype; a list
+    of floats becomes float64, and any other dtype is a ConfigurationError.
+    A vector that owns its data is handed over and frozen in place; one
+    that does not (a view, a `frombuffer` array) is copied first."""
 
     layer_dims: tuple[int, int, int, int]
     params: np.ndarray
 
     def __post_init__(self):
         dims = _layer_dims(self.layer_dims)
-        params = np.asarray(self.params, dtype=np.float64)
+        params = np.asarray(self.params)
+        check_dtype(params.dtype, "parameter vector dtype")
         if params.ndim != 1 or params.size != param_count(dims):
             raise ConfigurationError(
                 f"parameter vector has length {params.size}, expected {param_count(dims)}"
@@ -73,13 +94,16 @@ def _views(layer_dims, params):
     return w1, b1, w2, b2, w3, b3
 
 
-def init_model(layer_dims, seed: int) -> Model:
+def init_model(layer_dims, seed: int, dtype=np.float64) -> Model:
     """Build a model with uniform Glorot weights and zero biases.
 
     Each weight matrix is drawn from U(-a, a) with a = sqrt(6 / (fan_in +
-    fan_out)), which keeps activation variance stable across layers.
+    fan_out)), which keeps activation variance stable across layers. The
+    draw is float64 and is rounded to `dtype`, so a float32 model starts at
+    its float64 twin's weights.
     """
     dims = _layer_dims(layer_dims)
+    dtype = check_dtype(dtype, "model dtype")
     rng = np.random.default_rng(seed)
     params = np.zeros(param_count(dims))
     w1, b1, w2, b2, w3, b3 = _views(dims, params)
@@ -87,7 +111,7 @@ def init_model(layer_dims, seed: int) -> Model:
         fan_in, fan_out = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w[:] = rng.uniform(-bound, bound, size=w.shape)
-    return Model(dims, params)
+    return Model(dims, params.astype(dtype, copy=False))
 
 
 def _forward(views, x, out=(None, None, None)):
@@ -117,27 +141,29 @@ def _log_softmax(logits, tmp=(None, None, None)):
 
 
 class _StepBuffers:
-    """Every array one step on a batch of n rows writes: both hidden
-    activations in one block (`a1`, `a2`), both ReLU masks in one bool
-    block, the logits with a flat view, the softmax scratch, d_z2 and d_z1,
-    and each row's offset into the flat logits."""
+    """Every array one step on a batch of n rows writes, in the parameters'
+    dtype: both hidden activations in one block (`a1`, `a2`), both ReLU
+    masks as 0.0/1.0 in one block of the same layout, the logits with a
+    flat view, the softmax scratch, d_z2 and d_z1; and each row's offset
+    into the flat logits."""
 
     __slots__ = ("acts", "a1", "a2", "live", "live1", "live2", "logits", "flat",
                  "softmax", "d_z2", "d_z1", "offsets", "picks")
 
-    def __init__(self, layer_dims, n):
+    def __init__(self, layer_dims, n, dtype):
         _, d1, d2, d3 = layer_dims
-        self.acts = np.empty(n * (d1 + d2))
+        self.acts = np.empty(n * (d1 + d2), dtype)
         self.a1 = self.acts[:n * d1].reshape(n, d1)
         self.a2 = self.acts[n * d1:].reshape(n, d2)
-        self.live = np.empty(self.acts.shape, dtype=bool)
+        self.live = np.empty_like(self.acts)
         self.live1 = self.live[:n * d1].reshape(n, d1)
         self.live2 = self.live[n * d1:].reshape(n, d2)
-        self.logits = np.empty((n, d3))
+        self.logits = np.empty((n, d3), dtype)
         self.flat = self.logits.reshape(-1)
-        self.softmax = (np.empty((n, d3)), np.empty((n, 1)), np.empty((n, 1)))
-        self.d_z2 = np.empty((n, d2))
-        self.d_z1 = np.empty((n, d1))
+        self.softmax = (np.empty((n, d3), dtype), np.empty((n, 1), dtype),
+                        np.empty((n, 1), dtype))
+        self.d_z2 = np.empty((n, d2), dtype)
+        self.d_z1 = np.empty((n, d1), dtype)
         self.offsets = np.arange(n) * d3
         self.picks = np.empty_like(self.offsets)
 
@@ -146,8 +172,9 @@ class _Workspace:
     """Buffers for one training call: the six parameter views over `params`,
     one gradient buffer with its views, and per batch size the
     `_StepBuffers` that every step of that size writes, built the first
-    time the size is seen. What a warmed step still allocates is the label
-    picks' values and numpy's bool-to-float cast buffer for the masks."""
+    time the size is seen. Every buffer has the parameters' dtype. What a
+    warmed step still allocates is the label picks' values and numpy's
+    iterator buffers for the broadcast bias adds."""
 
     __slots__ = ("layer_dims", "views", "grad", "grad_views", "_steps")
 
@@ -161,7 +188,7 @@ class _Workspace:
     def step_buffers(self, n):
         bufs = self._steps.get(n)
         if bufs is None:
-            bufs = self._steps[n] = _StepBuffers(self.layer_dims, n)
+            bufs = self._steps[n] = _StepBuffers(self.layer_dims, n, self.grad.dtype)
         return bufs
 
 
@@ -180,7 +207,8 @@ def loss_and_gradient(layer_dims, params, x, y, workspace=None):
     b = ws.step_buffers(n)
 
     a1, a2, logits = _forward(ws.views, x, (b.a1, b.a2, b.logits))
-    # a ReLU output is positive exactly where its input is
+    # a ReLU output is positive exactly where its input is; the 0.0/1.0
+    # mask multiplies as the bool mask's cast would, with no cast buffer
     np.greater(b.acts, 0.0, out=b.live)
     log_p = _log_softmax(logits, b.softmax)
     picks = np.add(b.offsets, y, out=b.picks)  # each row's label in b.flat
@@ -215,7 +243,8 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
     rng_seed, so equal seeds reproduce the exact trajectory. Each epoch
     walks its shuffled rows in contiguous batches (`data.batches`), the
     final partial batch included, and gathers one batch of rows per step,
-    so a call holds one batch of features however large `data` is.
+    so a call holds one batch of features however large `data` is. The
+    features must have the model's dtype, which every step computes in.
 
     With mu > 0 every gradient gains mu * (w - w0), FedProx's proximal pull
     toward the starting parameters w0; mu = 0 is plain SGD, bit for bit.
@@ -231,6 +260,9 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
     if data.dim != dims[0]:
         raise ConfigurationError(
             f"feature dim {data.dim} does not match input dim {dims[0]}")
+    if data.dtype != model.params.dtype:
+        raise ConfigurationError(
+            f"features are {data.dtype} but the model is {model.params.dtype}")
     params = model.params.copy()
     workspace = _Workspace(dims, params)
     prox = np.empty_like(params) if mu else None  # mu * (w - w0), one per call
@@ -279,9 +311,11 @@ def evaluate(model: Model, data) -> tuple[float, float]:
 def aggregate(base: Model, deltas: list[np.ndarray], weights: list[float]) -> Model:
     """Apply a convex combination of parameter deltas to a base model.
 
-    Weights must be finite, nonnegative and sum to 1 within 1e-9. Accumulation order
-    is canonicalized (sorted by weight, then by delta bytes) so the result
-    does not depend on how the caller ordered the list.
+    Weights must be finite, nonnegative and sum to 1 within 1e-9.
+    Accumulation order is canonicalized (sorted by weight, then by delta
+    bytes) so the result does not depend on how the caller ordered the
+    list. The sum is taken in the base model's dtype: the deltas are read in
+    it (not copied when they have it already) and the result keeps it.
     """
     if len(deltas) != len(weights):
         raise ContractViolation(
@@ -295,9 +329,10 @@ def aggregate(base: Model, deltas: list[np.ndarray], weights: list[float]) -> Mo
         raise ContractViolation(f"negative aggregation weight in {weights}")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ContractViolation(f"aggregation weights sum to {w.sum()!r}, not 1")
+    dtype = base.params.dtype
     arrs = []
     for d in deltas:
-        a = np.asarray(d, dtype=np.float64)
+        a = np.asarray(d, dtype=dtype)
         if a.shape != base.params.shape:
             raise ContractViolation(
                 f"delta length {a.size} does not match model size {base.params.size}")
@@ -312,14 +347,17 @@ def aggregate(base: Model, deltas: list[np.ndarray], weights: list[float]) -> Mo
             run.sort(key=lambda i: arrs[i].tobytes())
         order += run
     out = base.params.copy()
+    term = np.empty_like(out)
     for i in order:
-        out += w[i] * arrs[i]
+        # a Python float weight keeps the product in the deltas' dtype
+        out += np.multiply(arrs[i], float(w[i]), out=term)
     return Model(base.layer_dims, out)
 
 
 def save_model(model: Model, path) -> None:
     """Write a checkpoint: four little-endian uint32 layer dims, then the
-    parameter vector as little-endian float64. Round-trips bit-exactly."""
+    parameter vector as little-endian float64. Round-trips bit-exactly; a
+    float32 model's values come back exactly, as a float64 model."""
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4I", *model.layer_dims))
         fh.write(model.params.astype("<f8", copy=False).tobytes())

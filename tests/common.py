@@ -3,7 +3,10 @@
 `write_mnist_fixture` also runs as a script, so that a shell script can lay
 the same IDX files down without a test session:
 
-    python3 tests/common.py DIR
+    python3 tests/common.py DIR [TRAIN_COUNT TEST_COUNT]
+
+The counts default to the fixture's 1,500 and 300 images; 60000 10000
+writes MNIST-sized files.
 """
 
 import gzip
@@ -19,7 +22,10 @@ from contractfl.simulation import Client
 
 
 def make_dataset(features, labels, num_classes=None):
-    x = np.asarray(features, dtype=np.float64)
+    """A Dataset of float32 rows kept as they are, or of any other rows as
+    float64."""
+    x = np.asarray(features)
+    x = x if x.dtype == np.float32 else x.astype(np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if num_classes is None:
         num_classes = int(y.max()) + 1
@@ -86,8 +92,14 @@ def write_mnist_fixture(out_dir, gz=False, train_count=1500, test_count=300):
     blobs = {}
     for split, count in (("train", train_count), ("t10k", test_count)):
         labels = rng.integers(0, 10, size=count)
-        x = means[labels] + rng.normal(0.0, 0.3, size=(count, 28, 28))
-        blobs[f"{split}-images-idx3-ubyte"] = idx_images(np.round(np.clip(x, 0, 1) * 255))
+        # the noise is drawn 5,000 images at a time, which gives the values
+        # of one draw, so an MNIST-sized file needs no 376 MB float matrix
+        pixels = np.empty((count, 28, 28), dtype=np.uint8)
+        for start in range(0, count, 5000):
+            block = labels[start:start + 5000]
+            x = means[block] + rng.normal(0.0, 0.3, size=(block.size, 28, 28))
+            pixels[start:start + block.size] = np.round(np.clip(x, 0, 1) * 255)
+        blobs[f"{split}-images-idx3-ubyte"] = idx_images(pixels)
         blobs[f"{split}-labels-idx1-ubyte"] = idx_labels(labels)
     os.makedirs(out_dir, exist_ok=True)
     for name, blob in blobs.items():
@@ -96,4 +108,5 @@ def write_mnist_fixture(out_dir, gz=False, train_count=1500, test_count=300):
 
 
 if __name__ == "__main__":
-    write_mnist_fixture(sys.argv[1])
+    counts = dict(zip(("train_count", "test_count"), map(int, sys.argv[2:4])))
+    write_mnist_fixture(sys.argv[1], **counts)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import make_view, tiny_config
-from contractfl import config, experiment
+from contractfl import config, experiment, nn
 from contractfl.contracts import client_utility
 from contractfl.datasets import synthetic_pair
 from contractfl.seeds import STREAM_HOLDOUT, child_seed
@@ -215,6 +215,61 @@ def test_run_async_experiment_artifacts_deterministic(tmp_path):
     assert res1["history"] == res2["history"]
     echo = json.loads((out1 / "config-echo.json").read_text())
     assert echo == cfg.to_dict()
+
+
+@pytest.mark.parametrize("algorithm", ["async", "fedavg"])
+def test_float32_run_keeps_every_array_in_float32(monkeypatch, tmp_path, algorithm):
+    cfg = tiny_config(**{"training.dtype": "float32"})
+    prep = experiment.prepare(cfg)
+    for split in (prep.pool.parent, prep.val.parent, prep.test):
+        assert split.features.dtype == np.float32
+    train, aggregate = nn.train_epochs_tracked, nn.aggregate
+    workspaces, calls = [], {"train": 0, "aggregate": 0}
+
+    class SpyWorkspace(nn._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            workspaces.append(self)
+
+    def spy_train(model, data, *args, **kwargs):
+        assert model.params.dtype == data.dtype == np.float32
+        trained, losses = train(model, data, *args, **kwargs)
+        assert trained.params.dtype == np.float32
+        calls["train"] += 1
+        return trained, losses
+
+    def spy_aggregate(base, deltas, weights):
+        assert base.params.dtype == np.float32
+        assert all(d.dtype == np.float32 for d in deltas)
+        merged = aggregate(base, deltas, weights)
+        assert merged.params.dtype == np.float32
+        calls["aggregate"] += 1
+        return merged
+
+    monkeypatch.setattr(nn, "_Workspace", SpyWorkspace)
+    monkeypatch.setattr(nn, "train_epochs_tracked", spy_train)
+    monkeypatch.setattr(nn, "aggregate", spy_aggregate)
+    runs = []
+    for name in ("run1", "run2"):
+        out = tmp_path / name
+        if algorithm == "async":
+            experiment.run_async_experiment(cfg, str(out))
+        else:
+            experiment.run_baseline_experiment(cfg, algorithm, str(out))
+        runs.append(out)
+    assert calls["train"] > 0 and calls["aggregate"] > 0
+    assert len(workspaces) == calls["train"]
+    for ws in workspaces:
+        assert ws.grad.dtype == np.float32
+        for b in ws._steps.values():
+            for arr in (b.acts, b.live, b.logits, *b.softmax, b.d_z2, b.d_z1):
+                assert arr.dtype == np.float32
+    # the checkpoint stays float64, and a float32 run is as deterministic
+    assert nn.load_model(runs[0] / "model.bin").params.dtype == np.float64
+    for name in os.listdir(runs[0]):
+        assert filecmp.cmp(runs[0] / name, runs[1] / name, shallow=False), name
+    echo = json.loads((runs[0] / "config-echo.json").read_text())
+    assert echo["training"]["dtype"] == "float32"
 
 
 def test_run_async_experiment_result_shape(tmp_path):

@@ -331,6 +331,51 @@ def test_kernel_matches_independent_oracle_bitwise(dims, batch_size, n, epochs, 
     assert got_losses.tobytes() == want_losses.tobytes()
 
 
+@pytest.mark.parametrize("dims,n", [(DIMS, 5), ((64, 64, 32, 10), 10),
+                                     ((784, 64, 32, 10), 20)])
+def test_float32_gradient_matches_the_float64_oracle(dims, n):
+    # the float32 kernel against the float64 oracle at the same (float32)
+    # parameters and rows: within 1e-5 of the largest gradient entry, about
+    # 80 float32 epsilons; the measured worst over 20 seeds is 4.3e-7
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        m = nn.init_model(dims, seed=seed, dtype=np.float32)
+        x, y = _batch(rng, dims, n)
+        x = x.astype(np.float32)
+        loss, grad = nn.loss_and_gradient(dims, m.params, x, y)
+        assert grad.dtype == np.float32
+        want_loss, want = _oracle_loss_and_gradient(dims, m.params.astype(np.float64),
+                                                    x.astype(np.float64), y)
+        assert np.abs(grad - want).max() <= 1e-5 * np.abs(want).max()
+        assert abs(loss - want_loss) <= 1e-5 * want_loss
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+@pytest.mark.parametrize("dims,batch_size,n,epochs,lr", [
+    ((64, 64, 32, 10), 10, 57, 3, 0.15),
+    ((784, 64, 32, 10), 20, 53, 2, 0.01),
+    ((64, 64, 32, 10), 1, 17, 2, 0.05),
+])
+def test_float32_kernel_matches_the_oracle_run_in_float32(dims, batch_size, n,
+                                                          epochs, lr, mu):
+    # the oracle's arithmetic stays in float32 on float32 operands, so the
+    # trained parameters match bit for bit; its mean loss is summed in
+    # float32 and the kernel's in float64, so the losses match to 1e-6
+    rng = np.random.default_rng(dims[0] + n)
+    pool = make_dataset(rng.uniform(0.0, 1.0, size=(3 * n, dims[0])).astype(np.float32),
+                        rng.integers(0, dims[-1], size=3 * n), dims[-1])
+    indices = np.sort(rng.choice(3 * n, size=n, replace=False))
+    client = DatasetView(pool, indices, pool.labels[indices])
+    m = nn.init_model(dims, seed=5, dtype=np.float32)
+    got_model, got_losses = nn.train_epochs_tracked(m, client, epochs, lr,
+                                                    batch_size, 31, mu=mu)
+    want_params, want_losses = _oracle_train(m, pool.features[indices], client.labels,
+                                             epochs, lr, batch_size, 31, mu)
+    assert got_model.params.dtype == want_params.dtype == np.float32
+    assert got_model.params.tobytes() == want_params.tobytes()
+    assert np.abs(got_losses - want_losses).max() < 1e-6
+
+
 def test_loss_and_gradient_returns_fresh_gradients():
     rng = np.random.default_rng(2)
     m = nn.init_model(DIMS, seed=1)
@@ -350,13 +395,14 @@ def _batch(rng, dims, n):
             rng.integers(0, dims[-1], size=n))
 
 
-def test_warmed_step_allocates_under_16_kb():
-    # at 784-64-32-10 on 20 rows a1 and d_z1 are 10 kB each, a2 and d_z2
-    # 5 kB each: a step that allocated any two of them would exceed 16 kB
+def _warmed_step_peak(dtype):
+    """Traced peak of one warmed 784-64-32-10 step on 20 rows in `dtype`,
+    and the bytes of that step's (rows x hidden1) activations."""
     dims = (784, 64, 32, 10)
-    params = nn.init_model(dims, seed=0).params.copy()
+    params = nn.init_model(dims, seed=0, dtype=dtype).params.copy()
     workspace = nn._Workspace(dims, params)
     x, y = _batch(np.random.default_rng(0), dims, 20)
+    x = x.astype(dtype)
     for _ in range(2):  # the first step builds the 20-row buffers
         nn.loss_and_gradient(dims, params, x, y, workspace)
     tracemalloc.start()
@@ -366,7 +412,40 @@ def test_warmed_step_allocates_under_16_kb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start < 16_000
+    return peak - start, workspace.step_buffers(20).a1.nbytes
+
+
+def test_warmed_step_allocates_under_16_kb():
+    # at 784-64-32-10 on 20 rows a1 and d_z1 are 10 kB each, a2 and d_z2
+    # 5 kB each. What a warmed step still allocates at once is at most one
+    # a1-sized block: numpy's iterator buffer for the broadcast bias add
+    # (11.3 kB measured with numpy 2.4), so a step that allocated any two
+    # of them, or that cast a mask to float, would exceed the bound
+    peak, a1_bytes = _warmed_step_peak(np.float64)
+    assert a1_bytes == 10_240
+    assert peak < a1_bytes + 2_000
+
+
+def test_warmed_float32_step_allocates_half():
+    # the same step in float32 holds half the bytes (6.2 kB measured)
+    peak, a1_bytes = _warmed_step_peak(np.float32)
+    assert a1_bytes == 5_120
+    assert peak < a1_bytes + 2_000
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_step_buffers_and_masks_have_the_parameters_dtype(dtype):
+    dims = (64, 64, 32, 10)
+    params = nn.init_model(dims, seed=0, dtype=dtype).params.copy()
+    workspace = nn._Workspace(dims, params)
+    x, y = _batch(np.random.default_rng(1), dims, 7)
+    nn.loss_and_gradient(dims, params, x.astype(dtype), y, workspace)
+    b = workspace.step_buffers(7)
+    assert workspace.grad.dtype == dtype
+    for arr in (b.acts, b.live, b.logits, *b.softmax, b.d_z2, b.d_z1):
+        assert arr.dtype == dtype
+    # the masks are 0.0/1.0 exactly where the activations are positive
+    assert np.array_equal(b.live, (b.acts > 0).astype(dtype))
 
 
 def test_one_workspace_across_batch_sizes_matches_fresh_workspaces():
@@ -404,6 +483,38 @@ def test_train_epochs_validation():
     bad = as_view(blob_data(10, dim=5, seed=0))
     with pytest.raises(ConfigurationError):
         nn.train_epochs_tracked(m, bad, epochs=1, lr=0.1, batch_size=4, rng_seed=0)
+
+
+def test_training_rejects_features_of_another_dtype():
+    wide = as_view(blob_data(10, dim=2, seed=0))
+    narrow = as_view(make_dataset(wide.parent.features.astype(np.float32),
+                                  wide.parent.labels, 2))
+    for dtype, data in ((np.float64, narrow), (np.float32, wide)):
+        m = nn.init_model((2, 4, 4, 2), seed=0, dtype=dtype)
+        with pytest.raises(ConfigurationError, match="float"):
+            nn.train_epochs_tracked(m, data, epochs=1, lr=0.1, batch_size=4, rng_seed=0)
+
+
+def test_model_and_dataset_take_float32_and_float64_only():
+    n = nn.param_count(DIMS)
+    for dtype in (np.float64, np.float32):
+        assert nn.Model(DIMS, np.zeros(n, dtype)).params.dtype == dtype
+        assert make_dataset(np.zeros((2, 3), dtype), [0, 1]).features.dtype == dtype
+    assert nn.Model(DIMS, [0.0] * n).params.dtype == np.float64
+    for dtype in (np.float16, np.int64, np.complex128):
+        with pytest.raises(ConfigurationError, match="dtype"):
+            nn.Model(DIMS, np.zeros(n, dtype))
+        with pytest.raises(ConfigurationError, match="dtype"):
+            Dataset(np.zeros((2, 3), dtype), np.array([0, 1]), 2)
+    with pytest.raises(ConfigurationError, match="dtype"):
+        nn.init_model(DIMS, seed=0, dtype=np.float16)
+
+
+def test_float32_model_rounds_its_float64_twin():
+    wide = nn.init_model(DIMS, seed=3)
+    narrow = nn.init_model(DIMS, seed=3, dtype=np.float32)
+    assert narrow.params.dtype == np.float32
+    assert narrow.params.tobytes() == wide.params.astype(np.float32).tobytes()
 
 
 def test_evaluate_matches_manual():
@@ -499,6 +610,19 @@ def test_aggregate_tied_weights_follow_weight_then_bytes_order():
         assert np.array_equal(out.params, ref)
 
 
+def test_aggregate_keeps_the_float32_dtype():
+    base = nn.init_model(DIMS, seed=0, dtype=np.float32)
+    rng = np.random.default_rng(0)
+    deltas = [rng.normal(0.0, 0.1, base.params.size).astype(np.float32) for _ in range(3)]
+    weights = [0.5, 0.3, 0.2]
+    out = nn.aggregate(base, deltas, weights)
+    assert out.params.dtype == np.float32
+    want = base.params.copy()
+    for d, w in sorted(zip(deltas, weights), key=lambda dw: dw[1]):
+        want += np.float32(w) * d
+    assert out.params.tobytes() == want.tobytes()
+
+
 def test_aggregate_validation():
     base = nn.init_model(DIMS, seed=0)
     d = np.zeros(base.params.size)
@@ -529,6 +653,23 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert loaded.layer_dims == trained.layer_dims
     assert np.array_equal(loaded.params, trained.params)
     assert loaded.params.tobytes() == trained.params.tobytes()
+
+
+def test_float32_checkpoint_roundtrip_exact(tmp_path):
+    # the checkpoint stays float64; widening float32 is exact, so the values
+    # come back unchanged, as a float64 model
+    m = nn.init_model(DIMS, seed=6, dtype=np.float32)
+    blobs = blob_data(20, dim=3, seed=0)
+    data = as_view(make_dataset(blobs.features.astype(np.float32), blobs.labels, 2))
+    trained, _ = nn.train_epochs_tracked(m, data, 1, 0.1, 5, 0)
+    assert trained.params.dtype == np.float32
+    path = tmp_path / "model.bin"
+    nn.save_model(trained, path)
+    assert path.stat().st_size == 16 + 8 * trained.params.size
+    loaded = nn.load_model(path)
+    assert loaded.params.dtype == np.float64
+    assert np.array_equal(loaded.params, trained.params)
+    assert loaded.params.astype(np.float32).tobytes() == trained.params.tobytes()
 
 
 def test_checkpoint_corruption_detected(tmp_path):
