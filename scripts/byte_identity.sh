@@ -11,10 +11,7 @@
 # fedprox and local-sgd, desk partition-stats, desk contract, fit on noiseless
 # accuracy-curve samples written into OUT/fit-samples.csv, the benchmark's
 # paper-synth workload, and three MNIST-preset runs on IDX files generated
-# into OUT/mnist. The desk runs train in float64 and the paper presets in
-# float32 (training.dtype); two more runs check determinism in float32 on
-# both shapes: desk simulate in float32, and a small paper-shaped run on
-# 784-wide synthetic blobs.
+# into OUT/mnist. Every run trains in float32.
 #
 # Each run writes its artifacts to OUT/<run>/, and its stdout and stderr to
 # OUT/<run>.stdout and OUT/<run>.stderr with the output path masked as "OUT",
@@ -73,12 +70,6 @@ run simulate-one-row-batch simulate --preset desk --set training.batch_size=11
 for algorithm in fedavg fedprox local-sgd; do
     run "baseline-$algorithm" baseline "$algorithm" --preset desk
 done
-# the float32 arm at desk shape, and at the paper presets' 784-wide shape
-run simulate-float32 simulate --preset desk --set training.dtype=float32
-run paper-small-float32 simulate --preset paper-noattack --set training.dtype=float32 \
-    --set dataset.kind=synthetic --set dataset.dim=784 \
-    --set dataset.train_count=3000 --set dataset.test_count=500 \
-    --set partition.num_clients=20 --rounds 5
 run partition-stats partition-stats --preset desk
 run contract contract --preset desk
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, fields
 from .contracts import AccuracyCurveParams, MarketModel, QualityParams
 from .datasets import PartitionSpec, holdout_count, zipf_counts
 from .errors import ConfigurationError
-from .nn import DTYPES
 from .simulation import GateParams, TimingParams
 
 
@@ -109,17 +108,11 @@ class TrainingConfig:
     batch_size: int = 20
     hidden1: int = 64
     hidden2: int = 32
-    # the dtype of the features, the parameters and every training buffer:
-    # the name of one of nn.DTYPES
-    dtype: str = "float64"
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError(
                 f"lr must be a positive finite number, got {self.lr}")
-        names = [dt.name for dt in DTYPES]
-        if self.dtype not in names:
-            raise ConfigurationError(f"dtype must be one of {names}, got {self.dtype!r}")
         for name in ("batch_size", "hidden1", "hidden2"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -302,17 +295,13 @@ def preset_desk() -> ExperimentConfig:
 
 
 def preset_paper_noattack() -> ExperimentConfig:
-    """Full-scale run: 100 clients on MNIST, no attackers, trained in
-    float32. At 784 inputs the step is bound by its two 784-wide products,
-    which float32 runs at about twice the float64 rate on half the bytes,
-    with the same final accuracy over seeds (CHANGES.md)."""
+    """Full-scale run: 100 clients on MNIST, no attackers."""
     return ExperimentConfig(
         seed=0,
         rounds=300,
         dataset=DatasetConfig(kind="mnist"),
         partition=PartitionSpec(num_clients=100),
         timing=TimingParams(delta_t=1.0),
-        training=TrainingConfig(dtype="float32"),
     )
 
 

@@ -230,9 +230,8 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int,
     keep = count if max_rows is None else min(max_rows, count)
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, count=keep * rows * cols,
                            offset=16)
-    dtype = check_dtype(dtype, "feature dtype")
     features = pixels.reshape(keep, rows * cols).astype(dtype)
-    features /= dtype.type(255)
+    features /= features.dtype.type(255)
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     bad = np.flatnonzero(labels >= num_classes)
     if bad.size:
@@ -456,7 +455,6 @@ def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int
         raise ConfigurationError("synthetic data needs >= 2 classes and >= 1 dim")
     if spread <= 0:
         raise ConfigurationError(f"spread must be > 0, got {spread}")
-    dtype = check_dtype(dtype, "feature dtype")
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.25, 0.75, size=(num_classes, dim))
 

@@ -51,6 +51,12 @@ logger = logging.getLogger(__name__)
 
 BASELINE_ALGORITHMS = ("fedavg", "fedprox", "local-sgd")
 
+# the one dtype every run trains in: its features, parameters, step buffers
+# and deltas. Over seeds float32 reached float64's final test accuracy on
+# desk and on 784-wide synthetic blobs, at half the bytes and, at 784 wide,
+# about half the step time; nn keeps float64 as the tests' reference
+TRAIN_DTYPE = np.float32
+
 _MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
     "train_labels": "train-labels-idx1-ubyte",
@@ -95,21 +101,21 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
     train set in file order. Only the first `dataset.subset` train and
     `dataset.test_subset` test images are decoded; a subset larger than its
     file, or a test file whose images are not as wide as the train file's,
-    is a configuration error. Features have the dtype `training.dtype`."""
+    is a configuration error. Features are TRAIN_DTYPE."""
     dc = cfg.dataset
-    dtype = cfg.training.dtype
     if dc.kind == "synthetic":
         return synthetic_pair(dc.classes, dc.dim, dc.train_count, dc.test_count,
                               dc.spread, seed=child_seed(cfg.seed, STREAM_DATA),
-                              dtype=dtype)
+                              dtype=TRAIN_DTYPE)
     paths = {
         field: _resolve_mnist_path(getattr(dc, field), name, field)
         for field, name in _MNIST_FILES.items()
     }
     train = load_idx_pair(paths["train_images"], paths["train_labels"],
-                          num_classes=10, max_rows=dc.subset, dtype=dtype)
+                          num_classes=10, max_rows=dc.subset, dtype=TRAIN_DTYPE)
     test = load_idx_pair(paths["test_images"], paths["test_labels"],
-                         num_classes=10, max_rows=dc.test_subset, dtype=dtype)
+                         num_classes=10, max_rows=dc.test_subset,
+                         dtype=TRAIN_DTYPE)
     # the loader decodes min(subset, file rows), so a short result means the
     # file itself holds fewer rows than asked for
     for field, split, path in (("subset", train, paths["train_images"]),
@@ -214,7 +220,7 @@ def _init_model(cfg: ExperimentConfig, data: Dataset) -> nn.Model:
     dims = (data.features.shape[1], cfg.training.hidden1, cfg.training.hidden2,
             data.num_classes)
     return nn.init_model(dims, seed=child_seed(cfg.seed, STREAM_INIT),
-                         dtype=cfg.training.dtype)
+                         dtype=TRAIN_DTYPE)
 
 
 def write_json(obj, path) -> None:

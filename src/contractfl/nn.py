@@ -6,11 +6,11 @@ that client updates can be exchanged, scaled, and aggregated as plain
 arrays. Layout, in order: W1 (in x h1, row-major), b1, W2 (h1 x h2), b2,
 W3 (h2 x out), b3.
 
-The vector is float64 or float32 (`DTYPES`), and that one dtype is the
-whole computation's: training takes features of the model's dtype and
-rejects others, every buffer of a step is allocated in it, and a delta and
-the merged model keep it. Checkpoints are float64 either way, since
-widening float32 is exact.
+The vector is float32, the dtype every run trains in, or float64, the
+tests' reference (`DTYPES`). That one dtype is the whole computation's:
+training takes features of the model's dtype and rejects others, every
+buffer of a step is allocated in it, and a delta and the merged model keep
+it. Checkpoints are float64 either way, since widening float32 is exact.
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ _EVAL_CHUNK = 4096
 DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
-def check_dtype(dtype, what: str) -> np.dtype:
-    """`dtype` as a numpy dtype if it is one of DTYPES; else a
-    ConfigurationError naming `what`."""
-    dt = np.dtype(dtype)
-    if dt not in DTYPES:
-        raise ConfigurationError(f"{what} must be float64 or float32, got {dt}")
-    return dt
+def check_dtype(dtype: np.dtype, what: str) -> None:
+    """A ConfigurationError naming `what` unless `dtype` is one of DTYPES;
+    `Model` and `datasets.Dataset` hold the rule through it."""
+    if dtype not in DTYPES:
+        raise ConfigurationError(f"{what} must be float64 or float32, got {dtype}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ def init_model(layer_dims, seed: int, dtype=np.float64) -> Model:
     its float64 twin's weights.
     """
     dims = _layer_dims(layer_dims)
-    dtype = check_dtype(dtype, "model dtype")
     rng = np.random.default_rng(seed)
     params = np.zeros(param_count(dims))
     w1, b1, w2, b2, w3, b3 = _views(dims, params)

@@ -242,8 +242,6 @@ def test_baseline_rejects_degenerate_training(capsys, algorithm, override, field
     ("partition-stats", "partition.zipf_exponent=-1000", "partition.zipf_exponent"),
     ("simulate", "training.hidden1=0", "training.hidden1"),
     ("simulate", "training.hidden2=-3", "training.hidden2"),
-    ("simulate", "training.dtype=float16", "training.dtype"),
-    ("baseline fedprox", "training.dtype=1", "training.dtype"),
     # a deadline that leaves the contract solver no effort above EFFORT_MIN
     ("partition-stats", "market.t_max=10.000001", "market.t_max"),
     ("contract", "market.t_max=10.000001", "market.t_max"),

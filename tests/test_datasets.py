@@ -311,6 +311,18 @@ def test_synthetic_pair_matches_the_copying_oracle_bitwise():
         assert got_labels.tobytes() == labels.tobytes()
 
 
+def test_float32_synthetic_pair_rounds_its_float64_twin():
+    # runs train on float32 blobs: the float64 draw, each value rounded once
+    args = (7, 5, 303, 101, 0.3, 17)
+    wide_train, wide_test = datasets.synthetic_pair(*args)
+    train, test = datasets.synthetic_pair(*args, dtype=np.float32)
+    assert np.array_equal(train.indices, wide_train.indices)
+    for w, n in ((wide_train.parent, train.parent), (wide_test, test)):
+        assert n.features.dtype == np.float32
+        assert n.features.tobytes() == w.features.astype(np.float32).tobytes()
+        assert np.array_equal(n.labels, w.labels)
+
+
 def test_views_compose_onto_one_root():
     rng = np.random.default_rng(8)
     root = make_dataset(rng.uniform(size=(60, 3)), np.arange(60) % 3, 3)

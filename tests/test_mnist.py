@@ -53,7 +53,7 @@ def test_mnist_pool_and_clients_share_the_loaded_matrix(tmp_path, monkeypatch,
         "partition.num_clients=10", "attack.count=3", *overrides])
     full = load_idx_pair(tmp_path / "train-images-idx3-ubyte",
                          tmp_path / "train-labels-idx1-ubyte", num_classes=10,
-                         dtype=cfg.training.dtype)
+                         dtype=experiment.TRAIN_DTYPE)
     loaded = []
 
     def spy(*args, **kwargs):
@@ -79,23 +79,24 @@ def test_mnist_pool_and_clients_share_the_loaded_matrix(tmp_path, monkeypatch,
         assert np.isin(c.data.indices, prep.pool.indices).all()
 
 
-def test_mnist_decodes_at_the_configured_dtype(tmp_path):
-    # the paper presets train in float32; a float32 decode is the float32
-    # division of the pixels by 255, which equals the float64 decode rounded
-    # to float32 (float64 carries more than twice float32's precision, so
-    # rounding twice rounds as once)
+def test_mnist_decodes_to_float32(tmp_path, monkeypatch):
+    # runs train in float32; a float32 decode is the float32 division of the
+    # pixels by 255, which equals the float64 decode rounded to float32
+    # (float64 carries more than twice float32's precision, so rounding
+    # twice rounds as once)
     write_mnist_fixture(tmp_path)
+    monkeypatch.setenv("MNIST_DIR", str(tmp_path))
     paths = (tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
     wide = load_idx_pair(*paths, num_classes=10)
-    narrow = load_idx_pair(*paths, num_classes=10, dtype=np.float32)
-    assert wide.features.dtype == np.float64 and narrow.features.dtype == np.float32
+    train, test = experiment.build_dataset(config.resolve_config("paper-noattack", None))
+    narrow = train.parent
+    assert wide.features.dtype == np.float64
+    assert narrow.features.dtype == test.features.dtype == np.float32
     pixels = np.round(wide.features * 255).astype(np.uint8)
     want = pixels.astype(np.float32) / np.float32(255)
     assert narrow.features.tobytes() == want.tobytes()
     assert narrow.features.tobytes() == wide.features.astype(np.float32).tobytes()
     assert np.array_equal(narrow.labels, wide.labels)
-    assert config.preset_paper_noattack().training.dtype == "float32"
-    assert config.preset_paper_attack30().training.dtype == "float32"
 
 
 @pytest.mark.parametrize("override,source", [
