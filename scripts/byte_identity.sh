@@ -6,7 +6,7 @@
 #
 # The runs: desk simulate clean and attacked, desk simulate attacked at a
 # gate far from its defaults, a desk simulate whose
-# validation split spans two evaluation chunks, a desk simulate whose
+# validation and test splits each span two evaluation chunks, a desk simulate whose
 # clients end their epochs on one-row batches, desk baseline fedavg,
 # fedprox and local-sgd, desk partition-stats, desk contract, fit on noiseless
 # accuracy-curve samples written into OUT/fit-samples.csv, the benchmark's
@@ -60,9 +60,10 @@ run simulate-attacked simulate --preset desk --attackers 6 --flip-fraction 1.0
 # every gate field off its default, so a simulator that ignored cfg.gate differs
 run simulate-gate simulate --preset desk --attackers 6 --flip-fraction 1.0 \
     --set gate.a=0.1 --set gate.epsilon=1.0 --set gate.phi=1.0
-# 46,000 rows hold out 4,600 for validation: more than one 4,096-row chunk
+# 46,000 rows hold out 4,600 for validation and the test split holds 5,000:
+# each is more than one 4,096-row chunk
 run simulate-val-chunks simulate --preset desk \
-    --set dataset.train_count=46000 --rounds 2
+    --set dataset.train_count=46000 --set dataset.test_count=5000 --rounds 2
 # batches of 11 end every epoch on one row for clients 8, 9, 14 and 17 (111,
 # 100, 67 and 56 rows in partition.csv), all of which upload: the kernel's
 # one-row step, whose products have a vector operand

@@ -1,13 +1,14 @@
 """Dataset handling: IDX files, non-IID client partitioning, label statistics.
 
 Two types. A `Dataset` owns a feature matrix scaled to [0, 1] with its
-labels: the loaded MNIST files, the generated blob matrices and the test
-split are Datasets. A `DatasetView` is an index view into one root Dataset
-plus its own label array. Every split of the training data is one: the
-MNIST train set (every row, or the first `subset`), the shuffled synthetic
-train split, the validation holdout, the pool left after it, and each
-client's shard. Views are trained on one batch of rows at a time
-(`batches`), and both types are evaluated one chunk at a time (`chunks`).
+labels: the loaded MNIST files and the generated blob matrices are
+Datasets. A `DatasetView` is an index view into one root Dataset plus its
+own label array. Every split a run reads is one: the MNIST train and test
+sets (every row, or the first `subset` and `test_subset`), the shuffled
+synthetic train and test splits, the validation holdout, the pool left
+after it, and each client's shard. Rows leave a root matrix only through
+`DatasetView.batches`, which gathers one batch of rows at a time, for
+training and for evaluation alike.
 Views compose, so every view indexes the root matrix directly, and a
 client's labels can be corrupted without touching the pool or any sibling
 client. A view carries no client id; `partition` returns the shards in
@@ -66,23 +67,16 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def chunks(self, size: int):
-        """Walk every row in order, `size` rows at a time (the last chunk may
-        be shorter), yielding each chunk's features and labels as read-only
-        slices, so nothing is copied."""
-        for start in range(0, len(self), size):
-            yield self.features[start:start + size], self.labels[start:start + size]
-
 
 @dataclass(frozen=True)
 class DatasetView:
     """Rows `indices` of a root Dataset `parent`, with a private label array.
 
-    Every split of the training data is one of these: the MNIST train set,
-    the shuffled synthetic train split, the validation holdout, the pool
-    after it, and each client's shard. A view never copies the parent's features whole:
-    training and evaluation gather one batch of rows at a time (`batches`,
-    `chunks`).
+    Every split a run reads is one of these: the MNIST train and test sets,
+    the shuffled synthetic train and test splits, the validation holdout,
+    the pool after it, and each client's shard. A view never copies the
+    parent's features whole: training and evaluation gather one batch of
+    rows at a time (`batches`).
     """
 
     parent: Dataset
@@ -142,11 +136,6 @@ class DatasetView:
         features = self.parent.features
         for start in range(0, src.size, size):
             yield features.take(src[start:start + size], axis=0), y[start:start + size]
-
-    def chunks(self, size: int):
-        """Walk every row in order, `size` rows at a time, as `batches`
-        gathers them: one chunk of rows is copied at a time."""
-        return self.batches(np.arange(self.d_k), size)
 
     @property
     def label_hist(self) -> np.ndarray:
@@ -440,16 +429,16 @@ def flip_labels(cd: DatasetView, fraction: float, seed: int) -> DatasetView:
 
 def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int,
                    spread: float, seed: int,
-                   dtype=np.float64) -> tuple[DatasetView, Dataset]:
+                   dtype=np.float64) -> tuple[DatasetView, DatasetView]:
     """Generate matching train/test pools of Gaussian class blobs.
 
     Class means are drawn once and shared by both splits; samples add
     isotropic noise and are clipped into [0, 1], then shuffled. The noise is
     drawn in float64 one class block of rows at a time (the generator fills
     blocks in sequence, so the values do not depend on the block size), and
-    each block is rounded into a feature matrix of `dtype`. The train split
-    is a shuffled view of its blob matrix, which is never copied; the test
-    split is materialized. Deterministic in seed.
+    each block is rounded into a feature matrix of `dtype`. Each split is a
+    shuffled view of its own blob matrix, which is never copied.
+    Deterministic in seed.
     """
     if num_classes < 2 or dim < 1:
         raise ConfigurationError("synthetic data needs >= 2 classes and >= 1 dim")
@@ -458,7 +447,7 @@ def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.25, 0.75, size=(num_classes, dim))
 
-    def draw(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def draw(count: int) -> DatasetView:
         per = largest_remainder(np.full(num_classes, count / num_classes), count)
         labels = np.repeat(np.arange(num_classes), per)
         x = np.empty((count, dim), dtype)
@@ -470,9 +459,7 @@ def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int
             np.clip(block, 0.0, 1.0, out=block)
             x[start:start + per[cls]] = block
             start += per[cls]
-        return x, labels, rng.permutation(count)
+        perm = rng.permutation(count)
+        return DatasetView(Dataset(x, labels, num_classes), perm, labels[perm])
 
-    x, labels, perm = draw(train_count)
-    train = DatasetView(Dataset(x, labels, num_classes), perm, labels[perm])
-    x, labels, perm = draw(test_count)
-    return train, Dataset(x[perm], labels[perm], num_classes)
+    return draw(train_count), draw(test_count)

@@ -25,6 +25,7 @@ Artifacts written into the output directory:
     ledger.csv         per-upload admission trail (async runs only)
     settlement.json    reward and energy books per client plus publisher totals
     model.bin          final global model checkpoint
+    summary.json       algorithm, rounds, final test loss and accuracy (baselines)
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from . import baselines, nn
 from .config import ExperimentConfig, check_pool
 from .contracts import (ContractMenu, ContractReport, MarketModel, client_utility,
                         data_quality, quality_level, solve_contract, verify_contract)
-from .datasets import (Dataset, DatasetView, emd, flip_labels, load_idx_pair,
+from .datasets import (DatasetView, emd, flip_labels, load_idx_pair,
                        partition, split_holdout, synthetic_pair, uniform_benchmark)
 from .errors import ConfigurationError
 from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
@@ -72,7 +73,7 @@ class Prepared:
     market: MarketModel
     pool: DatasetView
     val: DatasetView
-    test: Dataset
+    test: DatasetView
     clients: list[Client]
     menu: ContractMenu | None
 
@@ -95,10 +96,10 @@ def _resolve_mnist_path(explicit: str | None, default_name: str, field: str) -> 
         f"under MNIST_DIR={root}")
 
 
-def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
-    """Build (train pool, test set) for a config. The train pool is a view of
-    one loaded or generated matrix: the synthetic split shuffled, the MNIST
-    train set in file order. Only the first `dataset.subset` train and
+def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, DatasetView]:
+    """Build (train pool, test set) for a config. Each is a view of its own
+    loaded or generated matrix: the synthetic splits shuffled, the MNIST
+    files in file order. Only the first `dataset.subset` train and
     `dataset.test_subset` test images are decoded; a subset larger than its
     file, or a test file whose images are not as wide as the train file's,
     is a configuration error. Features are TRAIN_DTYPE."""
@@ -132,7 +133,7 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, Dataset]:
     check_pool(len(train), cfg.partition,
                f"dataset.subset {dc.subset}" if dc.subset is not None else
                f"the train file {paths['train_images']} ({len(train)} rows)")
-    return DatasetView(train, np.arange(len(train)), train.labels), test
+    return tuple(DatasetView(ds, np.arange(len(ds)), ds.labels) for ds in (train, test))
 
 
 def select_attackers(clients: list[Client], count: int) -> set[int]:
@@ -216,9 +217,8 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
     return Prepared(market, pool, val, test, clients, menu)
 
 
-def _init_model(cfg: ExperimentConfig, data: Dataset) -> nn.Model:
-    dims = (data.features.shape[1], cfg.training.hidden1, cfg.training.hidden2,
-            data.num_classes)
+def _init_model(cfg: ExperimentConfig, data: DatasetView) -> nn.Model:
+    dims = (data.dim, cfg.training.hidden1, cfg.training.hidden2, data.num_classes)
     return nn.init_model(dims, seed=child_seed(cfg.seed, STREAM_INIT),
                          dtype=TRAIN_DTYPE)
 
@@ -284,7 +284,7 @@ def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     (round, test_loss, test_accuracy, admitted_count) rows.
     """
     prep = prepare(cfg, solve_menu=True)
-    model = _init_model(cfg, prep.pool.parent)
+    model = _init_model(cfg, prep.pool)
     sim = AsyncSimulation(
         model, prep.clients, cfg.timing, cfg.gate, val_data=prep.val,
         test_data=prep.test, master_seed=cfg.seed, lr=cfg.training.lr,
@@ -328,7 +328,7 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
         raise ConfigurationError(
             f"unknown baseline {algorithm!r}; choose from {BASELINE_ALGORITHMS}")
     prep = prepare(cfg, solve_menu=False)
-    model = _init_model(cfg, prep.pool.parent)
+    model = _init_model(cfg, prep.pool)
     epochs, lr, batch_size = (cfg.baseline.local_epochs, cfg.training.lr,
                               cfg.training.batch_size)
     mu = cfg.baseline.prox_mu if algorithm == "fedprox" else 0.0

@@ -285,18 +285,16 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
 
 
 def evaluate(model: Model, data) -> tuple[float, float]:
-    """Mean cross-entropy loss and top-1 accuracy over a Dataset or a view.
+    """Mean cross-entropy loss and top-1 accuracy over a `DatasetView`.
 
-    The rows are walked in order, `_EVAL_CHUNK` at a time (`data.chunks`):
-    a Dataset's chunks are slices, and a view gathers one chunk at a time.
+    The rows are walked in order, `_EVAL_CHUNK` at a time, through
+    `data.batches`, which gathers one chunk of rows at a time.
     """
-    n = len(data)
-    if n == 0:
-        raise ConfigurationError("cannot evaluate on an empty dataset")
+    n = len(data)  # a DatasetView is never empty
     views = _views(model.layer_dims, model.params)
     loss_sum = 0.0
     correct = 0
-    for xs, ys in data.chunks(_EVAL_CHUNK):
+    for xs, ys in data.batches(np.arange(n), _EVAL_CHUNK):
         logits = _forward(views, xs)[-1]
         del xs  # free a gathered chunk before the next one is gathered
         correct += int((logits.argmax(axis=1) == ys).sum())

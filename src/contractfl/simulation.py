@@ -33,7 +33,7 @@ import numpy as np
 
 from . import nn
 from .contracts import ContractMenu, MarketModel, client_utility, local_epochs
-from .datasets import Dataset, DatasetView
+from .datasets import DatasetView
 from .errors import ConfigurationError
 from .seeds import STREAM_TRAIN, child_seed
 
@@ -247,13 +247,12 @@ class AsyncSimulation:
     Args:
         model: initial global model.
         clients: the population, each with its contract terms (ids must be
-            unique; any order).
+            unique; any order; a client without terms is refused).
         timing: simulated-delay distribution and aggregation period.
         gate: the admission gate's spread bound, staleness decay and
             outlier width, read by `access_indicator` and `access_control`.
-        val_data: held-out split scored after every aggregation (a view
-            or a Dataset: `nn.evaluate` takes either); each cycle's upload
-            is scored against its base model's loss on it.
+        val_data: held-out split scored after every aggregation; each
+            cycle's upload is scored against its base model's loss on it.
         test_data: reporting split for the per-round summary.
         master_seed: seeds each client's per-round shuffle stream.
         lr, batch_size: local SGD settings handed to every client.
@@ -261,11 +260,16 @@ class AsyncSimulation:
 
     def __init__(self, model: nn.Model, clients: list[Client],
                  timing: TimingParams, gate: GateParams,
-                 val_data: DatasetView, test_data: Dataset, master_seed: int,
+                 val_data: DatasetView, test_data: DatasetView, master_seed: int,
                  lr: float, batch_size: int):
         ids = [c.client_id for c in clients]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("client ids must be unique")
+        unpriced = [c.client_id for c in clients if c.effort is None]
+        if unpriced:
+            raise ConfigurationError(
+                f"clients {' '.join(map(str, sorted(unpriced)))} have no contract "
+                f"terms; the async simulator needs a solved menu")
         self.model = model
         self.clients = sorted(clients, key=lambda c: c.client_id)
         self.timing = timing

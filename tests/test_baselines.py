@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from common import blob_data, make_client, make_view, tiny_config
+from common import as_view, blob_data, make_client, make_view, tiny_config
 from contractfl import baselines, experiment, nn
 from contractfl.errors import ConfigurationError
 from contractfl.seeds import STREAM_TRAIN, child_seed
@@ -98,7 +98,7 @@ def run_rounds(model, clients, rounds, epochs, lr, master_seed, test, mu=0.0):
 def test_run_fedprox_mu_zero_equals_fedavg_bitwise():
     clients = client_pool([20, 14, 9])
     model = nn.init_model(DIMS, seed=6)
-    test = blob_data(40, num_classes=2, dim=2, seed=99)
+    test = as_view(blob_data(40, num_classes=2, dim=2, seed=99))
     m_avg, h_avg = run_rounds(model, clients, 3, 2, 0.1, 11, test)
     m_prox, h_prox = run_rounds(model, clients, 3, 2, 0.1, 11, test, mu=0.0)
     assert m_avg.params.tobytes() == m_prox.params.tobytes()
@@ -108,7 +108,7 @@ def test_run_fedprox_mu_zero_equals_fedavg_bitwise():
 def test_run_fedprox_positive_mu_differs():
     clients = client_pool([20, 14])
     model = nn.init_model(DIMS, seed=6)
-    test = blob_data(30, num_classes=2, dim=2, seed=98)
+    test = as_view(blob_data(30, num_classes=2, dim=2, seed=98))
     m_avg, _ = run_rounds(model, clients, 2, 2, 0.1, 11, test)
     m_prox, _ = run_rounds(model, clients, 2, 2, 0.1, 11, test, mu=0.1)
     assert not np.array_equal(m_avg.params, m_prox.params)
@@ -117,7 +117,7 @@ def test_run_fedprox_positive_mu_differs():
 def test_run_sync_improves_accuracy():
     clients = client_pool([40, 40, 40])
     model = nn.init_model(DIMS, seed=8)
-    test = blob_data(60, num_classes=2, dim=2, seed=96)
+    test = as_view(blob_data(60, num_classes=2, dim=2, seed=96))
     _, hist = run_rounds(model, clients, 5, 3, 0.3, 17, test)
     assert hist[-1][2] > 0.9
 
@@ -136,7 +136,7 @@ def test_run_sync_history_and_determinism(tmp_path):
     # every client participates in every round
     assert all(row[3] == cfg.partition.num_clients for row in hist)
     prep = experiment.prepare(cfg, solve_menu=False)
-    start = experiment._init_model(cfg, prep.pool.parent)
+    start = experiment._init_model(cfg, prep.pool)
     assert hist[-1][1] < nn.evaluate(start, prep.test)[0]  # training helps
 
 

@@ -278,7 +278,7 @@ def test_synthetic_pair_shapes_and_balance():
     train, test = datasets.synthetic_pair(10, 8, 1000, 250, 0.1, seed=13)
     x = train.parent.features[train.indices]
     assert x.shape == (1000, 8)
-    assert test.features.shape == (250, 8)
+    assert test.parent.features[test.indices].shape == (250, 8)
     assert train.num_classes == test.num_classes == 10
     counts = np.bincount(train.labels, minlength=10)
     assert counts.min() >= 99 and counts.max() <= 101
@@ -303,9 +303,8 @@ def test_synthetic_pair_matches_the_copying_oracle_bitwise():
         want.append((x[perm], labels[perm]))
     train, test = datasets.synthetic_pair(classes, dim, n_train, n_test, spread, seed)
     assert isinstance(train, datasets.DatasetView)
-    assert isinstance(test, datasets.Dataset)
-    got = [(train.parent.features[train.indices], train.labels),
-           (test.features, test.labels)]
+    assert isinstance(test, datasets.DatasetView)
+    got = [(split.parent.features[split.indices], split.labels) for split in (train, test)]
     for (got_x, got_labels), (x, labels) in zip(got, want):
         assert got_x.tobytes() == x.tobytes()
         assert got_labels.tobytes() == labels.tobytes()
@@ -316,10 +315,10 @@ def test_float32_synthetic_pair_rounds_its_float64_twin():
     args = (7, 5, 303, 101, 0.3, 17)
     wide_train, wide_test = datasets.synthetic_pair(*args)
     train, test = datasets.synthetic_pair(*args, dtype=np.float32)
-    assert np.array_equal(train.indices, wide_train.indices)
-    for w, n in ((wide_train.parent, train.parent), (wide_test, test)):
-        assert n.features.dtype == np.float32
-        assert n.features.tobytes() == w.features.astype(np.float32).tobytes()
+    for w, n in ((wide_train, train), (wide_test, test)):
+        assert np.array_equal(n.indices, w.indices)
+        assert n.dtype == np.float32
+        assert n.parent.features.tobytes() == w.parent.features.astype(np.float32).tobytes()
         assert np.array_equal(n.labels, w.labels)
 
 
@@ -347,8 +346,8 @@ def test_synthetic_pair_is_learnable_structure():
     train, test = datasets.synthetic_pair(4, 6, 400, 200, 0.02, seed=3)
     x = train.parent.features[train.indices]
     means = np.stack([x[train.labels == k].mean(axis=0) for k in range(4)])
-    pred = np.argmin(
-        ((test.features[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1)
+    x_test = test.parent.features[test.indices]
+    pred = np.argmin(((x_test[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1)
     assert (pred == test.labels).mean() > 0.95
 
 

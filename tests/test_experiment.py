@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from common import make_view, tiny_config
 from contractfl import config, experiment, nn
 from contractfl.contracts import client_utility
-from contractfl.datasets import synthetic_pair
+from contractfl.datasets import DatasetView, synthetic_pair
 from contractfl.seeds import STREAM_HOLDOUT, child_seed
 from contractfl.simulation import Client
 from contractfl.errors import ConfigurationError
@@ -221,8 +221,8 @@ def test_run_async_experiment_artifacts_deterministic(tmp_path):
 def test_run_keeps_every_array_in_float32(monkeypatch, tmp_path, algorithm):
     cfg = tiny_config()
     prep = experiment.prepare(cfg)
-    for split in (prep.pool.parent, prep.val.parent, prep.test):
-        assert split.features.dtype == np.float32
+    for split in (prep.pool, prep.val, prep.test):
+        assert split.dtype == np.float32
     train, aggregate = nn.train_epochs_tracked, nn.aggregate
     workspaces, calls = [], {"train": 0, "aggregate": 0}
 
@@ -268,6 +268,44 @@ def test_run_keeps_every_array_in_float32(monkeypatch, tmp_path, algorithm):
     assert nn.load_model(runs[0] / "model.bin").params.dtype == np.float64
     for name in os.listdir(runs[0]):
         assert filecmp.cmp(runs[0] / name, runs[1] / name, shallow=False), name
+
+
+@pytest.mark.parametrize("algorithm", ["async", "fedavg"])
+def test_every_evaluation_gathers_its_rows_through_batches(monkeypatch, algorithm):
+    # rows leave a root matrix only through DatasetView.batches: scoring a
+    # split must gather every one of its rows there, whichever split it is
+    batches, evaluate, prepare = DatasetView.batches, nn.evaluate, experiment.prepare
+    gathered, scored, preps = [0], [], []
+
+    def counting_batches(self, order, size):
+        for x, y in batches(self, order, size):
+            gathered[0] += x.shape[0]
+            yield x, y
+
+    def counting_evaluate(model, data):
+        before = gathered[0]
+        result = evaluate(model, data)
+        scored.append((data, gathered[0] - before))
+        return result
+
+    def spy_prepare(*args, **kwargs):
+        preps.append(prepare(*args, **kwargs))
+        return preps[-1]
+
+    monkeypatch.setattr(DatasetView, "batches", counting_batches)
+    monkeypatch.setattr(nn, "evaluate", counting_evaluate)
+    monkeypatch.setattr(experiment, "prepare", spy_prepare)
+    cfg = tiny_config()
+    if algorithm == "async":
+        experiment.run_async_experiment(cfg)
+    else:
+        experiment.run_baseline_experiment(cfg, algorithm)
+    (prep,) = preps
+    names = {id(prep.pool): "pool", id(prep.val): "val", id(prep.test): "test"}
+    assert {names[id(data)] for data, _ in scored} == (
+        {"val", "test"} if algorithm == "async" else {"test"})
+    for data, rows in scored:
+        assert rows == len(data), names[id(data)]
 
 
 def test_run_async_experiment_result_shape(tmp_path):

@@ -91,7 +91,7 @@ def test_mnist_decodes_to_float32(tmp_path, monkeypatch):
     train, test = experiment.build_dataset(config.resolve_config("paper-noattack", None))
     narrow = train.parent
     assert wide.features.dtype == np.float64
-    assert narrow.features.dtype == test.features.dtype == np.float32
+    assert narrow.features.dtype == test.dtype == np.float32
     pixels = np.round(wide.features * 255).astype(np.uint8)
     want = pixels.astype(np.float32) / np.float32(255)
     assert narrow.features.tobytes() == want.tobytes()

@@ -142,12 +142,16 @@ def test_forward_identity_network():
 
 @dataclass
 class _Unchecked:
-    """Rows that skip Dataset's [0, 1] feature check, walked as a Dataset."""
+    """Rows that skip Dataset's [0, 1] feature check, walked as a view."""
 
     features: np.ndarray
     labels: np.ndarray
     __len__ = Dataset.__len__
-    chunks = Dataset.chunks
+
+    def batches(self, order, size):
+        for start in range(0, len(order), size):
+            rows = order[start:start + size]
+            yield self.features[rows], self.labels[rows]
 
 
 def test_uniform_logits_loss_is_log_num_classes():
@@ -200,10 +204,10 @@ def test_train_epochs_deterministic_and_pure():
 
 
 def test_train_epochs_reduces_loss():
-    data = blob_data(120, num_classes=2, dim=2, seed=4)
+    data = as_view(blob_data(120, num_classes=2, dim=2, seed=4))
     m = nn.init_model((2, 8, 8, 2), seed=3)
     loss0, _ = nn.evaluate(m, data)
-    trained, _ = nn.train_epochs_tracked(m, as_view(data), epochs=5, lr=0.5,
+    trained, _ = nn.train_epochs_tracked(m, data, epochs=5, lr=0.5,
                                          batch_size=16, rng_seed=0)
     loss1, acc1 = nn.evaluate(trained, data)
     assert loss1 < loss0
@@ -518,17 +522,17 @@ def test_float32_model_rounds_its_float64_twin():
 
 
 def test_evaluate_matches_manual():
-    data = blob_data(37, num_classes=3, dim=2, seed=5)
+    data = as_view(blob_data(37, num_classes=3, dim=2, seed=5))
     m = nn.init_model((2, 4, 4, 3), seed=5)
     loss, acc = nn.evaluate(m, data)
-    logits = nn._forward(nn._views(m.layer_dims, m.params), data.features)[-1]
+    logits = nn._forward(nn._views(m.layer_dims, m.params), data.parent.features)[-1]
     log_p = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     assert abs(loss + log_p[np.arange(len(data)), data.labels].mean()) < 1e-12
     assert acc == (logits.argmax(axis=1) == data.labels).mean()
 
 
 def test_evaluate_chunking_invariant(monkeypatch):
-    data = blob_data(101, num_classes=2, dim=2, seed=9)
+    data = as_view(blob_data(101, num_classes=2, dim=2, seed=9))
     m = nn.init_model((2, 4, 4, 2), seed=9)
     whole = nn.evaluate(m, data)
     monkeypatch.setattr(nn, "_EVAL_CHUNK", 7)
@@ -539,13 +543,13 @@ def test_evaluate_chunking_invariant(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, nn._EVAL_CHUNK, nn._EVAL_CHUNK + 1])
 def test_evaluate_view_matches_its_gathered_rows_bitwise(n):
-    # the validation split is a view, whose chunks are gathered copies; the
-    # test split is a Dataset, whose chunks are slices: the two must give
-    # the same bits on one row, one full chunk and two chunks
+    # a view gathers each chunk from scattered rows of its root: that must
+    # give the bits of the same rows held as their own root matrix, on one
+    # row, one full chunk and two chunks
     root = blob_data(n + 40, num_classes=3, dim=3, seed=n)
     idx = np.sort(np.random.default_rng(n).permutation(len(root))[:n])
     view = DatasetView(root, idx, root.labels[idx])
-    rows = make_dataset(root.features[idx], root.labels[idx], 3)
+    rows = as_view(make_dataset(root.features[idx], root.labels[idx], 3))
     m = nn.init_model((3, 5, 4, 3), seed=2)
     assert (np.array(nn.evaluate(m, view)).tobytes()
             == np.array(nn.evaluate(m, rows)).tobytes())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from common import make_dataset, make_view
+from common import make_view, tiny_config
 from contractfl import config, experiment, nn, simulation
 from contractfl.contracts import MarketModel, solve_contract
 from contractfl.errors import ConfigurationError
@@ -40,10 +40,10 @@ def eval_sets(seed=1):
     rng = np.random.default_rng(seed)
     y = np.arange(40) % 2
     x = np.where(y == 0, 0.1, 0.9)[:, None] + rng.uniform(-0.05, 0.05, (40, 1))
-    val = make_dataset(np.clip(x, 0, 1), y, 2)
+    val = make_view(np.clip(x, 0, 1), y, 2)
     y2 = np.arange(30) % 2
     x2 = np.where(y2 == 0, 0.1, 0.9)[:, None] + rng.uniform(-0.05, 0.05, (30, 1))
-    test = make_dataset(np.clip(x2, 0, 1), y2, 2)
+    test = make_view(np.clip(x2, 0, 1), y2, 2)
     return val, test
 
 
@@ -338,6 +338,16 @@ def test_client_ids_must_be_unique():
     b = sim_client(0, easy_client(1), delay=0.5)
     with pytest.raises(ConfigurationError):
         make_sim([a, b])
+
+
+def test_clients_without_contract_terms_are_rejected_by_id():
+    # prepare(cfg, solve_menu=False) leaves effort and reward None: such a
+    # client has no cycle length, so the simulator refuses it when built
+    cfg = tiny_config(**{"partition.num_clients": 4})
+    clients = experiment.prepare(cfg, solve_menu=False).clients
+    priced = sim_client(9, easy_client(9), delay=0.5)
+    with pytest.raises(ConfigurationError, match=r"clients 0 1 2 3 have no contract terms"):
+        make_sim([priced, *reversed(clients)])
 
 
 # ---------------------------------------------------------------------------
