@@ -10,8 +10,10 @@
 # clients end their epochs on one-row batches, desk baseline fedavg,
 # fedprox and local-sgd, desk partition-stats, desk contract, fit on noiseless
 # accuracy-curve samples written into OUT/fit-samples.csv, the benchmark's
-# paper-synth workload, and three MNIST-preset runs on IDX files generated
-# into OUT/mnist. Every run trains in float32.
+# paper-synth workload, three MNIST-preset runs on IDX files generated into
+# OUT/mnist, and one MNIST-preset run whose 5,000-image test file, generated
+# into OUT/mnist-test-chunks-data, spans two 4,096-row evaluation chunks.
+# Every run stores its rows as 8-bit pixels and trains in float32.
 #
 # Each run writes its artifacts to OUT/<run>/, and its stdout and stderr to
 # OUT/<run>.stdout and OUT/<run>.stderr with the output path masked as "OUT",
@@ -100,4 +102,8 @@ run mnist-attack30 simulate --preset paper-attack30 \
 subset="--set dataset.subset=1000 --set dataset.test_subset=200"
 run mnist-subset simulate --preset paper-noattack $subset --rounds 30
 run mnist-local-sgd baseline local-sgd --preset paper-noattack $subset --rounds 3
+# every test evaluation decodes the test file's pixels in two chunks
+python3 "$ROOT/tests/common.py" "$OUT/mnist-test-chunks-data" 1500 5000
+export MNIST_DIR="$OUT/mnist-test-chunks-data"
+run mnist-test-chunks simulate --preset paper-noattack --rounds 2
 exit "$failed"

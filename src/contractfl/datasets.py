@@ -1,14 +1,16 @@
 """Dataset handling: IDX files, non-IID client partitioning, label statistics.
 
-Two types. A `Dataset` owns a feature matrix scaled to [0, 1] with its
-labels: the loaded MNIST files and the generated blob matrices are
-Datasets. A `DatasetView` is an index view into one root Dataset plus its
-own label array. Every split a run reads is one: the MNIST train and test
-sets (every row, or the first `subset` and `test_subset`), the shuffled
-synthetic train and test splits, the validation holdout, the pool left
-after it, and each client's shard. Rows leave a root matrix only through
-`DatasetView.batches`, which gathers one batch of rows at a time, for
-training and for evaluation alike.
+Two types. A `Dataset` owns a feature matrix with its labels: the loaded
+MNIST files and the generated blob matrices are Datasets of 8-bit pixel
+rows (uint8, 0-255), one byte per feature, and the tests' reference pools
+hold float rows already in [0, 1]. A `DatasetView` is an index view into
+one root Dataset plus its own label array. Every split a run reads is one:
+the MNIST train and test sets (every row, or the first `subset` and
+`test_subset`), the shuffled synthetic train and test splits, the
+validation holdout, the pool left after it, and each client's shard. Rows
+leave a root matrix only through `DatasetView.batches`, which gathers one
+batch of rows at a time, for training and for evaluation alike, and
+decodes a batch of pixels to float32 in [0, 1] as it gathers it.
 Views compose, so every view indexes the root matrix directly, and a
 client's labels can be corrupted without touching the pool or any sibling
 client. A view carries no client id; `partition` returns the shards in
@@ -31,12 +33,19 @@ logger = logging.getLogger(__name__)
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
+# a pixel row holds one byte per feature; `DatasetView.batches` decodes it to
+# DECODED_DTYPE as the pixel over 255, computed in DECODED_DTYPE
+PIXEL_DTYPE = np.dtype(np.uint8)
+DECODED_DTYPE = np.dtype(np.float32)
+
 
 @dataclass(frozen=True)
 class Dataset:
-    """A pool of samples: features in [0, 1], integer labels, class count.
-    The features are float64 or float32, the dtypes `nn` computes in, and
-    keep their dtype; a list of floats becomes float64."""
+    """A pool of samples: feature rows, integer labels, class count.
+    The features are uint8 pixels (0-255), which views decode to float32 a
+    batch at a time, or float64 or float32 values in [0, 1], the dtypes
+    `nn` computes in, which are read as they are. They keep their dtype; a
+    list of floats becomes float64."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -45,13 +54,14 @@ class Dataset:
     def __post_init__(self):
         x = np.asarray(self.features)
         y = np.asarray(self.labels, dtype=np.int64)
-        check_dtype(x.dtype, "feature dtype")
+        if x.dtype != PIXEL_DTYPE:
+            check_dtype(x.dtype, "feature dtype")
         if x.ndim != 2:
             raise ConfigurationError(f"features must be 2-D, got shape {x.shape}")
         if y.shape != (x.shape[0],):
             raise ConfigurationError(
                 f"labels shape {y.shape} does not match {x.shape[0]} rows")
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        if x.dtype != PIXEL_DTYPE and x.size and (x.min() < 0.0 or x.max() > 1.0):
             raise ConfigurationError("feature values must lie in [0, 1]")
         if self.num_classes < 1:
             raise ConfigurationError(f"num_classes must be >= 1, got {self.num_classes}")
@@ -123,19 +133,28 @@ class DatasetView:
 
     @property
     def dtype(self) -> np.dtype:
-        """Feature dtype of the parent pool."""
-        return self.parent.features.dtype
+        """Dtype of the features `batches` yields: DECODED_DTYPE for a
+        parent of pixels, else the parent's own."""
+        dtype = self.parent.features.dtype
+        return DECODED_DTYPE if dtype == PIXEL_DTYPE else dtype
 
     def batches(self, order, size: int):
         """Walk positions `order` in contiguous batches of `size` rows (the
         last may be shorter), yielding each batch's features and labels.
         Each batch's rows are a fresh copy gathered from the parent pool, so
-        only one batch of features is held at a time."""
+        only one batch of features is held at a time. Pixels are decoded as
+        they are gathered: cast to DECODED_DTYPE and divided by 255 in it,
+        into [0, 1]."""
         src = self.indices[order]
         y = self.labels[order]
         features = self.parent.features
+        pixels = features.dtype == PIXEL_DTYPE
         for start in range(0, src.size, size):
-            yield features.take(src[start:start + size], axis=0), y[start:start + size]
+            x = features.take(src[start:start + size], axis=0)
+            if pixels:
+                x = x.astype(DECODED_DTYPE)
+                x /= DECODED_DTYPE.type(255)
+            yield x, y[start:start + size]
 
     @property
     def label_hist(self) -> np.ndarray:
@@ -182,12 +201,13 @@ def _be32(blob: bytes, offset: int, what: str) -> int:
 
 
 def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int,
-              max_rows: int | None = None, dtype=np.float64) -> Dataset:
-    """Decode a big-endian IDX image/label file pair into a Dataset.
+              max_rows: int | None = None) -> Dataset:
+    """Read a big-endian IDX image/label file pair into a Dataset of pixels.
 
-    Pixels are cast to `dtype` and divided by 255 in it, into [0, 1], and
-    images are flattened to rows.
-    With `max_rows`, only the first min(max_rows, count) images are decoded;
+    Images are flattened to uint8 pixel rows, which a view decodes a batch
+    at a time (`DatasetView.batches`). The rows are copied out of
+    `image_bytes`, so the Dataset keeps none of the file's bytes alive.
+    With `max_rows`, only the first min(max_rows, count) images are kept;
     the header, both payload lengths and every label are still checked.
     Malformed input raises DataFormatError naming the byte offset at fault.
     """
@@ -219,8 +239,7 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int,
     keep = count if max_rows is None else min(max_rows, count)
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, count=keep * rows * cols,
                            offset=16)
-    features = pixels.reshape(keep, rows * cols).astype(dtype)
-    features /= features.dtype.type(255)
+    features = pixels.reshape(keep, rows * cols).copy()
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     bad = np.flatnonzero(labels >= num_classes)
     if bad.size:
@@ -239,10 +258,10 @@ def _read_maybe_gzip(path) -> bytes:
 
 
 def load_idx_pair(image_path, label_path, num_classes: int,
-                  max_rows: int | None = None, dtype=np.float64) -> Dataset:
+                  max_rows: int | None = None) -> Dataset:
     """Read an IDX image/label pair from disk, transparently ungzipping."""
     return parse_idx(_read_maybe_gzip(image_path), _read_maybe_gzip(label_path),
-                     num_classes, max_rows, dtype)
+                     num_classes, max_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +446,10 @@ def flip_labels(cd: DatasetView, fraction: float, seed: int) -> DatasetView:
 # Synthetic data
 # ---------------------------------------------------------------------------
 
+# rows of noise `synthetic_pair` draws into its block at a time
+_DRAW_ROWS = 256
+
+
 def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int,
                    spread: float, seed: int,
                    dtype=np.float64) -> tuple[DatasetView, DatasetView]:
@@ -434,9 +457,11 @@ def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int
 
     Class means are drawn once and shared by both splits; samples add
     isotropic noise and are clipped into [0, 1], then shuffled. The noise is
-    drawn in float64 one class block of rows at a time (the generator fills
-    blocks in sequence, so the values do not depend on the block size), and
-    each block is rounded into a feature matrix of `dtype`. Each split is a
+    drawn in float64, `_DRAW_ROWS` rows of one class at a time into one
+    reused block (the generator fills blocks in sequence, so the values do
+    not depend on the block size), and each block is stored into a feature
+    matrix of `dtype`: rounded to it for a float dtype, or quantized to the
+    pixel round(255 x) for PIXEL_DTYPE, as runs store it. Each split is a
     shuffled view of its own blob matrix, which is never copied.
     Deterministic in seed.
     """
@@ -446,19 +471,26 @@ def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int
         raise ConfigurationError(f"spread must be > 0, got {spread}")
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.25, 0.75, size=(num_classes, dim))
+    pixels = np.dtype(dtype) == PIXEL_DTYPE
+    buf = np.empty((_DRAW_ROWS, dim))
 
     def draw(count: int) -> DatasetView:
         per = largest_remainder(np.full(num_classes, count / num_classes), count)
         labels = np.repeat(np.arange(num_classes), per)
         x = np.empty((count, dim), dtype)
-        start = 0
-        for cls in range(num_classes):
-            # noise + mean is bitwise mean + noise
-            block = rng.normal(0.0, spread, size=(per[cls], dim))
-            block += means[cls]
-            np.clip(block, 0.0, 1.0, out=block)
-            x[start:start + per[cls]] = block
-            start += per[cls]
+        ends = np.cumsum(per)
+        for cls, end in enumerate(ends):
+            for start in range(end - per[cls], end, _DRAW_ROWS):
+                block = buf[:min(_DRAW_ROWS, end - start)]
+                # spread * z + mean is bitwise rng.normal(0, spread) + mean
+                rng.standard_normal(out=block)
+                block *= spread
+                block += means[cls]
+                np.clip(block, 0.0, 1.0, out=block)
+                if pixels:
+                    block *= 255
+                    np.round(block, out=block)
+                x[start:start + block.shape[0]] = block
         perm = rng.permutation(count)
         return DatasetView(Dataset(x, labels, num_classes), perm, labels[perm])
 

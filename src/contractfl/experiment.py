@@ -41,8 +41,9 @@ from . import baselines, nn
 from .config import ExperimentConfig, check_pool
 from .contracts import (ContractMenu, ContractReport, MarketModel, client_utility,
                         data_quality, quality_level, solve_contract, verify_contract)
-from .datasets import (DatasetView, emd, flip_labels, load_idx_pair,
-                       partition, split_holdout, synthetic_pair, uniform_benchmark)
+from .datasets import (DECODED_DTYPE, PIXEL_DTYPE, DatasetView, emd, flip_labels,
+                       load_idx_pair, partition, split_holdout, synthetic_pair,
+                       uniform_benchmark)
 from .errors import ConfigurationError
 from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
                     STREAM_INIT, STREAM_PARTITION, STREAM_TRAIN, child_seed)
@@ -52,11 +53,13 @@ logger = logging.getLogger(__name__)
 
 BASELINE_ALGORITHMS = ("fedavg", "fedprox", "local-sgd")
 
-# the one dtype every run trains in: its features, parameters, step buffers
-# and deltas. Over seeds float32 reached float64's final test accuracy on
-# desk and on 784-wide synthetic blobs, at half the bytes and, at 784 wide,
-# about half the step time; nn keeps float64 as the tests' reference
-TRAIN_DTYPE = np.float32
+# the one dtype every run trains in: its parameters, step buffers, deltas
+# and the feature batches its pixel rows decode to. Over seeds float32
+# reached float64's final test accuracy on desk and on 784-wide synthetic
+# blobs, at half the bytes and, at 784 wide, about half the step time; nn
+# keeps float64 as the tests' reference. Every run stores its rows as
+# PIXEL_DTYPE, one byte per feature, and decodes one batch at a time
+TRAIN_DTYPE = DECODED_DTYPE
 
 _MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -100,28 +103,30 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, DatasetView]:
     """Build (train pool, test set) for a config. Each is a view of its own
     loaded or generated matrix: the synthetic splits shuffled, the MNIST
     files in file order. Only the first `dataset.subset` train and
-    `dataset.test_subset` test images are decoded; a subset larger than its
-    file, or a test file whose images are not as wide as the train file's,
-    is a configuration error. Features are TRAIN_DTYPE."""
+    `dataset.test_subset` test images are kept; a file that holds no
+    images, a subset larger than its file, or a test file whose images are
+    not as wide as the train file's, is a configuration error. Rows are
+    PIXEL_DTYPE, which the views decode to TRAIN_DTYPE."""
     dc = cfg.dataset
     if dc.kind == "synthetic":
         return synthetic_pair(dc.classes, dc.dim, dc.train_count, dc.test_count,
                               dc.spread, seed=child_seed(cfg.seed, STREAM_DATA),
-                              dtype=TRAIN_DTYPE)
+                              dtype=PIXEL_DTYPE)
     paths = {
         field: _resolve_mnist_path(getattr(dc, field), name, field)
         for field, name in _MNIST_FILES.items()
     }
     train = load_idx_pair(paths["train_images"], paths["train_labels"],
-                          num_classes=10, max_rows=dc.subset, dtype=TRAIN_DTYPE)
+                          num_classes=10, max_rows=dc.subset)
     test = load_idx_pair(paths["test_images"], paths["test_labels"],
-                         num_classes=10, max_rows=dc.test_subset,
-                         dtype=TRAIN_DTYPE)
-    # the loader decodes min(subset, file rows), so a short result means the
+                         num_classes=10, max_rows=dc.test_subset)
+    # the loader keeps min(subset, file rows), so a short result means the
     # file itself holds fewer rows than asked for
-    for field, split, path in (("subset", train, paths["train_images"]),
-                               ("test_subset", test, paths["test_images"])):
-        want = getattr(dc, field)
+    for field, split, images in (("subset", train, "train_images"),
+                                 ("test_subset", test, "test_images")):
+        want, path = getattr(dc, field), paths[images]
+        if len(split) == 0:
+            raise ConfigurationError(f"dataset.{images}: {path} holds no images")
         if want is not None and want > len(split):
             raise ConfigurationError(f"dataset.{field} {want} exceeds the "
                                      f"{len(split)} rows of {path}")

@@ -8,9 +8,10 @@ W3 (h2 x out), b3.
 
 The vector is float32, the dtype every run trains in, or float64, the
 tests' reference (`DTYPES`). That one dtype is the whole computation's:
-training takes features of the model's dtype and rejects others, every
-buffer of a step is allocated in it, and a delta and the merged model keep
-it. Checkpoints are float64 either way, since widening float32 is exact.
+training takes features of the model's dtype (a view of pixel rows
+decodes to float32) and rejects others, every buffer of a step is
+allocated in it, and a delta and the merged model keep it. Checkpoints
+are float64 either way, since widening float32 is exact.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 def check_dtype(dtype: np.dtype, what: str) -> None:
     """A ConfigurationError naming `what` unless `dtype` is one of DTYPES;
-    `Model` and `datasets.Dataset` hold the rule through it."""
+    `Model` and a `datasets.Dataset` of float rows hold the rule through it."""
     if dtype not in DTYPES:
         raise ConfigurationError(f"{what} must be float64 or float32, got {dtype}")
 

@@ -2,6 +2,7 @@ import gzip
 import logging
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,9 @@ def test_parse_idx_worked_example():
     imgs = [[[0, 51], [102, 255]], [[255, 0], [0, 0]]]
     ds = datasets.parse_idx(idx_images(imgs), idx_labels([7, 0]), num_classes=8)
     assert ds.features.shape == (2, 4)
-    assert np.allclose(ds.features[0], [0, 51 / 255, 102 / 255, 1.0], atol=1e-12)
+    assert ds.features[0].tolist() == [0, 51, 102, 255]
+    x, _ = next(datasets.DatasetView(ds, [0, 1], ds.labels).batches([0], 1))
+    assert np.allclose(x[0], [0, 51 / 255, 102 / 255, 1.0], atol=1e-7)
     assert ds.labels.tolist() == [7, 0]
 
 
@@ -310,16 +313,66 @@ def test_synthetic_pair_matches_the_copying_oracle_bitwise():
         assert got_labels.tobytes() == labels.tobytes()
 
 
-def test_float32_synthetic_pair_rounds_its_float64_twin():
-    # runs train on float32 blobs: the float64 draw, each value rounded once
+def test_pixel_synthetic_pair_quantizes_its_float64_twin():
+    # runs store synthetic blobs as pixels: the float64 draw, each value
+    # quantized once to round(255 x)
     args = (7, 5, 303, 101, 0.3, 17)
     wide_train, wide_test = datasets.synthetic_pair(*args)
-    train, test = datasets.synthetic_pair(*args, dtype=np.float32)
+    train, test = datasets.synthetic_pair(*args, dtype=np.uint8)
     for w, n in ((wide_train, train), (wide_test, test)):
         assert np.array_equal(n.indices, w.indices)
+        assert n.parent.features.dtype == np.uint8
         assert n.dtype == np.float32
-        assert n.parent.features.tobytes() == w.parent.features.astype(np.float32).tobytes()
+        want = np.round(255 * w.parent.features).astype(np.uint8)
+        assert n.parent.features.tobytes() == want.tobytes()
         assert np.array_equal(n.labels, w.labels)
+
+
+def test_pixel_synthetic_pair_stores_one_byte_per_feature():
+    # the paper-synth shape: both pixel matrices, one 256-row float64 noise
+    # block, and 1 MB of slack for the labels, permutations and index
+    # arrays (about 0.6 MB); a per-class float64 block of 2,000 rows alone
+    # would take 12.5 MB
+    classes, dim, n_train, n_test = 10, 784, 20000, 2000
+    # a first call imports what numpy loads lazily
+    datasets.synthetic_pair(2, 1, 2, 2, 0.3, seed=0, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        train, test = datasets.synthetic_pair(classes, dim, n_train, n_test, 0.3,
+                                              seed=0, dtype=np.uint8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert train.parent.features.itemsize == test.parent.features.itemsize == 1
+    assert peak < (n_train + n_test) * dim + 256 * dim * 8 + (1 << 20)
+
+
+def test_pixel_rows_decode_to_float32_bitwise():
+    # every pixel value, gathered through batches in a shuffled order and in
+    # batches that do not divide the rows
+    pixels = np.arange(256, dtype=np.uint8).reshape(32, 8)
+    ds = datasets.Dataset(pixels, np.arange(32) % 3, 3)
+    view = datasets.DatasetView(ds, np.arange(32), ds.labels.copy())
+    assert view.dtype == np.float32
+    order = np.random.default_rng(4).permutation(32)
+    got = np.empty((32, 8), np.float32)
+    for start, (x, y) in zip(range(0, 32, 5), view.batches(order, 5)):
+        assert x.dtype == np.float32
+        got[order[start:start + len(y)]] = x
+        assert np.array_equal(y, ds.labels[order[start:start + len(y)]])
+    want = np.arange(256, dtype=np.float32) / np.float32(255)
+    assert got.ravel().tobytes() == want.tobytes()
+
+
+def test_parse_idx_keeps_pixels_that_own_their_data():
+    imgs = [[[0, 51], [102, 255]], [[255, 0], [0, 0]], [[9, 9], [9, 9]]]
+    blob = idx_images(imgs)
+    for max_rows in (None, 1, 2):
+        ds = datasets.parse_idx(blob, idx_labels([7, 0, 2]), num_classes=8,
+                                max_rows=max_rows)
+        assert ds.features.dtype == np.uint8
+        assert ds.features.flags.owndata
+        assert ds.features.tolist() == np.reshape(imgs, (3, 4))[:max_rows].tolist()
 
 
 def test_views_compose_onto_one_root():

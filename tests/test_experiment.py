@@ -219,12 +219,22 @@ def test_run_async_experiment_artifacts_deterministic(tmp_path):
 
 @pytest.mark.parametrize("algorithm", ["async", "fedavg"])
 def test_run_keeps_every_array_in_float32(monkeypatch, tmp_path, algorithm):
+    # rows are stored as pixels, one byte per feature, and everything
+    # computed from them is float32: each gathered batch, model and delta
     cfg = tiny_config()
     prep = experiment.prepare(cfg)
     for split in (prep.pool, prep.val, prep.test):
+        assert split.parent.features.dtype == np.uint8
         assert split.dtype == np.float32
-    train, aggregate = nn.train_epochs_tracked, nn.aggregate
-    workspaces, calls = [], {"train": 0, "aggregate": 0}
+    train, aggregate, batches = nn.train_epochs_tracked, nn.aggregate, DatasetView.batches
+    workspaces, calls = [], {"train": 0, "aggregate": 0, "batches": 0}
+
+    def spy_batches(self, order, size):
+        assert self.parent.features.dtype == np.uint8
+        for x, y in batches(self, order, size):
+            assert x.dtype == np.float32
+            calls["batches"] += 1
+            yield x, y
 
     class SpyWorkspace(nn._Workspace):
         def __init__(self, *args):
@@ -249,6 +259,7 @@ def test_run_keeps_every_array_in_float32(monkeypatch, tmp_path, algorithm):
     monkeypatch.setattr(nn, "_Workspace", SpyWorkspace)
     monkeypatch.setattr(nn, "train_epochs_tracked", spy_train)
     monkeypatch.setattr(nn, "aggregate", spy_aggregate)
+    monkeypatch.setattr(DatasetView, "batches", spy_batches)
     runs = []
     for name in ("run1", "run2"):
         out = tmp_path / name
@@ -257,7 +268,7 @@ def test_run_keeps_every_array_in_float32(monkeypatch, tmp_path, algorithm):
         else:
             experiment.run_baseline_experiment(cfg, algorithm, str(out))
         runs.append(out)
-    assert calls["train"] > 0 and calls["aggregate"] > 0
+    assert calls["train"] > 0 and calls["aggregate"] > 0 and calls["batches"] > 0
     assert len(workspaces) == calls["train"]
     for ws in workspaces:
         assert ws.grad.dtype == np.float32

@@ -52,8 +52,7 @@ def test_mnist_pool_and_clients_share_the_loaded_matrix(tmp_path, monkeypatch,
     cfg = config.resolve_config("paper-attack30", None, [
         "partition.num_clients=10", "attack.count=3", *overrides])
     full = load_idx_pair(tmp_path / "train-images-idx3-ubyte",
-                         tmp_path / "train-labels-idx1-ubyte", num_classes=10,
-                         dtype=experiment.TRAIN_DTYPE)
+                         tmp_path / "train-labels-idx1-ubyte", num_classes=10)
     loaded = []
 
     def spy(*args, **kwargs):
@@ -80,23 +79,26 @@ def test_mnist_pool_and_clients_share_the_loaded_matrix(tmp_path, monkeypatch,
 
 
 def test_mnist_decodes_to_float32(tmp_path, monkeypatch):
-    # runs train in float32; a float32 decode is the float32 division of the
-    # pixels by 255, which equals the float64 decode rounded to float32
-    # (float64 carries more than twice float32's precision, so rounding
-    # twice rounds as once)
+    # runs keep the files' pixels and train in float32; a batch decodes as
+    # the float32 division of its pixels by 255, which equals the float64
+    # decode rounded to float32 (float64 carries more than twice float32's
+    # precision, so rounding twice rounds as once)
     write_mnist_fixture(tmp_path)
     monkeypatch.setenv("MNIST_DIR", str(tmp_path))
     paths = (tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
-    wide = load_idx_pair(*paths, num_classes=10)
+    pixels = load_idx_pair(*paths, num_classes=10)
     train, test = experiment.build_dataset(config.resolve_config("paper-noattack", None))
-    narrow = train.parent
-    assert wide.features.dtype == np.float64
-    assert narrow.features.dtype == test.dtype == np.float32
-    pixels = np.round(wide.features * 255).astype(np.uint8)
-    want = pixels.astype(np.float32) / np.float32(255)
-    assert narrow.features.tobytes() == want.tobytes()
-    assert narrow.features.tobytes() == wide.features.astype(np.float32).tobytes()
-    assert np.array_equal(narrow.labels, wide.labels)
+    assert train.parent.features.dtype == test.parent.features.dtype == np.uint8
+    assert train.dtype == test.dtype == np.float32
+    assert train.parent.features.tobytes() == pixels.features.tobytes()
+    assert np.array_equal(train.labels, pixels.labels)
+    order = np.random.default_rng(0).permutation(len(train))
+    got = np.concatenate([x for x, _ in train.batches(order, 64)])
+    assert got.dtype == np.float32
+    want = pixels.features[order].astype(np.float32) / np.float32(255)
+    assert got.tobytes() == want.tobytes()
+    wide = pixels.features[order] / 255.0
+    assert got.tobytes() == wide.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("override,source", [
@@ -147,3 +149,18 @@ def test_mnist_test_images_narrower_than_train_names_the_file(tmp_path, monkeypa
     assert len(err.splitlines()) == 1
     assert "dataset.test_images" in err and "t10k-images-idx3-ubyte" in err
     assert "196" in err and "784" in err
+
+
+@pytest.mark.parametrize("split,field", [("train", "train_images"),
+                                         ("test", "test_images")])
+def test_mnist_file_without_images_names_the_field_and_file(tmp_path, monkeypatch,
+                                                            capsys, split, field):
+    counts = {"train_count": 0} if split == "train" else {"test_count": 0}
+    write_mnist_fixture(tmp_path, **counts)
+    monkeypatch.setenv("MNIST_DIR", str(tmp_path))
+    rc = cli.main(["simulate", "--preset", "paper-noattack", "--rounds", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    name = "train-images-idx3-ubyte" if split == "train" else "t10k-images-idx3-ubyte"
+    assert f"dataset.{field}" in err and name in err and "holds no images" in err
