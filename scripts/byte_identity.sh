@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run the standard byte-identity runs of this checkout, all at seed 0 with
-# one BLAS thread, into OUT.
+# one BLAS thread, into OUT. Every config value is set through --preset and
+# --set, the one route into a run's config.
 #
 # Usage: scripts/byte_identity.sh OUT
 #
@@ -8,7 +9,9 @@
 # gate far from its defaults, a desk simulate whose
 # validation and test splits each span two evaluation chunks, a desk simulate whose
 # clients end their epochs on one-row batches, desk baseline fedavg,
-# fedprox and local-sgd, desk partition-stats, desk contract, fit on noiseless
+# fedprox and local-sgd, desk baseline fedavg and local-sgd attacked (the
+# synchronous arms of the attacked comparison, 6 attackers flipping every
+# label), desk partition-stats, desk contract, fit on noiseless
 # accuracy-curve samples written into OUT/fit-samples.csv, the benchmark's
 # paper-synth workload, three MNIST-preset runs on IDX files generated into
 # OUT/mnist, and one MNIST-preset run whose 5,000-image test file, generated
@@ -34,16 +37,20 @@ export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 export OPENBLAS_NUM_THREADS=1
 failed=0
 
-run() {  # run NAME ARGS...: contractfl ARGS --seed 0 --out OUT/NAME
+run_cli() {  # run_cli NAME ARGS...: contractfl ARGS --out OUT/NAME
     local name=$1 rc=0
     shift
-    python3 -m contractfl.cli "$@" --seed 0 --out "$OUT/$name" \
+    python3 -m contractfl.cli "$@" --out "$OUT/$name" \
         >"$OUT/$name.stdout" 2>"$OUT/$name.stderr" || rc=$?
     sed -i "s#$OUT#OUT#g" "$OUT/$name.stdout" "$OUT/$name.stderr"
     if [ "$rc" -ne 0 ]; then
         echo "$name: exit $rc" >&2
         failed=1
     fi
+}
+
+run() {  # run NAME ARGS...: contractfl ARGS --set seed=0 --out OUT/NAME
+    run_cli "$@" --set seed=0
 }
 
 # the benchmark's paper-synth workload: its preset and overrides, which hold
@@ -58,20 +65,24 @@ PY
 )
 
 run simulate-clean simulate --preset desk
-run simulate-attacked simulate --preset desk --attackers 6 --flip-fraction 1.0
+attacked="--set attack.count=6 --set attack.flip_fraction=1.0"
+run simulate-attacked simulate --preset desk $attacked
 # every gate field off its default, so a simulator that ignored cfg.gate differs
-run simulate-gate simulate --preset desk --attackers 6 --flip-fraction 1.0 \
+run simulate-gate simulate --preset desk $attacked \
     --set gate.a=0.1 --set gate.epsilon=1.0 --set gate.phi=1.0
 # 46,000 rows hold out 4,600 for validation and the test split holds 5,000:
 # each is more than one 4,096-row chunk
 run simulate-val-chunks simulate --preset desk \
-    --set dataset.train_count=46000 --set dataset.test_count=5000 --rounds 2
+    --set dataset.train_count=46000 --set dataset.test_count=5000 --set rounds=2
 # batches of 11 end every epoch on one row for clients 8, 9, 14 and 17 (111,
 # 100, 67 and 56 rows in partition.csv), all of which upload: the kernel's
 # one-row step, whose products have a vector operand
 run simulate-one-row-batch simulate --preset desk --set training.batch_size=11
 for algorithm in fedavg fedprox local-sgd; do
     run "baseline-$algorithm" baseline "$algorithm" --preset desk
+done
+for algorithm in fedavg local-sgd; do
+    run "baseline-$algorithm-attacked" baseline "$algorithm" --preset desk $attacked
 done
 run partition-stats partition-stats --preset desk
 run contract contract --preset desk
@@ -89,7 +100,8 @@ for e in np.linspace(50.0, 15000.0, 8):
 with open(sys.argv[1], "w") as fh:
     fh.write("\n".join(rows) + "\n")
 PY
-run fit fit "$OUT/fit-samples.csv" --model accuracy_curve
+# fit takes no config; its --seed seeds the restart jitter
+run_cli fit fit "$OUT/fit-samples.csv" --model accuracy_curve --seed 0
 run paper-synth simulate $synth
 
 # the MNIST presets on generated IDX files (tests/common.py writes them),
@@ -98,12 +110,12 @@ run paper-synth simulate $synth
 python3 "$ROOT/tests/common.py" "$OUT/mnist"
 export MNIST_DIR="$OUT/mnist"
 run mnist-attack30 simulate --preset paper-attack30 \
-    --set partition.num_clients=10 --set attack.count=3 --rounds 2
+    --set partition.num_clients=10 --set attack.count=3 --set rounds=2
 subset="--set dataset.subset=1000 --set dataset.test_subset=200"
-run mnist-subset simulate --preset paper-noattack $subset --rounds 30
-run mnist-local-sgd baseline local-sgd --preset paper-noattack $subset --rounds 3
+run mnist-subset simulate --preset paper-noattack $subset --set rounds=30
+run mnist-local-sgd baseline local-sgd --preset paper-noattack $subset --set rounds=3
 # every test evaluation decodes the test file's pixels in two chunks
 python3 "$ROOT/tests/common.py" "$OUT/mnist-test-chunks-data" 1500 5000
 export MNIST_DIR="$OUT/mnist-test-chunks-data"
-run mnist-test-chunks simulate --preset paper-noattack --rounds 2
+run mnist-test-chunks simulate --preset paper-noattack --set rounds=2
 exit "$failed"

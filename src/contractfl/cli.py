@@ -7,12 +7,12 @@ Subcommands:
     fit              fit a response-curve model to CSV samples
     partition-stats  describe the client partition a config would produce
 
-Every subcommand but fit accepts --preset/--config/--set/--seed, so a run is
-fully pinned by its arguments; rerunning with the same arguments reproduces
+Every subcommand but fit takes its config one way: --preset, then a
+--config file, then each --set KEY=VALUE in order (the seed too, as
+--set seed=N), and the whole config is validated once. A run is fully
+pinned by its arguments; rerunning with the same arguments reproduces
 every output byte for byte, on any host thread count: numpy's OpenBLAS runs
-on one thread for the length of every subcommand. Shorthand flags such as
---rounds are overrides laid after every --set, and the whole config is
-validated once.
+on one thread for the length of every subcommand.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fitting
 from .blas import set_blas_threads
-from .config import PRESETS, ExperimentConfig, resolve_config
+from .config import PRESETS, resolve_config
 from .contracts import solve_contract, verify_contract
 from .errors import (ConfigurationError, ContractViolation, DataFormatError,
                      InfeasibleEffort, TrainingDiverged)
@@ -47,33 +47,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "the library defaults if --preset is not given)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",
-                        help="override one config field by dotted path, "
-                             "e.g. --set market.lambda1=1e6 (repeatable)")
-    parser.add_argument("--seed", type=int, help="master seed override")
+                        help="override one config field by dotted path, e.g. "
+                             "--set rounds=5 (repeatable, applied in order)")
     parser.add_argument("--out", metavar="DIR", help="directory for artifacts")
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
 
 
-# Each shorthand flag's argparse dest and the dotted config field it sets. Flags
-# are laid after every --set, so a flag beats a --set of the same field.
-_SHORTHANDS = {
-    "seed": "seed",
-    "rounds": "rounds",
-    "attackers": "attack.count",
-    "flip_fraction": "attack.flip_fraction",
-    "local_epochs": "baseline.local_epochs",
-    "mu": "baseline.prox_mu",
-}
-
-
-def _build_config(args) -> ExperimentConfig:
-    flags = [f"{path}={getattr(args, dest)}" for dest, path in _SHORTHANDS.items()
-             if getattr(args, dest, None) is not None]
-    return resolve_config(args.preset, args.config, [*args.overrides, *flags])
-
-
 def _cmd_contract(args) -> int:
-    cfg = _build_config(args)
+    cfg = resolve_config(args.preset, args.config, args.overrides)
     market = cfg.market.to_market()
     menu = solve_contract(market, cfg.curve.to_params())
     report = verify_contract(menu, market)
@@ -98,7 +79,7 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _build_config(args)
+    cfg = resolve_config(args.preset, args.config, args.overrides)
     result = run_async_experiment(cfg, out_dir=args.out)
     pub = result["publisher"]
     print(f"rounds: {pub['rounds']}")
@@ -112,7 +93,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = _build_config(args)
+    cfg = resolve_config(args.preset, args.config, args.overrides)
     result = run_baseline_experiment(cfg, args.algorithm, out_dir=args.out)
     print(f"algorithm: {result['algorithm']}")
     print(f"rounds: {result['rounds']}")
@@ -161,7 +142,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_partition_stats(args) -> int:
-    cfg = _build_config(args)
+    cfg = resolve_config(args.preset, args.config, args.overrides)
     clients = prepare(cfg, solve_menu=False).clients
     print(f"{'client':>6} {'d_k':>6} {'emd':>8} {'theta':>8} {'level':>5} {'mal':>3}")
     for c in clients:
@@ -194,21 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the asynchronous pipeline")
     _add_common(p)
-    p.add_argument("--rounds", type=int, help="aggregation rounds to run")
-    p.add_argument("--attackers", type=int, help="number of label-flipping clients")
-    p.add_argument("--flip-fraction", type=float,
-                   help="fraction of an attacker's labels to flip")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("baseline", help="run a synchronous baseline")
     p.add_argument("algorithm", choices=BASELINE_ALGORITHMS)
     _add_common(p)
-    p.add_argument("--rounds", type=int, help="training rounds to run")
-    p.add_argument("--local-epochs", type=int, help="local epochs per round")
-    p.add_argument("--mu", type=float, help="proximal strength for fedprox")
-    p.add_argument("--attackers", type=int, help="number of label-flipping clients")
-    p.add_argument("--flip-fraction", type=float,
-                   help="fraction of an attacker's labels to flip")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("fit", help="fit a response curve to CSV samples")

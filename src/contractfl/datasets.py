@@ -34,7 +34,10 @@ IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
 # a pixel row holds one byte per feature; `DatasetView.batches` decodes it to
-# DECODED_DTYPE as the pixel over 255, computed in DECODED_DTYPE
+# DECODED_DTYPE as the pixel over 255, computed in DECODED_DTYPE. Every run
+# stores pixels, so every run trains in DECODED_DTYPE: over seeds float32
+# reached float64's final test accuracy on desk and 784-wide blobs, at half
+# the bytes and, at 784 wide, about half the step time
 PIXEL_DTYPE = np.dtype(np.uint8)
 DECODED_DTYPE = np.dtype(np.float32)
 

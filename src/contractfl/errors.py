@@ -18,9 +18,15 @@ class InfeasibleEffort(ValueError):
 
 
 class TrainingDiverged(ArithmeticError):
-    """Training hit a non-finite loss. Carries the failing step index."""
+    """Training hit a non-finite loss. Carries the failing step index and
+    loss, and once `during` has named it, who trained in which round."""
 
-    def __init__(self, step: int, loss: float):
+    def __init__(self, step: int, loss: float, where: str = ""):
         self.step = step
         self.loss = loss
-        super().__init__(f"non-finite training loss {loss!r} at step {step}")
+        super().__init__(f"{where + ': ' if where else ''}"
+                         f"non-finite training loss {loss!r} at step {step}")
+
+    def during(self, who: str, round_idx: int) -> "TrainingDiverged":
+        """This failure, named as `who`'s training in round `round_idx`."""
+        return TrainingDiverged(self.step, self.loss, f"{who}, round {round_idx}")

@@ -41,10 +41,9 @@ from . import baselines, nn
 from .config import ExperimentConfig, check_pool
 from .contracts import (ContractMenu, ContractReport, MarketModel, client_utility,
                         data_quality, quality_level, solve_contract, verify_contract)
-from .datasets import (DECODED_DTYPE, PIXEL_DTYPE, DatasetView, emd, flip_labels,
-                       load_idx_pair, partition, split_holdout, synthetic_pair,
-                       uniform_benchmark)
-from .errors import ConfigurationError
+from .datasets import (PIXEL_DTYPE, DatasetView, emd, flip_labels, load_idx_pair,
+                       partition, split_holdout, synthetic_pair, uniform_benchmark)
+from .errors import ConfigurationError, TrainingDiverged
 from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
                     STREAM_INIT, STREAM_PARTITION, STREAM_TRAIN, child_seed)
 from .simulation import AsyncSimulation, Client, settle_rewards
@@ -52,14 +51,6 @@ from .simulation import AsyncSimulation, Client, settle_rewards
 logger = logging.getLogger(__name__)
 
 BASELINE_ALGORITHMS = ("fedavg", "fedprox", "local-sgd")
-
-# the one dtype every run trains in: its parameters, step buffers, deltas
-# and the feature batches its pixel rows decode to. Over seeds float32
-# reached float64's final test accuracy on desk and on 784-wide synthetic
-# blobs, at half the bytes and, at 784 wide, about half the step time; nn
-# keeps float64 as the tests' reference. Every run stores its rows as
-# PIXEL_DTYPE, one byte per feature, and decodes one batch at a time
-TRAIN_DTYPE = DECODED_DTYPE
 
 _MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -106,7 +97,8 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, DatasetView]:
     `dataset.test_subset` test images are kept; a file that holds no
     images, a subset larger than its file, or a test file whose images are
     not as wide as the train file's, is a configuration error. Rows are
-    PIXEL_DTYPE, which the views decode to TRAIN_DTYPE."""
+    PIXEL_DTYPE, which the views decode to datasets.DECODED_DTYPE, the
+    dtype every run trains in."""
     dc = cfg.dataset
     if dc.kind == "synthetic":
         return synthetic_pair(dc.classes, dc.dim, dc.train_count, dc.test_count,
@@ -225,7 +217,7 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
 def _init_model(cfg: ExperimentConfig, data: DatasetView) -> nn.Model:
     dims = (data.dim, cfg.training.hidden1, cfg.training.hidden2, data.num_classes)
     return nn.init_model(dims, seed=child_seed(cfg.seed, STREAM_INIT),
-                         dtype=TRAIN_DTYPE)
+                         dtype=data.dtype)
 
 
 def write_json(obj, path) -> None:
@@ -342,8 +334,11 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
     for r in range(cfg.rounds):
         if algorithm == "local-sgd":
             seed = child_seed(cfg.seed, STREAM_TRAIN, 0, r)
-            model, _ = nn.train_epochs_tracked(model, prep.pool, epochs, lr,
-                                               batch_size, seed)
+            try:
+                model, _ = nn.train_epochs_tracked(model, prep.pool, epochs, lr,
+                                                   batch_size, seed)
+            except TrainingDiverged as exc:
+                raise exc.during("local SGD", r) from exc
         else:
             model = baselines.fedavg_round(model, prep.clients, epochs, lr, batch_size,
                                            cfg.seed, r, mu=mu)

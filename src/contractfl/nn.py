@@ -267,21 +267,23 @@ def train_epochs_tracked(model: Model, data, epochs: int, lr: float, batch_size:
     rng = np.random.default_rng(rng_seed)
     epoch_losses = np.zeros(epochs)
     step = 0
-    for ep in range(epochs):
-        total = 0.0
-        for x, y in data.batches(rng.permutation(n), batch_size):
-            loss, grad = loss_and_gradient(dims, params, x, y, workspace)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(step, loss)
-            if mu:
-                np.subtract(params, model.params, out=prox)
-                prox *= mu
-                grad += prox
-            grad *= lr
-            params -= grad
-            total += loss * y.shape[0]
-            step += 1
-        epoch_losses[ep] = total / n
+    # divergence overflows before the loss check below names it: no warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ep in range(epochs):
+            total = 0.0
+            for x, y in data.batches(rng.permutation(n), batch_size):
+                loss, grad = loss_and_gradient(dims, params, x, y, workspace)
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(step, loss)
+                if mu:
+                    np.subtract(params, model.params, out=prox)
+                    prox *= mu
+                    grad += prox
+                grad *= lr
+                params -= grad
+                total += loss * y.shape[0]
+                step += 1
+            epoch_losses[ep] = total / n
     return Model(dims, params), epoch_losses
 
 

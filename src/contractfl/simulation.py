@@ -34,7 +34,7 @@ import numpy as np
 from . import nn
 from .contracts import ContractMenu, MarketModel, client_utility, local_epochs
 from .datasets import DatasetView
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrainingDiverged
 from .seeds import STREAM_TRAIN, child_seed
 
 logger = logging.getLogger(__name__)
@@ -300,11 +300,15 @@ class AsyncSimulation:
 
     def _train(self, client: Client, cycle: _Cycle) -> tuple[np.ndarray, float]:
         """Train `client`'s cycle from its base on the cycle's own seed;
-        return the parameter delta and the final-epoch training loss."""
+        return the parameter delta and the final-epoch training loss. A
+        divergence names the client and the cycle's base round."""
         seed = child_seed(self.master_seed, STREAM_TRAIN, client.client_id,
                           cycle.base_round)
-        trained, epoch_losses = nn.train_epochs_tracked(
-            cycle.base, client.data, client.tau, self.lr, self.batch_size, seed)
+        try:
+            trained, epoch_losses = nn.train_epochs_tracked(
+                cycle.base, client.data, client.tau, self.lr, self.batch_size, seed)
+        except TrainingDiverged as exc:
+            raise exc.during(f"client {client.client_id}", cycle.base_round) from exc
         return trained.params - cycle.base.params, float(epoch_losses[-1])
 
     def run_round(self) -> RoundLedger:

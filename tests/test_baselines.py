@@ -140,6 +140,21 @@ def test_run_sync_history_and_determinism(tmp_path):
     assert hist[-1][1] < nn.evaluate(start, prep.test)[0]  # training helps
 
 
+def test_attack_leaves_local_sgd_unchanged(tmp_path):
+    # local SGD trains on the pool as held out, before any client's labels
+    # are flipped: the "ideal" baseline is the same with or without attackers
+    clean = tiny_config(rounds=3)
+    attacked = tiny_config(rounds=3, **{"attack.count": clean.partition.num_clients,
+                                        "attack.flip_fraction": 1.0})
+    for name, cfg in (("clean", clean), ("attacked", attacked)):
+        experiment.run_baseline_experiment(cfg, "local-sgd", out_dir=tmp_path / name)
+    rows = (tmp_path / "attacked" / "partition.csv").read_text().splitlines()
+    assert rows[0].endswith(",malicious") and all(r.endswith(",1") for r in rows[1:])
+    for artifact in ("model.bin", "rounds.csv", "summary.json"):
+        assert ((tmp_path / "clean" / artifact).read_bytes()
+                == (tmp_path / "attacked" / artifact).read_bytes()), artifact
+
+
 def test_local_sgd_run_single_worker():
     cfg = tiny_config(rounds=3)
     hist1 = experiment.run_baseline_experiment(cfg, "local-sgd")["history"]

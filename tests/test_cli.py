@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -69,16 +70,16 @@ def test_simulate_command(capsys, tmp_path):
     assert (tmp_path / "ledger.csv").exists()
 
 
-def test_simulate_rounds_flag_beats_preset(capsys, tmp_path):
-    rc = cli.main(["simulate", *TINY, "--rounds", "2", "--out", str(tmp_path)])
+def test_simulate_later_rounds_override_beats_earlier(capsys, tmp_path):
+    rc = cli.main(["simulate", *TINY, "--set", "rounds=2", "--out", str(tmp_path)])
     assert rc == 0
     rows = (tmp_path / "rounds.csv").read_text().splitlines()
     assert len(rows) == 3  # header + 2 rounds
 
 
 def test_baseline_command(capsys, tmp_path):
-    rc = cli.main(["baseline", "fedavg", *TINY, "--rounds", "2",
-                   "--local-epochs", "2", "--out", str(tmp_path)])
+    rc = cli.main(["baseline", "fedavg", *TINY, "--set", "rounds=2",
+                   "--set", "baseline.local_epochs=2", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "algorithm: fedavg" in out
@@ -263,10 +264,10 @@ def test_bad_market_levels_and_lr_rejected_at_parse(capsys, command, override, f
 
 
 @pytest.mark.parametrize("args", [
-    ["simulate", "--seed", "-1"],
-    ["baseline", "fedavg", "--seed", "-1"],
-    ["partition-stats", "--seed", "-1"],
-    ["contract", "--seed", "-1"],  # draws nothing, but the config is still invalid
+    ["simulate", "--set", "seed=0", "--set", "seed=-1"],  # the last --set wins
+    ["baseline", "fedavg", "--set", "seed=-1"],
+    ["partition-stats", "--set", "seed=-1"],
+    ["contract", "--set", "seed=-1"],  # draws nothing, but the config is still invalid
     ["simulate", "--set", "seed=-1"],
     ["simulate", "--config", "{tmp}/seed.json"],
     ["fit", "{tmp}/samples.csv", "--model", "accuracy_curve", "--seed", "-1"],
@@ -317,14 +318,48 @@ def test_training_and_effort_failures_exit_two(capsys, monkeypatch, owner, attr,
     rc = cli.main(["simulate", *TINY])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"error: {exc}\n"
+    if isinstance(exc, TrainingDiverged):  # named by the first client to train
+        assert err == f"error: client 0, round 0: {exc}\n"
+    else:
+        assert err == f"error: {exc}\n"
 
 
-def test_seed_flag_changes_partition(capsys, tmp_path):
+@pytest.mark.parametrize("command,who", [
+    (["simulate"], "client 0"),
+    (["baseline", "fedavg"], "client 0"),
+    (["baseline", "local-sgd"], "local SGD"),
+])
+def test_diverging_training_names_who_and_when_without_numpy_warnings(
+        capsys, command, who):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would escape
+        rc = cli.main([*command, "--preset", "desk", "--set", "training.lr=1e6",
+                       "--set", "rounds=2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {who}, round 0: non-finite training loss nan at step ")
+
+
+def test_only_fit_has_options_beyond_the_config_route():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"contract", "simulate", "baseline", "fit",
+                             "partition-stats"}
+    for name, sub in commands.items():
+        options = {o for a in sub._actions for o in a.option_strings}
+        if name != "fit":
+            assert options == {"-h", "--help", "--preset", "--config", "--set",
+                               "--out", "--verbose"}, name
+
+
+def test_seed_override_changes_partition(capsys, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["partition-stats", *TINY, "--seed", "1",
+    assert cli.main(["partition-stats", *TINY, "--set", "seed=1",
                      "--out", str(out1)]) == 0
-    assert cli.main(["partition-stats", *TINY, "--seed", "2",
+    assert cli.main(["partition-stats", *TINY, "--set", "seed=2",
                      "--out", str(out2)]) == 0
     assert (out1 / "partition.csv").read_text() != (out2 / "partition.csv").read_text()
 
@@ -338,10 +373,11 @@ def test_runs_other_than_fit_load_no_scipy(tmp_path):
         experiment.prepare(config.resolve_config("desk", None))
         assert "numpy.ma" not in sys.modules, "prepare imported numpy.ma"
         assert cli.main(["contract", "--preset", "desk"]) == 0
-        assert cli.main(["simulate", "--preset", "desk", "--rounds", "1",
+        assert cli.main(["simulate", "--preset", "desk", "--set", "rounds=1",
                          "--out", {str(tmp_path / "async")!r}]) == 0
-        assert cli.main(["baseline", "fedavg", "--preset", "desk", "--rounds", "1",
-                         "--local-epochs", "1", "--out", {str(tmp_path / "sync")!r}]) == 0
+        assert cli.main(["baseline", "fedavg", "--preset", "desk", "--set", "rounds=1",
+                         "--set", "baseline.local_epochs=1",
+                         "--out", {str(tmp_path / "sync")!r}]) == 0
         assert "numpy.ma" not in sys.modules, "a 1-round run imported numpy.ma"
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
@@ -360,7 +396,7 @@ PAPER_SHAPE = [
     "simulate", "--preset", "paper-noattack",
     "--set", "dataset.kind=synthetic", "--set", "dataset.dim=784",
     "--set", "dataset.train_count=3000", "--set", "dataset.test_count=2000",
-    "--set", "partition.num_clients=10", "--rounds", "2", "--seed", "0",
+    "--set", "partition.num_clients=10", "--set", "rounds=2", "--set", "seed=0",
 ]
 
 

@@ -16,8 +16,8 @@ from contractfl.datasets import holdout_count, load_idx_pair
 CUT = ["--preset", "paper-attack30", "--set", "partition.num_clients=10",
        "--set", "attack.count=3"]
 RUNS = {
-    "simulate": ["simulate", *CUT, "--rounds", "2"],
-    "fedavg": ["baseline", "fedavg", *CUT, "--rounds", "2"],
+    "simulate": ["simulate", *CUT, "--set", "rounds=2"],
+    "fedavg": ["baseline", "fedavg", *CUT, "--set", "rounds=2"],
     "stats": ["partition-stats", *CUT],
 }
 
@@ -135,7 +135,8 @@ def test_mnist_subset_larger_than_its_file_names_the_field(tmp_path, monkeypatch
     assert not out.exists()  # nothing records sizes that never ran
 
 
-@pytest.mark.parametrize("command", [["simulate", "--rounds", "1"], ["baseline", "fedavg"]])
+@pytest.mark.parametrize("command", [["simulate", "--set", "rounds=1"],
+                                     ["baseline", "fedavg"]])
 def test_mnist_test_images_narrower_than_train_names_the_file(tmp_path, monkeypatch,
                                                              capsys, command):
     write_mnist_fixture(tmp_path)
@@ -158,7 +159,7 @@ def test_mnist_file_without_images_names_the_field_and_file(tmp_path, monkeypatc
     counts = {"train_count": 0} if split == "train" else {"test_count": 0}
     write_mnist_fixture(tmp_path, **counts)
     monkeypatch.setenv("MNIST_DIR", str(tmp_path))
-    rc = cli.main(["simulate", "--preset", "paper-noattack", "--rounds", "1"])
+    rc = cli.main(["simulate", "--preset", "paper-noattack", "--set", "rounds=1"])
     assert rc == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
