@@ -9,13 +9,16 @@
 # gate far from its defaults, a desk simulate whose
 # validation and test splits each span two evaluation chunks, a desk simulate whose
 # clients end their epochs on one-row batches, desk baseline fedavg,
-# fedprox and local-sgd, desk baseline fedavg and local-sgd attacked (the
-# synchronous arms of the attacked comparison, 6 attackers flipping every
-# label), desk partition-stats, desk contract, fit on noiseless
-# accuracy-curve samples written into OUT/fit-samples.csv, the benchmark's
-# paper-synth workload, three MNIST-preset runs on IDX files generated into
-# OUT/mnist, and one MNIST-preset run whose 5,000-image test file, generated
-# into OUT/mnist-test-chunks-data, spans two 4,096-row evaluation chunks.
+# fedprox and local-sgd, each clean and attacked (the synchronous arms of
+# the attacked comparison, 6 attackers flipping every label; attacked
+# FedProx also carries mu through the training call), desk
+# partition-stats, desk contract, fit on noiseless accuracy-curve samples
+# written into OUT/fit-samples.csv, the benchmark's paper-synth workload,
+# three MNIST-preset runs on IDX files generated into OUT/mnist, the first
+# of them again on gzipped copies of those files in OUT/mnist-gz (the
+# streamed gzip read of whole files), and one MNIST-preset run whose
+# 5,000-image test file, generated into OUT/mnist-test-chunks-data, spans
+# two 4,096-row evaluation chunks.
 # Every run stores its rows as 8-bit pixels and trains in float32.
 #
 # Each run writes its artifacts to OUT/<run>/, and its stdout and stderr to
@@ -81,7 +84,7 @@ run simulate-one-row-batch simulate --preset desk --set training.batch_size=11
 for algorithm in fedavg fedprox local-sgd; do
     run "baseline-$algorithm" baseline "$algorithm" --preset desk
 done
-for algorithm in fedavg local-sgd; do
+for algorithm in fedavg fedprox local-sgd; do
     run "baseline-$algorithm-attacked" baseline "$algorithm" --preset desk $attacked
 done
 run partition-stats partition-stats --preset desk
@@ -114,6 +117,14 @@ run mnist-attack30 simulate --preset paper-attack30 \
 subset="--set dataset.subset=1000 --set dataset.test_subset=200"
 run mnist-subset simulate --preset paper-noattack $subset --set rounds=30
 run mnist-local-sgd baseline local-sgd --preset paper-noattack $subset --set rounds=3
+# the same files gzipped (no name, no timestamp): the loader reads each whole
+mkdir -p "$OUT/mnist-gz"
+for f in "$OUT"/mnist/*; do
+    gzip -n -c "$f" >"$OUT/mnist-gz/$(basename "$f").gz"
+done
+export MNIST_DIR="$OUT/mnist-gz"
+run mnist-gz-attack30 simulate --preset paper-attack30 \
+    --set partition.num_clients=10 --set attack.count=3 --set rounds=2
 # every test evaluation decodes the test file's pixels in two chunks
 python3 "$ROOT/tests/common.py" "$OUT/mnist-test-chunks-data" 1500 5000
 export MNIST_DIR="$OUT/mnist-test-chunks-data"

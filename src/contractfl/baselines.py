@@ -11,9 +11,7 @@ and centralized local SGD) is `experiment.run_baseline_experiment`.
 from __future__ import annotations
 
 from . import nn
-from .errors import TrainingDiverged
-from .seeds import STREAM_TRAIN, child_seed
-from .simulation import Client
+from .simulation import Client, train_for_round
 
 
 def fedavg_round(model: nn.Model, clients: list[Client], epochs: int, lr: float,
@@ -21,22 +19,17 @@ def fedavg_round(model: nn.Model, clients: list[Client], epochs: int, lr: float,
                  mu: float = 0.0) -> nn.Model:
     """One synchronous round: every client trains, deltas merge by data share.
 
-    Each `Client` trains its `data` with the shuffle seed
-    child_seed(master_seed, STREAM_TRAIN, client_id, round_idx), the stream
-    the async simulator uses too. Aggregation weights are d_k / D.
-    With mu > 0 each client's SGD is pulled toward this round's starting
-    model (FedProx). A divergence names the client and the round.
+    Each `Client` trains its `data` through `simulation.train_for_round`
+    under its id and `round_idx`. Aggregation weights are d_k / D. With
+    mu > 0 each client's SGD is pulled toward this round's starting model
+    (FedProx). A divergence names the client and the round.
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
     total = sum(c.d_k for c in ordered)
     deltas, weights = [], []
     for c in ordered:
-        seed = child_seed(master_seed, STREAM_TRAIN, c.client_id, round_idx)
-        try:
-            trained, _ = nn.train_epochs_tracked(model, c.data, epochs, lr, batch_size,
-                                                 seed, mu=mu)
-        except TrainingDiverged as exc:
-            raise exc.during(f"client {c.client_id}", round_idx) from exc
+        trained, _ = train_for_round(model, c.data, epochs, lr, batch_size,
+                                     master_seed, c.client_id, round_idx, mu=mu)
         deltas.append(trained.params - model.params)
         weights.append(c.d_k / total)
     return nn.aggregate(model, deltas, weights)

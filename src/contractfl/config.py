@@ -340,9 +340,9 @@ def resolve_config(preset: str | None, config_path: str | None,
     if config_path is not None:
         _deep_update(d, _read_config_file(config_path))
     for item in overrides or []:
-        if "=" not in item:
+        path, eq, raw = item.partition("=")
+        if not eq or "" in path.split("."):
             raise ConfigurationError(f"override {item!r} is not of the form key=value")
-        path, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:

@@ -20,6 +20,7 @@ client order, and the caller numbers them.
 from __future__ import annotations
 
 import gzip
+import io
 import logging
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ logger = logging.getLogger(__name__)
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+# bytes per IDX read: gzip's readinto goes through a bytes copy of this size
+_READ_CHUNK = 1 << 18
 
 # a pixel row holds one byte per feature; `DatasetView.batches` decodes it to
 # DECODED_DTYPE as the pixel over 255, computed in DECODED_DTYPE. Every run
@@ -203,68 +206,76 @@ def _be32(blob: bytes, offset: int, what: str) -> int:
     return int.from_bytes(blob[offset:offset + 4], "big")
 
 
-def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int,
-              max_rows: int | None = None) -> Dataset:
-    """Read a big-endian IDX image/label file pair into a Dataset of pixels.
+def parse_idx(images, labels, num_classes: int, max_rows: int | None = None) -> Dataset:
+    """Read a big-endian IDX image/label pair, given as seekable binary
+    streams, into a Dataset of pixels.
 
     Images are flattened to uint8 pixel rows, which a view decodes a batch
-    at a time (`DatasetView.batches`). The rows are copied out of
-    `image_bytes`, so the Dataset keeps none of the file's bytes alive.
+    at a time (`DatasetView.batches`). Each stream's length is found by
+    seeking to its end and checked against its header before anything sized
+    from the header is allocated; the kept rows are then read straight into
+    the Dataset's own matrix, so a load never holds the file's bytes.
     With `max_rows`, only the first min(max_rows, count) images are kept;
     the header, both payload lengths and every label are still checked.
     Malformed input raises DataFormatError naming the byte offset at fault.
     """
-    magic = _be32(image_bytes, 0, "image file")
+    head = images.read(16)
+    magic = _be32(head, 0, "image file")
     if magic != IMAGE_MAGIC:
         raise DataFormatError(
             f"image file: bad magic 0x{magic:08x} at offset 0, expected 0x{IMAGE_MAGIC:08x}")
-    count = _be32(image_bytes, 4, "image file")
-    rows = _be32(image_bytes, 8, "image file")
-    cols = _be32(image_bytes, 12, "image file")
+    count = _be32(head, 4, "image file")
+    rows = _be32(head, 8, "image file")
+    cols = _be32(head, 12, "image file")
     expected = 16 + count * rows * cols
-    if len(image_bytes) != expected:
+    size = images.seek(0, io.SEEK_END)
+    if size != expected:
         raise DataFormatError(
-            f"image file: payload ends at offset {len(image_bytes)}, expected {expected} "
+            f"image file: payload ends at offset {size}, expected {expected} "
             f"for {count} images of {rows}x{cols}")
 
-    magic = _be32(label_bytes, 0, "label file")
+    head = labels.read(8)
+    magic = _be32(head, 0, "label file")
     if magic != LABEL_MAGIC:
         raise DataFormatError(
             f"label file: bad magic 0x{magic:08x} at offset 0, expected 0x{LABEL_MAGIC:08x}")
-    label_count = _be32(label_bytes, 4, "label file")
-    if len(label_bytes) != 8 + label_count:
+    label_count = _be32(head, 4, "label file")
+    size = labels.seek(0, io.SEEK_END)
+    if size != 8 + label_count:
         raise DataFormatError(
-            f"label file: payload ends at offset {len(label_bytes)}, expected {8 + label_count}")
+            f"label file: payload ends at offset {size}, expected {8 + label_count}")
     if label_count != count:
         raise DataFormatError(
             f"label file: count {label_count} at offset 4 does not match image count {count}")
 
-    keep = count if max_rows is None else min(max_rows, count)
-    pixels = np.frombuffer(image_bytes, dtype=np.uint8, count=keep * rows * cols,
-                           offset=16)
-    features = pixels.reshape(keep, rows * cols).copy()
-    labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    bad = np.flatnonzero(labels >= num_classes)
+    labels.seek(8)
+    y = np.frombuffer(labels.read(), dtype=np.uint8)
+    bad = np.flatnonzero(y >= num_classes)
     if bad.size:
         raise DataFormatError(
-            f"label file: label {labels[bad[0]]} at offset {8 + int(bad[0])} "
+            f"label file: label {y[bad[0]]} at offset {8 + int(bad[0])} "
             f"exceeds class count {num_classes}")
-    return Dataset(features, labels[:keep], num_classes)
+    keep = count if max_rows is None else min(max_rows, count)
+    features = np.empty((keep, rows * cols), dtype=np.uint8)
+    pixels = features.reshape(-1)
+    images.seek(16)
+    for start in range(0, pixels.size, _READ_CHUNK):
+        images.readinto(pixels[start:start + _READ_CHUNK])
+    return Dataset(features, y[:keep], num_classes)
 
 
-def _read_maybe_gzip(path) -> bytes:
+def _open_idx(path):
+    """An IDX file as a binary stream, through gzip if it starts with gzip's magic."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
-    return blob
+        zipped = fh.read(2) == b"\x1f\x8b"
+    return gzip.open(path, "rb") if zipped else open(path, "rb")
 
 
 def load_idx_pair(image_path, label_path, num_classes: int,
                   max_rows: int | None = None) -> Dataset:
     """Read an IDX image/label pair from disk, transparently ungzipping."""
-    return parse_idx(_read_maybe_gzip(image_path), _read_maybe_gzip(label_path),
-                     num_classes, max_rows)
+    with _open_idx(image_path) as images, _open_idx(label_path) as labels:
+        return parse_idx(images, labels, num_classes, max_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,11 @@ class InfeasibleEffort(ValueError):
 
 class TrainingDiverged(ArithmeticError):
     """Training hit a non-finite loss. Carries the failing step index and
-    loss, and once `during` has named it, who trained in which round."""
+    loss; `where`, which `simulation.train_for_round` sets when it raises
+    the kernel's failure again, names who trained in which round."""
 
     def __init__(self, step: int, loss: float, where: str = ""):
         self.step = step
         self.loss = loss
         super().__init__(f"{where + ': ' if where else ''}"
                          f"non-finite training loss {loss!r} at step {step}")
-
-    def during(self, who: str, round_idx: int) -> "TrainingDiverged":
-        """This failure, named as `who`'s training in round `round_idx`."""
-        return TrainingDiverged(self.step, self.loss, f"{who}, round {round_idx}")

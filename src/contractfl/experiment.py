@@ -43,10 +43,10 @@ from .contracts import (ContractMenu, ContractReport, MarketModel, client_utilit
                         data_quality, quality_level, solve_contract, verify_contract)
 from .datasets import (PIXEL_DTYPE, DatasetView, emd, flip_labels, load_idx_pair,
                        partition, split_holdout, synthetic_pair, uniform_benchmark)
-from .errors import ConfigurationError, TrainingDiverged
+from .errors import ConfigurationError
 from .seeds import (STREAM_DATA, STREAM_DELAY, STREAM_FLIP, STREAM_HOLDOUT,
-                    STREAM_INIT, STREAM_PARTITION, STREAM_TRAIN, child_seed)
-from .simulation import AsyncSimulation, Client, settle_rewards
+                    STREAM_INIT, STREAM_PARTITION, child_seed)
+from .simulation import AsyncSimulation, Client, settle_rewards, train_for_round
 
 logger = logging.getLogger(__name__)
 
@@ -333,12 +333,8 @@ def run_baseline_experiment(cfg: ExperimentConfig, algorithm: str,
     history = []
     for r in range(cfg.rounds):
         if algorithm == "local-sgd":
-            seed = child_seed(cfg.seed, STREAM_TRAIN, 0, r)
-            try:
-                model, _ = nn.train_epochs_tracked(model, prep.pool, epochs, lr,
-                                                   batch_size, seed)
-            except TrainingDiverged as exc:
-                raise exc.during("local SGD", r) from exc
+            model, _ = train_for_round(model, prep.pool, epochs, lr, batch_size,
+                                       cfg.seed, 0, r, who="local SGD")
         else:
             model = baselines.fedavg_round(model, prep.clients, epochs, lr, batch_size,
                                            cfg.seed, r, mu=mu)

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import nn, seeds
 from .contracts import ContractMenu, MarketModel, client_utility, local_epochs
 from .datasets import DatasetView
 from .errors import ConfigurationError, TrainingDiverged
-from .seeds import STREAM_TRAIN, child_seed
 
 logger = logging.getLogger(__name__)
 
@@ -174,6 +173,23 @@ class RoundLedger:
         return sum(r.admitted for r in self.uploads)
 
 
+def train_for_round(model: nn.Model, data: DatasetView, epochs: int, lr: float,
+                    batch_size: int, master_seed: int, trainer_id: int, round_idx: int,
+                    mu: float = 0.0, who: str | None = None
+                    ) -> tuple[nn.Model, np.ndarray]:
+    """`nn.train_epochs_tracked` seeded by (trainer_id, round_idx): the one
+    owner of the training seed, so every pipeline (async cycles, FedAvg and
+    FedProx clients, local SGD as trainer 0) trains alike for equal ids and
+    rounds. A divergence is raised again naming `who` (default "client
+    <trainer_id>") and the round."""
+    seed = seeds.child_seed(master_seed, seeds.STREAM_TRAIN, trainer_id, round_idx)
+    try:
+        return nn.train_epochs_tracked(model, data, epochs, lr, batch_size, seed, mu=mu)
+    except TrainingDiverged as exc:
+        where = f"{who or f'client {trainer_id}'}, round {round_idx}"
+        raise TrainingDiverged(exc.step, exc.loss, where) from exc
+
+
 def access_indicator(m: float, theta: float, staleness: int, gate: GateParams) -> float:
     """Contribution score: m * theta * (staleness + 1)^(-gate.epsilon)."""
     if staleness < 0:
@@ -299,16 +315,11 @@ class AsyncSimulation:
             base_val_loss=self._scores[0])
 
     def _train(self, client: Client, cycle: _Cycle) -> tuple[np.ndarray, float]:
-        """Train `client`'s cycle from its base on the cycle's own seed;
-        return the parameter delta and the final-epoch training loss. A
-        divergence names the client and the cycle's base round."""
-        seed = child_seed(self.master_seed, STREAM_TRAIN, client.client_id,
-                          cycle.base_round)
-        try:
-            trained, epoch_losses = nn.train_epochs_tracked(
-                cycle.base, client.data, client.tau, self.lr, self.batch_size, seed)
-        except TrainingDiverged as exc:
-            raise exc.during(f"client {client.client_id}", cycle.base_round) from exc
+        """Train `client`'s cycle from its base as trainer `client_id` in the
+        cycle's base round; return the delta and the final-epoch loss."""
+        trained, epoch_losses = train_for_round(
+            cycle.base, client.data, client.tau, self.lr, self.batch_size,
+            self.master_seed, client.client_id, cycle.base_round)
         return trained.params - cycle.base.params, float(epoch_losses[-1])
 
     def run_round(self) -> RoundLedger:

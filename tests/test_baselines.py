@@ -140,6 +140,35 @@ def test_run_sync_history_and_determinism(tmp_path):
     assert hist[-1][1] < nn.evaluate(start, prep.test)[0]  # training helps
 
 
+@pytest.mark.parametrize("algorithm", ["fedavg", "fedprox", "local-sgd"])
+def test_sync_pipelines_train_on_the_client_and_round_seed(monkeypatch, algorithm):
+    # in round r client k shuffles with child_seed(seed, STREAM_TRAIN, k, r),
+    # the async simulator's stream, and local SGD trains the pool with k = 0
+    cfg = tiny_config(rounds=3, seed=7)
+    trainer, seen = {}, []
+    prepare, train = experiment.prepare, nn.train_epochs_tracked
+
+    def keep_prepared(*args, **kwargs):
+        prep = prepare(*args, **kwargs)
+        trainer.update({id(c.data): c.client_id for c in prep.clients})
+        trainer[id(prep.pool)] = "pool"
+        return prep
+
+    def spy(model, data, epochs, lr, batch_size, rng_seed, mu=0.0):
+        seen.append((trainer[id(data)], rng_seed))
+        return train(model, data, epochs, lr, batch_size, rng_seed, mu=mu)
+
+    monkeypatch.setattr(experiment, "prepare", keep_prepared)
+    monkeypatch.setattr(nn, "train_epochs_tracked", spy)
+    experiment.run_baseline_experiment(cfg, algorithm)
+    if algorithm == "local-sgd":
+        want = [("pool", child_seed(7, STREAM_TRAIN, 0, r)) for r in range(3)]
+    else:
+        want = [(k, child_seed(7, STREAM_TRAIN, k, r))
+                for r in range(3) for k in range(cfg.partition.num_clients)]
+    assert seen == want
+
+
 def test_attack_leaves_local_sgd_unchanged(tmp_path):
     # local SGD trains on the pool as held out, before any client's labels
     # are flipped: the "ideal" baseline is the same with or without attackers

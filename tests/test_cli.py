@@ -179,6 +179,15 @@ def test_unknown_field_exits_two_naming_it(capsys, tmp_path, args, field):
     assert capsys.readouterr().err == f"error: unknown config field {field}\n"
 
 
+@pytest.mark.parametrize("override", ["=3", ".rounds=3", "training..lr=1",
+                                      "training.=1", "rounds.=3"])
+def test_override_with_an_empty_field_name_is_not_key_value(capsys, override):
+    rc = cli.main(["contract", "--set", override])
+    assert rc == 2
+    assert (capsys.readouterr().err
+            == f"error: override {override!r} is not of the form key=value\n")
+
+
 def test_bad_config_file_exits_two(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{oops")

@@ -1,4 +1,5 @@
 import gzip
+import io
 import logging
 import re
 import struct
@@ -10,14 +11,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from common import idx_images, idx_labels, make_dataset, make_view
+from common import idx_images, idx_labels, make_dataset, make_view, write_mnist_fixture
 from contractfl import datasets
 from contractfl.errors import ConfigurationError, DataFormatError
 
 
+def parse_idx(image_bytes, label_bytes, *args, **kwargs):
+    """`datasets.parse_idx` over in-memory IDX files."""
+    return datasets.parse_idx(io.BytesIO(image_bytes), io.BytesIO(label_bytes),
+                              *args, **kwargs)
+
+
 def test_parse_idx_worked_example():
     imgs = [[[0, 51], [102, 255]], [[255, 0], [0, 0]]]
-    ds = datasets.parse_idx(idx_images(imgs), idx_labels([7, 0]), num_classes=8)
+    ds = parse_idx(idx_images(imgs), idx_labels([7, 0]), num_classes=8)
     assert ds.features.shape == (2, 4)
     assert ds.features[0].tolist() == [0, 51, 102, 255]
     x, _ = next(datasets.DatasetView(ds, [0, 1], ds.labels).batches([0], 1))
@@ -26,7 +33,7 @@ def test_parse_idx_worked_example():
 
 
 def test_parse_idx_explicit_num_classes():
-    ds = datasets.parse_idx(idx_images([[[0]]]), idx_labels([3]), num_classes=10)
+    ds = parse_idx(idx_images([[[0]]]), idx_labels([3]), num_classes=10)
     assert ds.num_classes == 10
     assert ds.features.shape == (1, 1)
 
@@ -34,48 +41,48 @@ def test_parse_idx_explicit_num_classes():
 def test_parse_idx_bad_image_magic():
     blob = struct.pack(">4i", 0x00000801, 1, 1, 1) + b"\x00"
     with pytest.raises(DataFormatError, match="offset 0"):
-        datasets.parse_idx(blob, idx_labels([0]), num_classes=10)
+        parse_idx(blob, idx_labels([0]), num_classes=10)
 
 
 def test_parse_idx_bad_label_magic():
     with pytest.raises(DataFormatError, match="offset 0"):
-        datasets.parse_idx(idx_images([[[0]]]),
-                           struct.pack(">2i", 0x00000803, 1) + b"\x00", num_classes=10)
+        parse_idx(idx_images([[[0]]]),
+                  struct.pack(">2i", 0x00000803, 1) + b"\x00", num_classes=10)
 
 
 def test_parse_idx_truncated_payload():
     good = idx_images([[[0, 1], [2, 3]]])
     with pytest.raises(DataFormatError, match="offset"):
-        datasets.parse_idx(good[:-2], idx_labels([0]), num_classes=10)
+        parse_idx(good[:-2], idx_labels([0]), num_classes=10)
     with pytest.raises(DataFormatError, match="offset"):
-        datasets.parse_idx(good[:9], idx_labels([0]), num_classes=10)  # header itself cut short
+        parse_idx(good[:9], idx_labels([0]), num_classes=10)  # header itself cut short
 
 
 def test_parse_idx_count_mismatch():
     with pytest.raises(DataFormatError, match="does not match image count"):
-        datasets.parse_idx(idx_images([[[0]]]), idx_labels([0, 1]), num_classes=10)
+        parse_idx(idx_images([[[0]]]), idx_labels([0, 1]), num_classes=10)
 
 
 def test_parse_idx_label_out_of_range():
     with pytest.raises(DataFormatError):
-        datasets.parse_idx(idx_images([[[0]]]), idx_labels([4]), num_classes=3)
+        parse_idx(idx_images([[[0]]]), idx_labels([4]), num_classes=3)
 
 
 def test_parse_idx_max_rows_decodes_a_prefix_and_checks_every_label():
     imgs = [[[0, 51], [102, 255]], [[255, 0], [0, 0]], [[9, 9], [9, 9]]]
-    full = datasets.parse_idx(idx_images(imgs), idx_labels([7, 0, 2]), num_classes=8)
+    full = parse_idx(idx_images(imgs), idx_labels([7, 0, 2]), num_classes=8)
     for max_rows, keep in ((1, 1), (2, 2), (3, 3), (5, 3)):
-        ds = datasets.parse_idx(idx_images(imgs), idx_labels([7, 0, 2]),
-                                num_classes=8, max_rows=max_rows)
+        ds = parse_idx(idx_images(imgs), idx_labels([7, 0, 2]),
+                       num_classes=8, max_rows=max_rows)
         assert np.array_equal(ds.features, full.features[:keep])
         assert np.array_equal(ds.labels, full.labels[:keep])
     # a label past the decoded rows is still checked, and so is the payload
     with pytest.raises(DataFormatError, match="offset 10"):
-        datasets.parse_idx(idx_images(imgs), idx_labels([7, 0, 9]), num_classes=8,
-                           max_rows=1)
+        parse_idx(idx_images(imgs), idx_labels([7, 0, 9]), num_classes=8,
+                  max_rows=1)
     with pytest.raises(DataFormatError, match="offset"):
-        datasets.parse_idx(idx_images(imgs)[:-1], idx_labels([7, 0, 2]), num_classes=8,
-                           max_rows=1)
+        parse_idx(idx_images(imgs)[:-1], idx_labels([7, 0, 2]), num_classes=8,
+                  max_rows=1)
 
 
 def test_load_idx_pair_plain_and_gzip(tmp_path):
@@ -91,6 +98,26 @@ def test_load_idx_pair_plain_and_gzip(tmp_path):
     zipped = datasets.load_idx_pair(tmp_path / "img.gz", tmp_path / "lab.gz", num_classes=2)
     assert np.array_equal(plain.features, zipped.features)
     assert np.array_equal(plain.labels, zipped.labels)
+
+
+@pytest.mark.parametrize("gz", [False, True])
+@pytest.mark.parametrize("max_rows", [200, None])
+def test_load_idx_pair_holds_the_kept_rows_once(tmp_path, gz, max_rows):
+    # a 1.57 MB image file: holding it whole, or the kept rows twice, breaks
+    # the 1 MB of slack left for the labels and the read buffers
+    write_mnist_fixture(tmp_path, gz=gz, train_count=2000, test_count=10)
+    suffix = ".gz" if gz else ""
+    paths = (tmp_path / f"train-images-idx3-ubyte{suffix}",
+             tmp_path / f"train-labels-idx1-ubyte{suffix}")
+    datasets.load_idx_pair(*paths, num_classes=10, max_rows=1)  # lazy imports
+    tracemalloc.start()
+    try:
+        ds = datasets.load_idx_pair(*paths, num_classes=10, max_rows=max_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == (max_rows or 2000)
+    assert peak < ds.features.nbytes + (1 << 20)
 
 
 def test_largest_remainder_worked_example():
@@ -368,8 +395,8 @@ def test_parse_idx_keeps_pixels_that_own_their_data():
     imgs = [[[0, 51], [102, 255]], [[255, 0], [0, 0]], [[9, 9], [9, 9]]]
     blob = idx_images(imgs)
     for max_rows in (None, 1, 2):
-        ds = datasets.parse_idx(blob, idx_labels([7, 0, 2]), num_classes=8,
-                                max_rows=max_rows)
+        ds = parse_idx(blob, idx_labels([7, 0, 2]), num_classes=8,
+                       max_rows=max_rows)
         assert ds.features.dtype == np.uint8
         assert ds.features.flags.owndata
         assert ds.features.tolist() == np.reshape(imgs, (3, 4))[:max_rows].tolist()
