@@ -13,7 +13,9 @@
 # the attacked comparison, 6 attackers flipping every label; attacked
 # FedProx also carries mu through the training call), desk
 # partition-stats, desk contract, fit on noiseless accuracy-curve samples
-# written into OUT/fit-samples.csv, the benchmark's paper-synth workload,
+# written into OUT/fit-samples.csv, fit-quality on noiseless data-quality
+# samples (z, data_quality(z, 0.0)) written into OUT/fit-quality-samples.csv,
+# the benchmark's paper-synth workload,
 # three MNIST-preset runs on IDX files generated into OUT/mnist, the first
 # of them again on gzipped copies of those files in OUT/mnist-gz (the
 # streamed gzip read of whole files), and one MNIST-preset run whose
@@ -105,6 +107,20 @@ with open(sys.argv[1], "w") as fh:
 PY
 # fit takes no config; its --seed seeds the restart jitter
 run_cli fit fit "$OUT/fit-samples.csv" --model accuracy_curve --seed 0
+
+# noiseless quality points (z, data_quality(z, 0.0)) on a geometric z-grid
+# above the 0.01 floor, which data_quality reaches below z = 6
+python3 - "$OUT/fit-quality-samples.csv" <<'PY'
+import sys
+import numpy as np
+from contractfl.contracts import data_quality
+rows = ["effective_quantity,theta"]
+for z in np.geomspace(10.0, 20000.0, 24):
+    rows.append(f"{float(z)!r},{data_quality(float(z), 0.0)!r}")
+with open(sys.argv[1], "w") as fh:
+    fh.write("\n".join(rows) + "\n")
+PY
+run_cli fit-quality fit "$OUT/fit-quality-samples.csv" --model data_quality --seed 0
 run paper-synth simulate $synth
 
 # the MNIST presets on generated IDX files (tests/common.py writes them),

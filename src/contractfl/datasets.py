@@ -1,20 +1,20 @@
 """Dataset handling: IDX files, non-IID client partitioning, label statistics.
 
-Two types. A `Dataset` owns a feature matrix with its labels: the loaded
-MNIST files and the generated blob matrices are Datasets of 8-bit pixel
-rows (uint8, 0-255), one byte per feature, and the tests' reference pools
-hold float rows already in [0, 1]. A `DatasetView` is an index view into
-one root Dataset plus its own label array. Every split a run reads is one:
-the MNIST train and test sets (every row, or the first `subset` and
-`test_subset`), the shuffled synthetic train and test splits, the
-validation holdout, the pool left after it, and each client's shard. Rows
-leave a root matrix only through `DatasetView.batches`, which gathers one
+One type. A `DatasetView` is rows of one feature matrix with its own label
+array and class count. The loaded MNIST files and the generated blob
+matrices hold 8-bit pixel rows (uint8, 0-255), one byte per feature, and
+the tests' reference pools hold float rows already in [0, 1]. Every split a
+run reads is a view: the MNIST train and test sets (every row, or the first
+`subset` and `test_subset`), the shuffled synthetic train and test splits,
+the validation holdout, the pool left after it, and each client's shard.
+Rows leave a matrix only through `DatasetView.batches`, which gathers one
 batch of rows at a time, for training and for evaluation alike, and
 decodes a batch of pixels to float32 in [0, 1] as it gathers it.
-Views compose, so every view indexes the root matrix directly, and a
-client's labels can be corrupted without touching the pool or any sibling
-client. A view carries no client id; `partition` returns the shards in
-client order, and the caller numbers them.
+A view derived from another (`split_holdout`, `partition`, `flip_labels`)
+shares its matrix and indexes it directly, and a client's labels can be
+corrupted without touching the pool or any sibling client. A view carries
+no client id; `partition` returns the shards in client order, and the
+caller numbers them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import gzip
 import io
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,78 +46,55 @@ DECODED_DTYPE = np.dtype(np.float32)
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """A pool of samples: feature rows, integer labels, class count.
-    The features are uint8 pixels (0-255), which views decode to float32 a
-    batch at a time, or float64 or float32 values in [0, 1], the dtypes
-    `nn` computes in, which are read as they are. They keep their dtype; a
-    list of floats becomes float64."""
+class DatasetView:
+    """Rows `indices` of the feature matrix `features`, with their own
+    labels and class count.
+
+    The matrix is uint8 pixels (0-255), which `batches` decodes to float32,
+    or float64 or float32 values in [0, 1], the dtypes `nn` computes in,
+    which are read as they are. It keeps its dtype; a list of floats
+    becomes float64. Every split a run reads is one of these: the MNIST
+    train and test sets, the shuffled synthetic train and test splits, the
+    validation holdout, the pool after it, and each client's shard; the
+    splits of one loaded or generated matrix share it. A view never copies
+    the matrix whole: training and evaluation gather one batch of rows at a
+    time (`batches`).
+    """
 
     features: np.ndarray
+    indices: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
         x = np.asarray(self.features)
+        idx = np.asarray(self.indices, dtype=np.int64)
         y = np.asarray(self.labels, dtype=np.int64)
         if x.dtype != PIXEL_DTYPE:
             check_dtype(x.dtype, "feature dtype")
         if x.ndim != 2:
             raise ConfigurationError(f"features must be 2-D, got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise ConfigurationError(
-                f"labels shape {y.shape} does not match {x.shape[0]} rows")
         if x.dtype != PIXEL_DTYPE and x.size and (x.min() < 0.0 or x.max() > 1.0):
             raise ConfigurationError("feature values must lie in [0, 1]")
         if self.num_classes < 1:
             raise ConfigurationError(f"num_classes must be >= 1, got {self.num_classes}")
-        if y.size and (y.min() < 0 or y.max() >= self.num_classes):
-            raise ConfigurationError(
-                f"labels must lie in [0, {self.num_classes}), got range "
-                f"[{y.min()}, {y.max()}]")
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class DatasetView:
-    """Rows `indices` of a root Dataset `parent`, with a private label array.
-
-    Every split a run reads is one of these: the MNIST train and test sets,
-    the shuffled synthetic train and test splits, the validation holdout,
-    the pool after it, and each client's shard. A view never copies the
-    parent's features whole: training and evaluation gather one batch of
-    rows at a time (`batches`).
-    """
-
-    parent: Dataset
-    indices: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        y = np.asarray(self.labels, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
+        # only a view of a matrix without rows is empty: an IDX file that
+        # holds no images loads as one, for the caller to name the file
+        if idx.ndim != 1 or (idx.size == 0 and len(x)):
             raise ConfigurationError("view needs a non-empty 1-D index array")
         # sort and compare neighbours: np.unique would import numpy.ma
         ordered = np.sort(idx)
         if (ordered[1:] == ordered[:-1]).any():
             raise ConfigurationError("view has duplicate indices")
-        if idx.min() < 0 or idx.max() >= len(self.parent):
-            raise ConfigurationError(
-                f"view index out of range for pool of {len(self.parent)}")
+        if idx.size and (idx.min() < 0 or idx.max() >= len(x)):
+            raise ConfigurationError(f"view index out of range for pool of {len(x)}")
         if y.shape != idx.shape:
             raise ConfigurationError(f"view: {y.size} labels for {idx.size} indices")
-        if y.min() < 0 or y.max() >= self.parent.num_classes:
-            raise ConfigurationError(
-                f"view label out of range [0, {self.parent.num_classes})")
-        idx.flags.writeable = False
-        y.flags.writeable = False
+        if y.size and (y.min() < 0 or y.max() >= self.num_classes):
+            raise ConfigurationError(f"view label out of range [0, {self.num_classes})")
+        for a in (x, idx, y):
+            a.flags.writeable = False
+        object.__setattr__(self, "features", x)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "labels", y)
 
@@ -129,34 +106,29 @@ class DatasetView:
         return self.indices.size
 
     @property
-    def num_classes(self) -> int:
-        return self.parent.num_classes
-
-    @property
     def dim(self) -> int:
-        """Feature width of the parent pool."""
-        return self.parent.features.shape[1]
+        """Feature width of the matrix."""
+        return self.features.shape[1]
 
     @property
     def dtype(self) -> np.dtype:
         """Dtype of the features `batches` yields: DECODED_DTYPE for a
-        parent of pixels, else the parent's own."""
-        dtype = self.parent.features.dtype
+        matrix of pixels, else the matrix's own."""
+        dtype = self.features.dtype
         return DECODED_DTYPE if dtype == PIXEL_DTYPE else dtype
 
     def batches(self, order, size: int):
         """Walk positions `order` in contiguous batches of `size` rows (the
         last may be shorter), yielding each batch's features and labels.
-        Each batch's rows are a fresh copy gathered from the parent pool, so
+        Each batch's rows are a fresh copy gathered from the matrix, so
         only one batch of features is held at a time. Pixels are decoded as
         they are gathered: cast to DECODED_DTYPE and divided by 255 in it,
         into [0, 1]."""
         src = self.indices[order]
         y = self.labels[order]
-        features = self.parent.features
-        pixels = features.dtype == PIXEL_DTYPE
+        pixels = self.features.dtype == PIXEL_DTYPE
         for start in range(0, src.size, size):
-            x = features.take(src[start:start + size], axis=0)
+            x = self.features.take(src[start:start + size], axis=0)
             if pixels:
                 x = x.astype(DECODED_DTYPE)
                 x /= DECODED_DTYPE.type(255)
@@ -164,7 +136,7 @@ class DatasetView:
 
     @property
     def label_hist(self) -> np.ndarray:
-        counts = np.bincount(self.labels, minlength=self.parent.num_classes)
+        counts = np.bincount(self.labels, minlength=self.num_classes)
         return counts / self.d_k
 
 
@@ -206,15 +178,15 @@ def _be32(blob: bytes, offset: int, what: str) -> int:
     return int.from_bytes(blob[offset:offset + 4], "big")
 
 
-def parse_idx(images, labels, num_classes: int, max_rows: int | None = None) -> Dataset:
+def parse_idx(images, labels, num_classes: int, max_rows: int | None = None) -> DatasetView:
     """Read a big-endian IDX image/label pair, given as seekable binary
-    streams, into a Dataset of pixels.
+    streams, into a view over every row of a pixel matrix.
 
     Images are flattened to uint8 pixel rows, which a view decodes a batch
     at a time (`DatasetView.batches`). Each stream's length is found by
     seeking to its end and checked against its header before anything sized
     from the header is allocated; the kept rows are then read straight into
-    the Dataset's own matrix, so a load never holds the file's bytes.
+    the view's own matrix, so a load never holds the file's bytes.
     With `max_rows`, only the first min(max_rows, count) images are kept;
     the header, both payload lengths and every label are still checked.
     Malformed input raises DataFormatError naming the byte offset at fault.
@@ -261,7 +233,7 @@ def parse_idx(images, labels, num_classes: int, max_rows: int | None = None) -> 
     images.seek(16)
     for start in range(0, pixels.size, _READ_CHUNK):
         images.readinto(pixels[start:start + _READ_CHUNK])
-    return Dataset(features, y[:keep], num_classes)
+    return DatasetView(features, np.arange(keep), y[:keep], num_classes)
 
 
 def _open_idx(path):
@@ -272,7 +244,7 @@ def _open_idx(path):
 
 
 def load_idx_pair(image_path, label_path, num_classes: int,
-                  max_rows: int | None = None) -> Dataset:
+                  max_rows: int | None = None) -> DatasetView:
     """Read an IDX image/label pair from disk, transparently ungzipping."""
     with _open_idx(image_path) as images, _open_idx(label_path) as labels:
         return parse_idx(images, labels, num_classes, max_rows)
@@ -331,8 +303,8 @@ def partition(ds: DatasetView, spec: PartitionSpec, seed: int) -> list[DatasetVi
     dry; the shortfall is logged. Every client ends up non-empty: a pool
     whose Zipf shares round some client's count to 0 is rejected before
     anything is drawn. Fully determined by spec and seed; spec.val_fraction
-    is not read here. Shard i is client i's, and it indexes the root Dataset
-    under `ds` directly.
+    is not read here. Shard i is client i's, and it shares `ds`'s feature
+    matrix.
     """
     n = len(ds)
     k = spec.num_clients
@@ -382,7 +354,7 @@ def partition(ds: DatasetView, spec: PartitionSpec, seed: int) -> list[DatasetVi
                 "client %d short %d of %d samples: its %d allowed classes ran dry",
                 i, deficit, int(counts[i]), m)
         picked = np.sort(np.concatenate(chosen))
-        clients.append(DatasetView(ds.parent, ds.indices[picked], ds.labels[picked]))
+        clients.append(replace(ds, indices=ds.indices[picked], labels=ds.labels[picked]))
     return clients
 
 
@@ -396,9 +368,9 @@ def split_holdout(ds: DatasetView, fraction: float,
                   seed: int) -> tuple[DatasetView, DatasetView]:
     """Split off a held-out slice (e.g. a validation set) from a pool.
 
-    Returns (holdout, remainder), both views over the root Dataset under
-    `ds`, so no feature row is copied for either, and the clients
-    partitioned from the remainder are views of that root too.
+    Returns (holdout, remainder), both views over `ds`'s feature matrix,
+    so no feature row is copied for either, and the clients partitioned
+    from the remainder share that matrix too.
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigurationError(f"holdout fraction must be in (0, 1), got {fraction}")
@@ -406,8 +378,8 @@ def split_holdout(ds: DatasetView, fraction: float,
     h = holdout_count(n, fraction)
     perm = np.random.default_rng(seed).permutation(n)
     held, rest = np.sort(perm[:h]), np.sort(perm[h:])
-    return (DatasetView(ds.parent, ds.indices[held], ds.labels[held]),
-            DatasetView(ds.parent, ds.indices[rest], ds.labels[rest]))
+    return (replace(ds, indices=ds.indices[held], labels=ds.labels[held]),
+            replace(ds, indices=ds.indices[rest], labels=ds.labels[rest]))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +411,7 @@ def flip_labels(cd: DatasetView, fraction: float, seed: int) -> DatasetView:
 
     Victim samples are chosen uniformly without replacement; each new label
     is drawn uniformly from the other classes, so a flip never maps a label
-    to itself. The parent pool and sibling clients are unaffected.
+    to itself. The pool and sibling clients are unaffected.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ConfigurationError(f"flip fraction must be in [0, 1], got {fraction}")
@@ -453,7 +425,7 @@ def flip_labels(cd: DatasetView, fraction: float, seed: int) -> DatasetView:
         victims = rng.choice(cd.d_k, size=count, replace=False)
         offsets = rng.integers(1, c, size=count)
         labels[victims] = (labels[victims] + offsets) % c
-    return DatasetView(cd.parent, cd.indices, labels)
+    return replace(cd, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +478,6 @@ def synthetic_pair(num_classes: int, dim: int, train_count: int, test_count: int
                     np.round(block, out=block)
                 x[start:start + block.shape[0]] = block
         perm = rng.permutation(count)
-        return DatasetView(Dataset(x, labels, num_classes), perm, labels[perm])
+        return DatasetView(x, perm, labels[perm], num_classes)
 
     return draw(train_count), draw(test_count)

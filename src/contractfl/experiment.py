@@ -130,7 +130,7 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[DatasetView, DatasetView]:
     check_pool(len(train), cfg.partition,
                f"dataset.subset {dc.subset}" if dc.subset is not None else
                f"the train file {paths['train_images']} ({len(train)} rows)")
-    return tuple(DatasetView(ds, np.arange(len(ds)), ds.labels) for ds in (train, test))
+    return train, test
 
 
 def select_attackers(clients: list[Client], count: int) -> set[int]:

@@ -33,7 +33,7 @@ DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 def check_dtype(dtype: np.dtype, what: str) -> None:
     """A ConfigurationError naming `what` unless `dtype` is one of DTYPES;
-    `Model` and a `datasets.Dataset` of float rows hold the rule through it."""
+    `Model` and a `datasets.DatasetView` of float rows hold the rule through it."""
     if dtype not in DTYPES:
         raise ConfigurationError(f"{what} must be float64 or float32, got {dtype}")
 

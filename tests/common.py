@@ -17,29 +17,19 @@ import sys
 import numpy as np
 
 from contractfl.config import resolve_config
-from contractfl.datasets import IMAGE_MAGIC, LABEL_MAGIC, Dataset, DatasetView
+from contractfl.datasets import IMAGE_MAGIC, LABEL_MAGIC, DatasetView
 from contractfl.simulation import Client
 
 
-def make_dataset(features, labels, num_classes=None):
-    """A Dataset of float32 rows kept as they are, or of any other rows as
-    float64."""
+def make_view(features, labels, num_classes=None):
+    """A view over every row of a fresh pool, as a client's shard is: float32
+    rows kept as they are, any other rows as float64."""
     x = np.asarray(features)
     x = x if x.dtype == np.float32 else x.astype(np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if num_classes is None:
         num_classes = int(y.max()) + 1
-    return Dataset(x, y, num_classes)
-
-
-def as_view(ds):
-    """A view over every row of the Dataset `ds`, to train on or split."""
-    return DatasetView(ds, np.arange(len(ds)), ds.labels.copy())
-
-
-def make_view(features, labels, num_classes=None):
-    """A view over every row of a fresh pool, as a client's shard is."""
-    return as_view(make_dataset(features, labels, num_classes))
+    return DatasetView(x, np.arange(len(x)), y, num_classes)
 
 
 def make_client(client_id, features, labels, num_classes=None):
@@ -55,7 +45,7 @@ def blob_data(n, num_classes=2, dim=2, spread=0.05, seed=0):
     centers = np.linspace(0.15, 0.85, num_classes)
     labels = rng.integers(0, num_classes, size=n)
     x = centers[labels][:, None] + rng.normal(0.0, spread, size=(n, dim))
-    return make_dataset(np.clip(x, 0.0, 1.0), labels, num_classes)
+    return make_view(np.clip(x, 0.0, 1.0), labels, num_classes)
 
 
 def idx_images(arrays):

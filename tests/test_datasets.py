@@ -5,13 +5,14 @@ import re
 import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from common import idx_images, idx_labels, make_dataset, make_view, write_mnist_fixture
+from common import idx_images, idx_labels, make_view, write_mnist_fixture
 from contractfl import datasets
 from contractfl.errors import ConfigurationError, DataFormatError
 
@@ -27,7 +28,7 @@ def test_parse_idx_worked_example():
     ds = parse_idx(idx_images(imgs), idx_labels([7, 0]), num_classes=8)
     assert ds.features.shape == (2, 4)
     assert ds.features[0].tolist() == [0, 51, 102, 255]
-    x, _ = next(datasets.DatasetView(ds, [0, 1], ds.labels).batches([0], 1))
+    x, _ = next(ds.batches([0], 1))
     assert np.allclose(x[0], [0, 51 / 255, 102 / 255, 1.0], atol=1e-7)
     assert ds.labels.tolist() == [7, 0]
 
@@ -231,12 +232,12 @@ def test_split_holdout_partitions_everything():
     assert sorted(held.labels.tolist() + rest.labels.tolist()) \
         == sorted(ds.labels.tolist())
     # both slices are views of the pool's root, disjoint and covering it
-    assert held.parent is rest.parent is ds.parent
+    assert held.features is rest.features is ds.features
     assert np.union1d(held.indices, rest.indices).tolist() == list(range(1000))
     again = datasets.split_holdout(ds, 0.1, seed=11)
     assert np.array_equal(again[0].indices, held.indices)
-    assert np.array_equal(ds.parent.features[again[0].indices],
-                          ds.parent.features[held.indices])
+    assert np.array_equal(ds.features[again[0].indices],
+                          ds.features[held.indices])
 
 
 def test_split_holdout_validation():
@@ -306,15 +307,15 @@ def test_flip_labels_fraction_validation():
 
 def test_synthetic_pair_shapes_and_balance():
     train, test = datasets.synthetic_pair(10, 8, 1000, 250, 0.1, seed=13)
-    x = train.parent.features[train.indices]
+    x = train.features[train.indices]
     assert x.shape == (1000, 8)
-    assert test.parent.features[test.indices].shape == (250, 8)
+    assert test.features[test.indices].shape == (250, 8)
     assert train.num_classes == test.num_classes == 10
     counts = np.bincount(train.labels, minlength=10)
     assert counts.min() >= 99 and counts.max() <= 101
     assert x.min() >= 0.0 and x.max() <= 1.0
     t2 = datasets.synthetic_pair(10, 8, 1000, 250, 0.1, seed=13)[0]
-    assert np.array_equal(x, t2.parent.features[t2.indices])
+    assert np.array_equal(x, t2.features[t2.indices])
 
 
 def test_synthetic_pair_matches_the_copying_oracle_bitwise():
@@ -334,7 +335,7 @@ def test_synthetic_pair_matches_the_copying_oracle_bitwise():
     train, test = datasets.synthetic_pair(classes, dim, n_train, n_test, spread, seed)
     assert isinstance(train, datasets.DatasetView)
     assert isinstance(test, datasets.DatasetView)
-    got = [(split.parent.features[split.indices], split.labels) for split in (train, test)]
+    got = [(split.features[split.indices], split.labels) for split in (train, test)]
     for (got_x, got_labels), (x, labels) in zip(got, want):
         assert got_x.tobytes() == x.tobytes()
         assert got_labels.tobytes() == labels.tobytes()
@@ -348,10 +349,10 @@ def test_pixel_synthetic_pair_quantizes_its_float64_twin():
     train, test = datasets.synthetic_pair(*args, dtype=np.uint8)
     for w, n in ((wide_train, train), (wide_test, test)):
         assert np.array_equal(n.indices, w.indices)
-        assert n.parent.features.dtype == np.uint8
+        assert n.features.dtype == np.uint8
         assert n.dtype == np.float32
-        want = np.round(255 * w.parent.features).astype(np.uint8)
-        assert n.parent.features.tobytes() == want.tobytes()
+        want = np.round(255 * w.features).astype(np.uint8)
+        assert n.features.tobytes() == want.tobytes()
         assert np.array_equal(n.labels, w.labels)
 
 
@@ -370,7 +371,7 @@ def test_pixel_synthetic_pair_stores_one_byte_per_feature():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert train.parent.features.itemsize == test.parent.features.itemsize == 1
+    assert train.features.itemsize == test.features.itemsize == 1
     assert peak < (n_train + n_test) * dim + 256 * dim * 8 + (1 << 20)
 
 
@@ -378,15 +379,14 @@ def test_pixel_rows_decode_to_float32_bitwise():
     # every pixel value, gathered through batches in a shuffled order and in
     # batches that do not divide the rows
     pixels = np.arange(256, dtype=np.uint8).reshape(32, 8)
-    ds = datasets.Dataset(pixels, np.arange(32) % 3, 3)
-    view = datasets.DatasetView(ds, np.arange(32), ds.labels.copy())
+    view = datasets.DatasetView(pixels, np.arange(32), np.arange(32) % 3, 3)
     assert view.dtype == np.float32
     order = np.random.default_rng(4).permutation(32)
     got = np.empty((32, 8), np.float32)
     for start, (x, y) in zip(range(0, 32, 5), view.batches(order, 5)):
         assert x.dtype == np.float32
         got[order[start:start + len(y)]] = x
-        assert np.array_equal(y, ds.labels[order[start:start + len(y)]])
+        assert np.array_equal(y, view.labels[order[start:start + len(y)]])
     want = np.arange(256, dtype=np.float32) / np.float32(255)
     assert got.ravel().tobytes() == want.tobytes()
 
@@ -404,42 +404,82 @@ def test_parse_idx_keeps_pixels_that_own_their_data():
 
 def test_views_compose_onto_one_root():
     rng = np.random.default_rng(8)
-    root = make_dataset(rng.uniform(size=(60, 3)), np.arange(60) % 3, 3)
+    root = make_view(rng.uniform(size=(60, 3)), np.arange(60) % 3, 3)
     perm = rng.permutation(60)
-    shuffled = datasets.DatasetView(root, perm, root.labels[perm])
+    shuffled = replace(root, indices=perm, labels=root.labels[perm])
     held, rest = datasets.split_holdout(shuffled, 0.25, seed=2)
     assert len(held) == datasets.holdout_count(60, 0.25) == 15
-    assert rest.parent is root
-    assert np.array_equal(rest.parent.features[rest.indices], root.features[rest.indices])
+    assert rest.features is root.features
+    assert np.array_equal(rest.features[rest.indices], root.features[rest.indices])
     for c in datasets.partition(rest, datasets.PartitionSpec(num_clients=4), seed=3):
-        assert c.parent is root
+        assert c.features is root.features
         assert np.isin(c.indices, rest.indices).all()
         assert np.array_equal(c.labels, root.labels[c.indices])
     with pytest.raises(ConfigurationError, match="view has duplicate"):
-        datasets.DatasetView(root, np.array([4, 4]), np.array([1, 1]))
+        replace(root, indices=np.array([4, 4]), labels=np.array([1, 1]))
     with pytest.raises(ConfigurationError, match="view index out of range"):
-        datasets.DatasetView(root, np.array([60]), np.array([0]))
+        replace(root, indices=np.array([60]), labels=np.array([0]))
 
 
 def test_synthetic_pair_is_learnable_structure():
     # same class means in train and test: a nearest-mean rule must transfer
     train, test = datasets.synthetic_pair(4, 6, 400, 200, 0.02, seed=3)
-    x = train.parent.features[train.indices]
+    x = train.features[train.indices]
     means = np.stack([x[train.labels == k].mean(axis=0) for k in range(4)])
-    x_test = test.parent.features[test.indices]
+    x_test = test.features[test.indices]
     pred = np.argmin(((x_test[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1)
     assert (pred == test.labels).mean() > 0.95
 
 
 def test_client_dataset_validation():
-    ds = make_dataset(np.zeros((5, 1)), [0, 1, 0, 1, 0], 2)
+    ds = make_view(np.zeros((5, 1)), [0, 1, 0, 1, 0], 2)
     with pytest.raises(ConfigurationError):
-        datasets.DatasetView(ds, np.array([1, 1]), ds.labels[[1, 1]].copy())
+        replace(ds, indices=np.array([1, 1]), labels=ds.labels[[1, 1]].copy())
     idx = np.array([3, 0, 4, 3])  # the duplicates are not neighbours
     with pytest.raises(ConfigurationError, match="duplicate"):
-        datasets.DatasetView(ds, idx, ds.labels[idx].copy())
+        replace(ds, indices=idx, labels=ds.labels[idx].copy())
     with pytest.raises(ConfigurationError):
-        datasets.DatasetView(ds, np.array([7]), np.array([0]))
+        replace(ds, indices=np.array([7]), labels=np.array([0]))
+    # only a view of a matrix without rows, as an IDX file without images
+    # loads, may be empty
+    with pytest.raises(ConfigurationError, match="non-empty"):
+        replace(ds, indices=np.array([], int), labels=np.array([], int))
+    assert len(datasets.DatasetView(np.zeros((0, 1)), [], [], 2)) == 0
+
+
+@pytest.mark.parametrize("features,labels,num_classes,message", [
+    (np.zeros((2, 3), np.float16), [0, 1], 2,
+     "feature dtype must be float64 or float32, got float16"),
+    (np.zeros((2, 3), np.int64), [0, 1], 2,
+     "feature dtype must be float64 or float32, got int64"),
+    (np.zeros(2), [0, 1], 2, "features must be 2-D, got shape (2,)"),
+    ([[0.5, 1.5], [0.0, 0.0]], [0, 1], 2, "feature values must lie in [0, 1]"),
+    ([[0.5, -0.5], [0.0, 0.0]], [0, 1], 2, "feature values must lie in [0, 1]"),
+    (np.zeros((2, 3)), [0, 0], 0, "num_classes must be >= 1, got 0"),
+    (np.zeros((2, 3)), [0, 2], 2, "view label out of range [0, 2)"),
+    (np.zeros((2, 3)), [0], 2, "view: 1 labels for 2 indices"),
+])
+def test_view_rejects_a_bad_pool(features, labels, num_classes, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        datasets.DatasetView(features, np.arange(2), labels, num_classes)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "mnist"])
+def test_derived_views_share_the_pools_matrix(tmp_path, source):
+    # no split copies the matrix: each derived view holds the pool's array
+    if source == "synthetic":
+        pool, _ = datasets.synthetic_pair(10, 8, 600, 10, 0.1, seed=0, dtype=np.uint8)
+    else:
+        write_mnist_fixture(tmp_path)
+        pool = datasets.load_idx_pair(tmp_path / "train-images-idx3-ubyte",
+                                      tmp_path / "train-labels-idx1-ubyte", num_classes=10)
+    assert pool.features.dtype == np.uint8
+    held, rest = datasets.split_holdout(pool, 0.1, seed=1)
+    clients = datasets.partition(rest, datasets.PartitionSpec(num_clients=5), seed=2)
+    flipped = datasets.flip_labels(clients[0], 0.5, seed=3)
+    assert not np.array_equal(flipped.labels, clients[0].labels)
+    for view in (held, rest, *clients, flipped):
+        assert view.features is pool.features
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +574,10 @@ def partition_case(pool_seed, classes, rows, label_alpha, clients, cap, alpha, z
     so some classes are scarce or absent and run dry."""
     rng = np.random.default_rng(pool_seed)
     mix = rng.dirichlet(np.full(classes, label_alpha))
-    root = make_dataset(np.zeros((2 * rows, 1)), rng.choice(classes, 2 * rows, p=mix),
-                        classes)
+    root = make_view(np.zeros((2 * rows, 1)), rng.choice(classes, 2 * rows, p=mix),
+                     classes)
     idx = np.sort(rng.choice(2 * rows, rows, replace=False))
-    pool = datasets.DatasetView(root, idx, root.labels[idx])
+    pool = replace(root, indices=idx, labels=root.labels[idx])
     spec = datasets.PartitionSpec(num_clients=clients, max_classes_per_client=cap,
                                   dirichlet_alpha=alpha, zipf_exponent=zipf)
     return pool, spec, seed

@@ -114,23 +114,23 @@ def test_prepare_gathers_pool_and_clients_from_one_matrix(monkeypatch):
     cfg = tiny_config(**{"attack.count": 2})
     prep = experiment.prepare(cfg, solve_menu=False)
     (train, _), = built
-    root = train.parent.features
-    assert np.shares_memory(root, prep.pool.parent.features)
+    root = train.features
+    assert np.shares_memory(root, prep.pool.features)
     for c in prep.clients:
-        assert np.shares_memory(root, c.data.parent.features)
+        assert np.shares_memory(root, c.data.features)
     # the pool and the validation split hold the rows the holdout seed picks
     n = len(train)
     perm = np.random.default_rng(
         child_seed(cfg.seed, STREAM_HOLDOUT)).permutation(n)
     h = max(1, int(round(n * cfg.partition.val_fraction)))
     held, rest = np.sort(perm[:h]), np.sort(perm[h:])
-    assert (prep.pool.parent.features[prep.pool.indices].tobytes()
-            == train.parent.features[train.indices][rest].tobytes())
+    assert (prep.pool.features[prep.pool.indices].tobytes()
+            == train.features[train.indices][rest].tobytes())
     assert prep.pool.labels.tobytes() == train.labels[rest].tobytes()
     # the validation split is a view of the same matrix: no row is copied
-    assert prep.val.parent is prep.pool.parent
-    assert (prep.val.parent.features[prep.val.indices].tobytes()
-            == train.parent.features[train.indices][held].tobytes())
+    assert prep.val.features is prep.pool.features
+    assert (prep.val.features[prep.val.indices].tobytes()
+            == train.features[train.indices][held].tobytes())
     assert prep.val.labels.tobytes() == train.labels[held].tobytes()
 
 
@@ -224,13 +224,13 @@ def test_run_keeps_every_array_in_float32(monkeypatch, tmp_path, algorithm):
     cfg = tiny_config()
     prep = experiment.prepare(cfg)
     for split in (prep.pool, prep.val, prep.test):
-        assert split.parent.features.dtype == np.uint8
+        assert split.features.dtype == np.uint8
         assert split.dtype == np.float32
     train, aggregate, batches = nn.train_epochs_tracked, nn.aggregate, DatasetView.batches
     workspaces, calls = [], {"train": 0, "aggregate": 0, "batches": 0}
 
     def spy_batches(self, order, size):
-        assert self.parent.features.dtype == np.uint8
+        assert self.features.dtype == np.uint8
         for x, y in batches(self, order, size):
             assert x.dtype == np.float32
             calls["batches"] += 1

@@ -71,10 +71,10 @@ def test_mnist_pool_and_clients_share_the_loaded_matrix(tmp_path, monkeypatch,
     assert len(prep.pool) == rows - len(prep.val)
     assert prep.pool.indices.max() < rows
     assert len(prep.test) == (300 if subset is None else 200)
-    assert np.shares_memory(train.features, prep.pool.parent.features)
+    assert np.shares_memory(train.features, prep.pool.features)
     assert sum(c.malicious for c in prep.clients) == 3
     for c in prep.clients:
-        assert np.shares_memory(train.features, c.data.parent.features)
+        assert np.shares_memory(train.features, c.data.features)
         assert np.isin(c.data.indices, prep.pool.indices).all()
 
 
@@ -88,9 +88,9 @@ def test_mnist_decodes_to_float32(tmp_path, monkeypatch):
     paths = (tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
     pixels = load_idx_pair(*paths, num_classes=10)
     train, test = experiment.build_dataset(config.resolve_config("paper-noattack", None))
-    assert train.parent.features.dtype == test.parent.features.dtype == np.uint8
+    assert train.features.dtype == test.features.dtype == np.uint8
     assert train.dtype == test.dtype == np.float32
-    assert train.parent.features.tobytes() == pixels.features.tobytes()
+    assert train.features.tobytes() == pixels.features.tobytes()
     assert np.array_equal(train.labels, pixels.labels)
     order = np.random.default_rng(0).permutation(len(train))
     got = np.concatenate([x for x, _ in train.batches(order, 64)])

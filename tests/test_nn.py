@@ -1,13 +1,13 @@
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from common import as_view, blob_data, make_dataset, make_view
+from common import blob_data, make_view
 from contractfl import nn
-from contractfl.datasets import Dataset, DatasetView
+from contractfl.datasets import DatasetView
 from contractfl.errors import (ConfigurationError, ContractViolation,
                                DataFormatError, TrainingDiverged)
 
@@ -142,11 +142,13 @@ def test_forward_identity_network():
 
 @dataclass
 class _Unchecked:
-    """Rows that skip Dataset's [0, 1] feature check, walked as a view."""
+    """Rows that skip DatasetView's [0, 1] feature check, walked as a view."""
 
     features: np.ndarray
     labels: np.ndarray
-    __len__ = Dataset.__len__
+
+    def __len__(self):
+        return self.features.shape[0]
 
     def batches(self, order, size):
         for start in range(0, len(order), size):
@@ -192,7 +194,7 @@ def test_gradient_matches_central_differences():
 
 
 def test_train_epochs_deterministic_and_pure():
-    data = as_view(blob_data(40, num_classes=2, dim=3, seed=1))
+    data = blob_data(40, num_classes=2, dim=3, seed=1)
     m = nn.init_model((3, 4, 4, 2), seed=2)
     before = m.params.copy()
     t1, _ = nn.train_epochs_tracked(m, data, epochs=2, lr=0.1, batch_size=8, rng_seed=42)
@@ -204,7 +206,7 @@ def test_train_epochs_deterministic_and_pure():
 
 
 def test_train_epochs_reduces_loss():
-    data = as_view(blob_data(120, num_classes=2, dim=2, seed=4))
+    data = blob_data(120, num_classes=2, dim=2, seed=4)
     m = nn.init_model((2, 8, 8, 2), seed=3)
     loss0, _ = nn.evaluate(m, data)
     trained, _ = nn.train_epochs_tracked(m, data, epochs=5, lr=0.5,
@@ -217,7 +219,7 @@ def test_train_epochs_reduces_loss():
 def test_train_epochs_tracked_matches_manual_replay():
     # freeze the bookkeeping: shuffle stream, batch walk, and the
     # sample-weighted per-epoch mean, including the final partial batch
-    data = as_view(blob_data(23, num_classes=2, dim=2, seed=6))
+    data = blob_data(23, num_classes=2, dim=2, seed=6)
     dims = (2, 4, 4, 2)
     m = nn.init_model(dims, seed=8)
     epochs, lr, bs, seed = 3, 0.2, 8, 17
@@ -225,7 +227,7 @@ def test_train_epochs_tracked_matches_manual_replay():
 
     params = m.params.copy()
     rng = np.random.default_rng(seed)
-    x, y = data.parent.features[data.indices], data.labels
+    x, y = data.features[data.indices], data.labels
     n = len(data)
     want_losses = []
     for _ in range(epochs):
@@ -321,14 +323,14 @@ def test_kernel_matches_independent_oracle_bitwise(dims, batch_size, n, epochs, 
     # partial batch in every epoch unless every batch is one row
     assert n % batch_size or batch_size == 1
     rng = np.random.default_rng(dims[0] + n)
-    pool = make_dataset(rng.uniform(0.0, 1.0, size=(3 * n, dims[0])),
-                        rng.integers(0, dims[-1], size=3 * n), dims[-1])
+    pool = make_view(rng.uniform(0.0, 1.0, size=(3 * n, dims[0])),
+                     rng.integers(0, dims[-1], size=3 * n), dims[-1])
     indices = np.sort(rng.choice(3 * n, size=n, replace=False))
-    client = DatasetView(pool, indices, pool.labels[indices])
+    client = replace(pool, indices=indices, labels=pool.labels[indices])
     m = nn.init_model(dims, seed=5)
     got_model, got_losses = nn.train_epochs_tracked(m, client, epochs, lr,
                                                     batch_size, 31, mu=mu)
-    x = client.parent.features[client.indices]
+    x = client.features[client.indices]
     want_params, want_losses = _oracle_train(m, x, client.labels,
                                              epochs, lr, batch_size, 31, mu)
     assert got_model.params.tobytes() == want_params.tobytes()
@@ -366,10 +368,10 @@ def test_float32_kernel_matches_the_oracle_run_in_float32(dims, batch_size, n,
     # trained parameters match bit for bit; its mean loss is summed in
     # float32 and the kernel's in float64, so the losses match to 1e-6
     rng = np.random.default_rng(dims[0] + n)
-    pool = make_dataset(rng.uniform(0.0, 1.0, size=(3 * n, dims[0])).astype(np.float32),
-                        rng.integers(0, dims[-1], size=3 * n), dims[-1])
+    pool = make_view(rng.uniform(0.0, 1.0, size=(3 * n, dims[0])).astype(np.float32),
+                     rng.integers(0, dims[-1], size=3 * n), dims[-1])
     indices = np.sort(rng.choice(3 * n, size=n, replace=False))
-    client = DatasetView(pool, indices, pool.labels[indices])
+    client = replace(pool, indices=indices, labels=pool.labels[indices])
     m = nn.init_model(dims, seed=5, dtype=np.float32)
     got_model, got_losses = nn.train_epochs_tracked(m, client, epochs, lr,
                                                     batch_size, 31, mu=mu)
@@ -468,7 +470,7 @@ def test_one_workspace_across_batch_sizes_matches_fresh_workspaces():
 
 def test_training_divergence_raises():
     # a model that has already gone non-finite must be caught on the first step
-    data = as_view(blob_data(16, num_classes=2, dim=2, seed=0))
+    data = blob_data(16, num_classes=2, dim=2, seed=0)
     dims = (2, 4, 4, 2)
     bad = nn.Model(dims, np.full(nn.param_count(dims), np.nan))
     with pytest.raises(TrainingDiverged) as exc:
@@ -478,21 +480,20 @@ def test_training_divergence_raises():
 
 
 def test_train_epochs_validation():
-    data = as_view(blob_data(10, seed=0))
+    data = blob_data(10, seed=0)
     m = nn.init_model((2, 4, 4, 2), seed=0)
     with pytest.raises(ConfigurationError):
         nn.train_epochs_tracked(m, data, epochs=0, lr=0.1, batch_size=4, rng_seed=0)
     with pytest.raises(ConfigurationError):
         nn.train_epochs_tracked(m, data, epochs=1, lr=0.1, batch_size=0, rng_seed=0)
-    bad = as_view(blob_data(10, dim=5, seed=0))
+    bad = blob_data(10, dim=5, seed=0)
     with pytest.raises(ConfigurationError):
         nn.train_epochs_tracked(m, bad, epochs=1, lr=0.1, batch_size=4, rng_seed=0)
 
 
 def test_training_rejects_features_of_another_dtype():
-    wide = as_view(blob_data(10, dim=2, seed=0))
-    narrow = as_view(make_dataset(wide.parent.features.astype(np.float32),
-                                  wide.parent.labels, 2))
+    wide = blob_data(10, dim=2, seed=0)
+    narrow = make_view(wide.features.astype(np.float32), wide.labels, 2)
     for dtype, data in ((np.float64, narrow), (np.float32, wide)):
         m = nn.init_model((2, 4, 4, 2), seed=0, dtype=dtype)
         with pytest.raises(ConfigurationError, match="float"):
@@ -503,13 +504,13 @@ def test_model_and_dataset_take_float32_and_float64_only():
     n = nn.param_count(DIMS)
     for dtype in (np.float64, np.float32):
         assert nn.Model(DIMS, np.zeros(n, dtype)).params.dtype == dtype
-        assert make_dataset(np.zeros((2, 3), dtype), [0, 1]).features.dtype == dtype
+        assert make_view(np.zeros((2, 3), dtype), [0, 1]).features.dtype == dtype
     assert nn.Model(DIMS, [0.0] * n).params.dtype == np.float64
     for dtype in (np.float16, np.int64, np.complex128):
         with pytest.raises(ConfigurationError, match="dtype"):
             nn.Model(DIMS, np.zeros(n, dtype))
         with pytest.raises(ConfigurationError, match="dtype"):
-            Dataset(np.zeros((2, 3), dtype), np.array([0, 1]), 2)
+            DatasetView(np.zeros((2, 3), dtype), np.arange(2), np.array([0, 1]), 2)
     with pytest.raises(ConfigurationError, match="dtype"):
         nn.init_model(DIMS, seed=0, dtype=np.float16)
 
@@ -522,17 +523,17 @@ def test_float32_model_rounds_its_float64_twin():
 
 
 def test_evaluate_matches_manual():
-    data = as_view(blob_data(37, num_classes=3, dim=2, seed=5))
+    data = blob_data(37, num_classes=3, dim=2, seed=5)
     m = nn.init_model((2, 4, 4, 3), seed=5)
     loss, acc = nn.evaluate(m, data)
-    logits = nn._forward(nn._views(m.layer_dims, m.params), data.parent.features)[-1]
+    logits = nn._forward(nn._views(m.layer_dims, m.params), data.features)[-1]
     log_p = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     assert abs(loss + log_p[np.arange(len(data)), data.labels].mean()) < 1e-12
     assert acc == (logits.argmax(axis=1) == data.labels).mean()
 
 
 def test_evaluate_chunking_invariant(monkeypatch):
-    data = as_view(blob_data(101, num_classes=2, dim=2, seed=9))
+    data = blob_data(101, num_classes=2, dim=2, seed=9)
     m = nn.init_model((2, 4, 4, 2), seed=9)
     whole = nn.evaluate(m, data)
     monkeypatch.setattr(nn, "_EVAL_CHUNK", 7)
@@ -548,8 +549,8 @@ def test_evaluate_view_matches_its_gathered_rows_bitwise(n):
     # row, one full chunk and two chunks
     root = blob_data(n + 40, num_classes=3, dim=3, seed=n)
     idx = np.sort(np.random.default_rng(n).permutation(len(root))[:n])
-    view = DatasetView(root, idx, root.labels[idx])
-    rows = as_view(make_dataset(root.features[idx], root.labels[idx], 3))
+    view = replace(root, indices=idx, labels=root.labels[idx])
+    rows = make_view(root.features[idx], root.labels[idx], 3)
     m = nn.init_model((3, 5, 4, 3), seed=2)
     assert (np.array(nn.evaluate(m, view)).tobytes()
             == np.array(nn.evaluate(m, rows)).tobytes())
@@ -648,7 +649,7 @@ def test_aggregate_validation():
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):
     m = nn.init_model(DIMS, seed=6)
-    data = as_view(blob_data(20, dim=3, seed=0))
+    data = blob_data(20, dim=3, seed=0)
     trained, _ = nn.train_epochs_tracked(m, data, 1, 0.1, 5, 0)
     path = tmp_path / "model.bin"
     nn.save_model(trained, path)
@@ -664,7 +665,7 @@ def test_float32_checkpoint_roundtrip_exact(tmp_path):
     # come back unchanged, as a float64 model
     m = nn.init_model(DIMS, seed=6, dtype=np.float32)
     blobs = blob_data(20, dim=3, seed=0)
-    data = as_view(make_dataset(blobs.features.astype(np.float32), blobs.labels, 2))
+    data = make_view(blobs.features.astype(np.float32), blobs.labels, 2)
     trained, _ = nn.train_epochs_tracked(m, data, 1, 0.1, 5, 0)
     assert trained.params.dtype == np.float32
     path = tmp_path / "model.bin"
@@ -705,4 +706,4 @@ def test_model_rejects_bad_shapes():
 
 def test_dataset_helper_rejects_bad_values():
     with pytest.raises(Exception):
-        make_dataset([[1.5, 0.0]], [0], 2)  # feature out of [0, 1]
+        make_view([[1.5, 0.0]], [0], 2)  # feature out of [0, 1]

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from common import as_view, blob_data
+from common import blob_data
 from contractfl import nn
 from contractfl.seeds import STREAM_TRAIN, child_seed
 from contractfl.simulation import (AsyncSimulation, Client, GateParams, RoundLedger,
@@ -70,9 +70,9 @@ HOT = [(2, 0.4, 1, 0.5), (2, 0.45, 1, 0.5), (2, 0.5, 2, 0.5)]  # with lr 1e3
 
 
 def _run_both(specs, rounds, dt, lr):
-    val, test = as_view(blob_data(40, dim=1, seed=101)), as_view(blob_data(30, dim=1, seed=102))
+    val, test = blob_data(40, dim=1, seed=101), blob_data(30, dim=1, seed=102)
     # a contracted effort of tau passes over the client's data buys tau epochs
-    clients = [Client(cid, as_view(blob_data(6 + cid, dim=1, seed=cid)), 0.0, theta,
+    clients = [Client(cid, blob_data(6 + cid, dim=1, seed=cid), 0.0, theta,
                       level, delay, effort=float(tau * (6 + cid)))
                for cid, (tau, delay, level, theta) in enumerate(specs)]
     taus = {cid: tau for cid, (tau, *_) in enumerate(specs)}
