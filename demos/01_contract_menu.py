@@ -9,11 +9,8 @@ its own level. This script solves such a menu for a ten-level market and
 then checks the two properties that make it work.
 """
 
-import numpy as np
-
 from contractfl.contracts import (
     MarketModel,
-    client_utility,
     local_epochs,
     solve_contract,
     verify_contract,
@@ -45,11 +42,11 @@ print(f"participation binds at levels {list(report.binding_ir)}")
 print(f"adjacent self-selection binds at {list(report.binding_ic_down)}")
 
 # The verification is brute force: every level's utility is evaluated on
-# every row of the menu. A level must never envy another row.
-u = market.unit_effort_cost
-util = np.outer(market.theta, menu.rewards) \
-    - (u * menu.efforts + market.e_com)[None, :]
-own = np.diag(util)
+# every row of the menu. A level must never envy another row. A payoff is
+# always priced by market.utility, theta * reward - (xi*c*f^2 * effort +
+# E_com); it broadcasts, so one call fills the whole level-by-row table.
+util = market.utility(market.theta[:, None], menu.rewards, menu.efforts)
+own = util.diagonal()
 print(f"worst cross-row advantage: {(util - own[:, None]).max():.3e}")
 
 # What the menu means for one concrete client: 300 samples at level 4.
@@ -57,15 +54,15 @@ d_k = 300
 entry = menu.entry(4)
 tau = local_epochs(entry.effort, d_k)
 print(f"\na level-4 client with {d_k} samples trains {tau} local epochs per round")
-# epochs round down to a whole number, so the realized energy bill comes
-# out a little under the contracted effort's
-print(f"its payoff at that rounded epoch count: "
-      f"{client_utility(4, menu, market, tau, d_k):.1f}")
+# epochs round down to a whole number, so the realized effort tau * d_k,
+# and with it the energy bill, comes out a little under the contracted one
+payoff = market.utility(market.theta[3], entry.reward, tau * d_k)
+print(f"its payoff at that rounded epoch count: {payoff:.1f}")
 
-# Utility of the same client on other rows, at contracted efforts:
-# theta_4 * R_m - u * e_m - E_com. The tie with the row one below is by
-# construction (that constraint binds exactly); every other deviation
-# strictly loses.
+# Utility of the same client on other rows, at contracted efforts: row 4
+# of the table above, market.utility(theta_4, R_m, e_m). The tie with the
+# row one below is by construction (that constraint binds exactly); every
+# other deviation strictly loses.
 for pick in (2, 3, 4, 5, 6):
     value = float(util[3, pick - 1])
     marker = " <- its own row" if pick == 4 else ""

@@ -5,29 +5,47 @@
 #
 # Usage: scripts/byte_identity.sh OUT
 #
-# The runs: desk simulate clean and attacked, desk simulate attacked at a
-# gate far from its defaults, a desk simulate whose
-# validation and test splits each span two evaluation chunks, a desk simulate whose
-# clients end their epochs on one-row batches, desk baseline fedavg,
-# fedprox and local-sgd, each clean and attacked (the synchronous arms of
-# the attacked comparison, 6 attackers flipping every label; attacked
-# FedProx also carries mu through the training call), desk
-# partition-stats, desk contract, fit on noiseless accuracy-curve samples
-# written into OUT/fit-samples.csv, fit-quality on noiseless data-quality
-# samples (z, data_quality(z, 0.0)) written into OUT/fit-quality-samples.csv,
-# the benchmark's paper-synth workload,
-# three MNIST-preset runs on IDX files generated into OUT/mnist, the first
-# of them again on gzipped copies of those files in OUT/mnist-gz (the
-# streamed gzip read of whole files), and one MNIST-preset run whose
-# 5,000-image test file, generated into OUT/mnist-test-chunks-data, spans
-# two 4,096-row evaluation chunks.
-# Every run stores its rows as 8-bit pixels and trains in float32.
+# The runs, each named by its outputs under OUT; this is the one list of them:
+#   simulate-clean            desk simulate
+#   simulate-attacked         desk simulate, 6 attackers flipping every label
+#   simulate-gate             the attacked run at a gate far from its defaults
+#   simulate-val-chunks       desk simulate whose validation and test splits
+#                             each span two evaluation chunks
+#   simulate-one-row-batch    desk simulate whose clients end their epochs on
+#                             one-row batches
+#   baseline-fedavg, baseline-fedprox, baseline-local-sgd
+#                             desk baselines, and each again attacked as
+#                             baseline-<algorithm>-attacked (the synchronous
+#                             arms of the attacked comparison; attacked FedProx
+#                             also carries mu through the training call)
+#   partition-stats, contract desk partition-stats and contract
+#   fit                       fit on noiseless accuracy-curve samples written
+#                             into OUT/fit-samples.csv
+#   fit-quality               fit on noiseless data-quality samples
+#                             (z, data_quality(z, 0.0)) written into
+#                             OUT/fit-quality-samples.csv
+#   paper-synth               the benchmark's paper-synth workload
+#   demo-01, demo-02, demo-05 the three fast demos under demos/; demo 01 prices
+#                             every payoff through MarketModel.utility, and
+#                             demo 05 calls fitting.predict
+#   mnist-attack30, mnist-subset, mnist-local-sgd
+#                             MNIST-preset runs on IDX files generated into
+#                             OUT/mnist
+#   mnist-gz-attack30         mnist-attack30 on gzipped copies of those files
+#                             in OUT/mnist-gz (the streamed gzip read of whole
+#                             files)
+#   mnist-test-chunks         an MNIST-preset run whose 5,000-image test file,
+#                             generated into OUT/mnist-test-chunks-data, spans
+#                             two 4,096-row evaluation chunks
+# Every simulate and baseline run stores its rows as 8-bit pixels and trains
+# in float32.
 #
-# Each run writes its artifacts to OUT/<run>/, and its stdout and stderr to
-# OUT/<run>.stdout and OUT/<run>.stderr with the output path masked as "OUT",
-# so that two checkouts' outputs compare byte for byte. To show that a change
-# moves no byte, run this in a checkout of the parent commit and in one of
-# the change, then compare the two: diff -r OUT_PARENT OUT_CHANGE
+# Each run writes its stdout and stderr to OUT/<run>.stdout and
+# OUT/<run>.stderr with the output path masked as "OUT", and each CLI run
+# its artifacts to OUT/<run>/, so that two checkouts' outputs compare byte
+# for byte. To show that a change moves no byte, run this in a checkout of
+# the parent commit and in one of the change, then compare the two:
+# diff -r OUT_PARENT OUT_CHANGE (scripts/byte_diff.sh does all of this).
 # The script exits 1 if any run exits non-zero.
 set -euo pipefail
 
@@ -42,16 +60,21 @@ export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 export OPENBLAS_NUM_THREADS=1
 failed=0
 
-run_cli() {  # run_cli NAME ARGS...: contractfl ARGS --out OUT/NAME
+run_py() {  # run_py NAME ARGS...: python3 ARGS, output kept as OUT/NAME.std*
     local name=$1 rc=0
     shift
-    python3 -m contractfl.cli "$@" --out "$OUT/$name" \
-        >"$OUT/$name.stdout" 2>"$OUT/$name.stderr" || rc=$?
+    python3 "$@" >"$OUT/$name.stdout" 2>"$OUT/$name.stderr" || rc=$?
     sed -i "s#$OUT#OUT#g" "$OUT/$name.stdout" "$OUT/$name.stderr"
     if [ "$rc" -ne 0 ]; then
         echo "$name: exit $rc" >&2
         failed=1
     fi
+}
+
+run_cli() {  # run_cli NAME ARGS...: contractfl ARGS --out OUT/NAME
+    local name=$1
+    shift
+    run_py "$name" -m contractfl.cli "$@" --out "$OUT/$name"
 }
 
 run() {  # run NAME ARGS...: contractfl ARGS --set seed=0 --out OUT/NAME
@@ -122,6 +145,9 @@ with open(sys.argv[1], "w") as fh:
 PY
 run_cli fit-quality fit "$OUT/fit-quality-samples.csv" --model data_quality --seed 0
 run paper-synth simulate $synth
+for demo in 01_contract_menu 02_partition_and_quality 05_curve_fitting; do
+    run_py "demo-${demo%%_*}" "$ROOT/demos/$demo.py"
+done
 
 # the MNIST presets on generated IDX files (tests/common.py writes them),
 # cut down to run in seconds: the loader, subset, holdout and partition path

@@ -177,18 +177,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigurationError(f"unknown config field {sorted(unknown)[0]}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in d:
-                continue
-            if f.default_factory is dataclasses.MISSING:
-                kwargs[f.name] = _coerce_scalar(d[f.name], f.type, f.name)
-            else:  # a section: its class is its field's default factory
-                kwargs[f.name] = _build_section(f.default_factory, d[f.name], f.name)
-        return cls(**kwargs)
+        return _build(cls, d, "")
 
 
 def check_pool(n: int, spec: PartitionSpec, source: str) -> None:
@@ -239,20 +228,24 @@ def _coerce_scalar(value, annotation: str, path: str):
         f"config field {path!r} expects {_SCALAR_KINDS[annotation]}, got {value!r}")
 
 
-def _build_section(section_cls, value, path: str):
+def _build(cls, value, path: str):
+    """Build `cls` from the dict at dotted `path` ("" for the whole config), in
+    field order; a field with a default factory is a section of that class."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"config section {path!r} must be an object")
-    annotations = {f.name: f.type for f in fields(section_cls)}
-    unknown = set(value) - set(annotations)
+    prefix = f"{path}." if path else ""
+    unknown = set(value) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigurationError(f"unknown config field {path}.{sorted(unknown)[0]}")
-    clean = {k: _coerce_scalar(v, annotations[k], f"{path}.{k}")
-             for k, v in value.items()}
+        raise ConfigurationError(f"unknown config field {prefix}{sorted(unknown)[0]}")
+    kwargs = {f.name: _coerce_scalar(value[f.name], f.type, prefix + f.name)
+              if f.default_factory is dataclasses.MISSING
+              else _build(f.default_factory, value[f.name], prefix + f.name)
+              for f in fields(cls) if f.name in value}
     try:
-        return section_cls(**clean)
+        return cls(**kwargs)
     except ConfigurationError as exc:
-        # a section names the bare field; the path in front is added here only
-        raise ConfigurationError(f"{path}.{exc}") from exc
+        # a type names the bare field; the path in front is added here only
+        raise ConfigurationError(f"{prefix}{exc}") from exc
 
 
 def _read_config_file(path) -> dict:

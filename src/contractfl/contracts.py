@@ -26,6 +26,8 @@ THETA_FLOOR = 0.01
 EFFORT_MIN = 1.0
 GRID_POINTS = 2048
 REFINE_TOL = 1e-9
+# solve_contract: a lift costing a level more of its objective than this needs bunching
+LIFT_TOL = 1e-12
 # verify_contract: a constraint short by more than VERIFY_TOL is violated, and
 # one within BINDING_TOL of zero is reported as binding
 VERIFY_TOL = 1e-9
@@ -152,6 +154,11 @@ class MarketModel:
         """Energy of one training cycle at `effort` (a scalar or an array):
         xi * c * f^2 * effort for computation plus E_com for the upload."""
         return self.unit_effort_cost * effort + self.e_com
+
+    def utility(self, theta, reward, effort):
+        """Payoff of quality theta paid `reward` for one cycle at `effort`;
+        broadcasts, so one call prices every (level, row) pair of a menu."""
+        return theta * reward - self.energy(effort)
 
 
 @dataclass(frozen=True)
@@ -399,7 +406,7 @@ def solve_contract(market: MarketModel,
     refined by golden-section search. The resulting efforts must come out
     nondecreasing across levels; if they do not, the separable relaxation is
     invalid for this market and we fail loudly rather than return a menu
-    that breaks self-selection.
+    that breaks self-selection. A dip costing at most LIFT_TOL is lifted.
     """
     e_hi = market.max_effort
     grid = np.linspace(EFFORT_MIN, e_hi, GRID_POINTS)
@@ -417,14 +424,19 @@ def solve_contract(market: MarketModel,
         efforts[n - 1] = x
         shares[n - 1] = fx
 
-    drops = np.diff(efforts)
-    if (drops < -1e-9 * max(1.0, e_hi)).any():
-        bad = int(np.argmin(drops)) + 1
-        raise ContractViolation(
-            f"optimal efforts decrease from level {bad} ({efforts[bad - 1]:.6g}) to "
-            f"level {bad + 1} ({efforts[bad]:.6g}); this market needs bunching, "
-            f"which the separable solver does not support")
-    efforts = np.maximum.accumulate(efforts)  # absorb sub-tolerance wiggle
+    # golden-section search cannot order close optima on a flat objective, so a
+    # dip below an earlier level's effort is lifted unless that costs > LIFT_TOL
+    lifted = np.maximum.accumulate(efforts)
+    for n in np.flatnonzero(lifted > efforts):
+        at_lift = per_level_objective(float(lifted[n]), n + 1, l, market, acp)
+        if shares[n] - at_lift > LIFT_TOL * abs(shares[n]):
+            top = int(np.argmax(efforts[:n]))
+            raise ContractViolation(
+                f"optimal efforts decrease from level {top + 1} ({efforts[top].item()!r}) "
+                f"to level {n + 1} ({efforts[n].item()!r}); this market needs bunching, "
+                f"which the separable solver does not support")
+        shares[n] = at_lift
+    efforts = lifted
 
     rewards = rewards_from_efforts(efforts, market)
     entries = tuple(
@@ -447,8 +459,8 @@ def solve_contract(market: MarketModel,
 def verify_contract(menu: ContractMenu, market: MarketModel) -> ContractReport:
     """Brute-force every participation and self-selection constraint.
 
-    U(n, m) = theta_n * R_m - (u * e_m + E_com) is level n's expected utility
-    from picking row m. IR requires U(n, n) >= 0; IC requires
+    U(n, m) = `market.utility(theta_n, R_m, e_m)` is level n's expected
+    utility from picking row m. IR requires U(n, n) >= 0; IC requires
     U(n, n) >= U(n, m) for every m, each up to VERIFY_TOL. Constraints within
     BINDING_TOL of zero are reported as binding.
     """
@@ -456,7 +468,7 @@ def verify_contract(menu: ContractMenu, market: MarketModel) -> ContractReport:
         raise ConfigurationError(
             f"menu has {menu.n_levels} levels, market has {market.n_levels}")
     # util[n, m]: level n's utility when it takes row m
-    util = np.outer(market.theta, menu.rewards) - market.energy(menu.efforts)[None, :]
+    util = market.utility(market.theta[:, None], menu.rewards, menu.efforts)
     ir = np.diag(util).copy()
     ic_gap = ir[:, None] - util
 
@@ -494,15 +506,3 @@ def local_epochs(effort: float, d_k: int) -> int:
     if d_k < 1:
         raise ConfigurationError(f"client sample count must be >= 1, got {d_k}")
     return max(1, int(math.floor(effort / d_k)))
-
-
-def client_utility(level: int, menu: ContractMenu, market: MarketModel,
-                   tau: int, d_k: int) -> float:
-    """Expected utility of a level's contract at the client's realized effort.
-
-    theta_n * R_n - (xi * c * f^2 * tau * d_k + E_com). The energy term
-    uses the realized effort tau * d_k, which differs from the contracted
-    effort when the epoch count was rounded or clamped.
-    """
-    return float(market.theta[level - 1] * menu.entry(level).reward
-                 - market.energy(tau * d_k))

@@ -39,8 +39,8 @@ import numpy as np
 
 from . import baselines, nn
 from .config import ExperimentConfig, check_pool
-from .contracts import (ContractMenu, ContractReport, MarketModel, client_utility,
-                        data_quality, quality_level, solve_contract, verify_contract)
+from .contracts import (ContractMenu, ContractReport, MarketModel, data_quality,
+                        quality_level, solve_contract, verify_contract)
 from .datasets import (PIXEL_DTYPE, DatasetView, emd, flip_labels, load_idx_pair,
                        partition, split_holdout, synthetic_pair, uniform_benchmark)
 from .errors import ConfigurationError
@@ -205,8 +205,8 @@ def prepare(cfg: ExperimentConfig, solve_menu: bool = True) -> Prepared:
 
     clients = [complete(c) for c in clients]
     if menu is not None:
-        losing = [c.client_id for c in clients
-                  if client_utility(c.level, menu, market, c.tau, c.d_k) < 0]
+        losing = [c.client_id for c in clients if market.utility(
+            market.theta[c.level - 1], c.reward, c.tau * c.d_k) < 0]
         if losing:
             logger.warning("realized contract utility below 0 for %d of %d clients: "
                            "clients %s", len(losing), len(clients),
@@ -287,7 +287,7 @@ def run_async_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         test_data=prep.test, master_seed=cfg.seed, lr=cfg.training.lr,
         batch_size=cfg.training.batch_size)
     ledgers = sim.run(cfg.rounds)
-    result = settle_rewards(ledgers, sim.clients, prep.menu, prep.market)
+    result = settle_rewards(ledgers, sim.clients, prep.market)
     result["history"] = [
         (lg.round, lg.test_loss, lg.test_accuracy, lg.admitted_count)
         for lg in ledgers

@@ -17,9 +17,11 @@ DEFAULT_INITS and from seeded jitters of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from .contracts import accuracy_curve
 from .errors import ConfigurationError
 
 DEFAULT_INITS = {
@@ -44,13 +46,14 @@ class FitResult:
 
 
 def predict(model_id: str, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate a curve model at raw parameter vector x."""
+    """Evaluate a curve model at raw parameter vector x. A simplex probe may
+    leave AccuracyCurveParams' ranges, so accuracy_curve gets a namespace."""
     with np.errstate(over="ignore", invalid="ignore"):
         if model_id == "accuracy_curve":
-            b1, b2, b3, b4, b5 = x
-            e, theta = inputs[:, 0], inputs[:, 1]
-            return b1 + b2 * theta - b3 * np.exp(-b4 * (1e-3 * e) ** b5)
+            params = SimpleNamespace(**dict(zip(PARAM_NAMES[model_id], x)))
+            return accuracy_curve(inputs[:, 0], inputs[:, 1], params)
         if model_id == "data_quality":
+            # data_quality's in numpy: math's exp and ** differ in the last bit
             g1, g2, g4 = x
             z = inputs[:, 0]
             return 1.0 - g1 * np.exp(-g2 * z ** g4)

@@ -4,8 +4,8 @@ A simulated clock drives scheduling: each client's training cycle occupies
 tau * per_epoch_delay simulated seconds (communication is folded into the
 per-epoch delay, so it adds no simulated time of its own), and the server
 aggregates once per delta_t window. The settlement books price each uploaded
-cycle with the contract's own cost model, `MarketModel.energy` at the
-realized effort tau * d_k.
+cycle with the contract's own cost model and payoff, `MarketModel.energy`
+and `MarketModel.utility` at the realized effort tau * d_k.
 
 Round t covers the window (t * delta_t, (t + 1) * delta_t]. Clients whose
 cycles finish inside the window form the upload set. A cycle carries its
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, seeds
-from .contracts import ContractMenu, MarketModel, client_utility, local_epochs
+from .contracts import MarketModel, local_epochs
 from .datasets import DatasetView
 from .errors import ConfigurationError, TrainingDiverged
 
@@ -408,15 +408,15 @@ class AsyncSimulation:
 
 
 def settle_rewards(ledgers: list[RoundLedger], clients: list[Client],
-                   menu: ContractMenu, market: MarketModel) -> dict:
+                   market: MarketModel) -> dict:
     """Summarize who earned what across a finished run, from its ledgers.
 
-    Per client: paid and withheld reward totals, energy spent on completed
-    cycles, and the realized utility rewards_earned - energy. Each upload
-    pays the client's contract reward if it was admitted and withholds it
-    otherwise; sums run in round order. The publisher block totals payments
-    per level. Only completed (uploaded) cycles are priced; a cycle still in
-    flight when the horizon ends costs nothing.
+    Per client: paid and withheld reward totals, energy spent on uploaded
+    cycles, the realized utility rewards_earned - energy, and one cycle's
+    contract utility, `market.utility` at the realized effort tau * d_k.
+    An admitted upload pays the client's reward, and any other withholds it;
+    sums run in round order. The publisher block totals payments per level.
+    Every input is a fact the artifacts record, so they rebuild the books.
     """
     verdicts: dict[int, list[bool]] = {c.client_id: [] for c in clients}
     for lg in ledgers:
@@ -426,7 +426,8 @@ def settle_rewards(ledgers: list[RoundLedger], clients: list[Client],
     per_client = []
     for c in sorted(clients, key=lambda s: s.client_id):
         mine = verdicts[c.client_id]
-        cost = market.energy(c.tau * c.d_k)
+        effort = c.tau * c.d_k
+        cost = market.energy(effort)
         earned = withheld = energy = 0.0
         for admitted in mine:
             energy += cost
@@ -450,7 +451,8 @@ def settle_rewards(ledgers: list[RoundLedger], clients: list[Client],
             "rewards_withheld": withheld,
             "energy_spent": energy,
             "realized_utility": earned - energy,
-            "contract_utility": client_utility(c.level, menu, market, c.tau, c.d_k),
+            "contract_utility": float(market.utility(market.theta[c.level - 1],
+                                                     c.reward, effort)),
         })
     paid_by_level: dict[int, float] = {}
     for row in per_client:

@@ -121,6 +121,20 @@ def test_fit_rejects_malformed_csv(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_rejects_negative_effort(capsys, tmp_path):
+    # the fitter evaluates contracts.accuracy_curve and inherits its effort
+    # rule; a copy without it scored every probe NaN and reported the
+    # untouched initial guess as converged
+    csv = tmp_path / "samples.csv"
+    csv.write_text("1000,0.5,0.6\n2000,0.5,0.7\n-4000,0.9,0.8\n"
+                   "8000,0.9,0.85\n16000,0.3,0.7\n32000,0.6,0.9\n")
+    rc = cli.main(["fit", str(csv), "--model", "accuracy_curve"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: effort must be >= 0\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("starts", ["0", "-3"])
 def test_fit_rejects_nonpositive_starts(capsys, tmp_path, starts):
     csv = tmp_path / "samples.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,8 +233,59 @@ def test_solve_contract_bunching_fails_loudly():
     m = MarketModel(theta=np.array([0.09, 0.1, 0.9]), p=np.array([0.1, 0.01, 0.89]))
     ratios = contracts.effort_cost_coeffs(m) / m.p
     assert ratios[1] > ratios[0]  # the middle level is the squeezed one
-    with pytest.raises(ContractViolation, match="bunching"):
+    with pytest.raises(ContractViolation, match="level 1 .* level 2 .*bunching") as exc:
         contracts.solve_contract(m)
+    high, low = _bunching_efforts(exc)
+    assert high > low
+
+
+def _bunching_efforts(exc) -> tuple[float, float]:
+    """The two efforts a bunching error names, each printed with repr, so
+    that two different efforts never print as the same number."""
+    found = re.findall(r"\(([^()]+)\)", str(exc.value))
+    assert len(found) == 2 and all(repr(float(x)) == x for x in found), str(exc.value)
+    return float(found[0]), float(found[1])
+
+
+def test_solve_contract_refuses_a_measured_prior_that_needs_bunching():
+    # paper-synth's level shares at seed 0 (72/3/1/6/5/7/6 clients on levels
+    # 1/4/5/7/8/9/10): level 1 wants about 11,027 samples and level 2 one
+    m = MarketModel(theta=np.arange(1, 11) / 10.0,
+                    p=np.array([72, 0, 0, 3, 1, 0, 6, 5, 7, 6]) / 100.0)
+    with pytest.raises(ContractViolation, match="level 1 .* level 2 .*bunching") as exc:
+        contracts.solve_contract(m)
+    high, low = _bunching_efforts(exc)
+    assert high > 11000.0 and low == contracts.EFFORT_MIN
+
+
+@pytest.mark.parametrize("market, acp", [
+    # desk's market and curve with nearly free effort
+    (MarketModel.uniform(5, xi=1e-8), AccuracyCurveParams(beta4=1.0)),
+    # the paper market with cheap effort
+    (MarketModel.uniform(10, xi=1e-6), AccuracyCurveParams()),
+], ids=["desk-xi-1e-8", "paper-xi-1e-6"])
+def test_solve_contract_lifts_an_effort_dip_that_costs_nothing(market, acp, monkeypatch):
+    # on a flat objective, golden-section search places neighbouring levels'
+    # optima up to 2e-4 samples apart in either order; lifting the lower one
+    # costs it about 1e-16 of its objective, which is no reason to refuse
+    raw = []
+    golden = contracts._golden_max
+
+    def recording(*args):
+        x, fx = golden(*args)
+        raw.append(x)
+        return x, fx
+
+    monkeypatch.setattr(contracts, "_golden_max", recording)
+    menu = contracts.solve_contract(market, acp)
+    assert (np.diff(raw) < 0).any()  # the search did dip
+    assert (np.diff(menu.efforts) >= 0).all()
+    assert contracts.verify_contract(menu, market).ok
+    l = contracts.effort_cost_coeffs(market)
+    lost = [menu.provenance["objective_per_level"][n]
+            - contracts.per_level_objective(menu.efforts[n], n + 1, l, market, acp)
+            for n in range(market.n_levels)]
+    assert lost == [0.0] * market.n_levels
 
 
 def test_solve_contract_infeasible_deadline():
@@ -260,6 +312,20 @@ def test_verify_contract_hand_menu_ic_slack():
     assert abs(report.ic_gap[1, 0] - 0.0) < 1e-9
     # level 1 claiming level 2's contract loses 500
     assert abs(report.ic_gap[0, 1] - 500.0) < 1e-9
+
+
+@pytest.mark.parametrize("market, acp", [
+    (MarketModel.uniform(5), AccuracyCurveParams(beta4=1.0)),  # desk
+    (MarketModel.uniform(10), AccuracyCurveParams()),          # paper
+], ids=["desk", "paper"])
+def test_verify_contract_prices_through_market_utility_bitwise(market, acp):
+    menu = contracts.solve_contract(market, acp)
+    report = contracts.verify_contract(menu, market)
+    util = np.array([[market.utility(market.theta[n], menu.entry(m + 1).reward,
+                                     menu.entry(m + 1).effort)
+                      for m in range(market.n_levels)] for n in range(market.n_levels)])
+    assert report.ir.tobytes() == np.diag(util).tobytes()
+    assert report.ic_gap.tobytes() == (np.diag(util)[:, None] - util).tobytes()
 
 
 def test_verify_contract_detects_violations():
@@ -356,21 +422,21 @@ def test_local_epochs_floor_and_clamp():
         contracts.local_epochs(100.0, 0)
 
 
-def test_client_utility_hand_computed():
+def test_market_utility_hand_computed():
     m = two_level_market()
     menu = ContractMenu(entries=(
         ContractEntry(1, 0.5, 0.5, 100.0, 2040.0),
         ContractEntry(2, 1.0, 0.5, 200.0, 3040.0),
     ))
     # realized effort tau * d_k = contracted effort: utility is exactly IR slack
-    assert abs(contracts.client_utility(1, menu, m, tau=2, d_k=50)) < 1e-12
-    assert abs(contracts.client_utility(2, menu, m, tau=4, d_k=50) - 1020.0) < 1e-12
+    assert abs(m.utility(m.theta[0], menu.entry(1).reward, 2 * 50)) < 1e-12
+    assert abs(m.utility(m.theta[1], menu.entry(2).reward, 4 * 50) - 1020.0) < 1e-12
     # rounding tau down below the contracted effort leaves extra utility
-    assert contracts.client_utility(1, menu, m, tau=1, d_k=50) > 0
+    assert m.utility(m.theta[0], menu.entry(1).reward, 1 * 50) > 0
 
 
-def test_client_utility_is_the_verified_ir_slack_bitwise():
-    # settlement and verification price an effort through one cost model:
+def test_market_utility_is_the_verified_ir_slack_bitwise():
+    # settlement and verification price an effort through one payoff:
     # when the realized effort tau * d_k is the contracted effort, a client's
     # utility is the IR slack verify_contract reports for its level, bit for bit
     rng = np.random.default_rng(11)
@@ -388,7 +454,8 @@ def test_client_utility_is_the_verified_ir_slack_bitwise():
             for n in range(4)))
         ir = contracts.verify_contract(menu, m).ir
         for n in range(1, 5):
-            got = contracts.client_utility(n, menu, m, tau=int(taus[n - 1]), d_k=d_k)
+            got = m.utility(m.theta[n - 1], menu.entry(n).reward,
+                            int(taus[n - 1]) * d_k)
             assert np.float64(got).tobytes() == ir[n - 1].tobytes()
 
 

@@ -1,7 +1,9 @@
 import copy
+import csv
 import filecmp
 import json
 import logging
+import math
 import os
 
 import numpy as np
@@ -10,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import make_view, tiny_config
-from contractfl import config, experiment, nn
-from contractfl.contracts import client_utility
+from contractfl import config, experiment, nn, simulation
 from contractfl.datasets import DatasetView, synthetic_pair
 from contractfl.seeds import STREAM_HOLDOUT, child_seed
 from contractfl.simulation import Client
@@ -153,8 +154,9 @@ PAPER_SYNTH = ["dataset.kind=synthetic", "dataset.dim=784",
 
 
 def _losing(prep):
+    m = prep.market
     return [c.client_id for c in prep.clients
-            if client_utility(c.level, prep.menu, prep.market, c.tau, c.d_k) < 0]
+            if m.utility(m.theta[c.level - 1], c.reward, c.tau * c.d_k) < 0]
 
 
 def test_prepare_names_clients_with_negative_realized_utility(caplog):
@@ -215,6 +217,61 @@ def test_run_async_experiment_artifacts_deterministic(tmp_path):
     assert res1["history"] == res2["history"]
     echo = json.loads((out1 / "config-echo.json").read_text())
     assert echo == cfg.to_dict()
+
+
+def _settle_from_artifacts(run_dir) -> dict:
+    """The books `settle_rewards` keeps, from a run's other artifacts alone:
+    clients from partition.csv, ledgers from ledger.csv and rounds.csv, the
+    market from config-echo.json. What none of them records (delays, time
+    windows, level statistics, validation losses) settlement does not read,
+    and is left NaN or empty here."""
+    def rows(name):
+        with open(os.path.join(run_dir, name), newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    with open(os.path.join(run_dir, "config-echo.json")) as fh:
+        market = config.ExperimentConfig.from_dict(json.load(fh)).market.to_market()
+    clients = []
+    for r in rows("partition.csv"):
+        d_k = int(r["d_k"])
+        data = make_view(np.zeros((d_k, 1)), np.arange(d_k) % 2, 2)
+        c = Client(int(r["client_id"]), data, float(r["emd"]), float(r["theta"]),
+                   int(r["level"]), math.nan, malicious=r["malicious"] == "1",
+                   effort=float(r["effort"]), reward=float(r["reward"]))
+        assert (c.tau, c.tau_clamped) == (int(r["tau"]), r["tau_clamped"] == "1")
+        clients.append(c)
+    uploads = {}
+    for r in rows("ledger.csv"):
+        uploads.setdefault(int(r["round"]), []).append(simulation.UploadRecord(
+            int(r["client_id"]), int(r["level"]), int(r["staleness"]), float(r["m"]),
+            float(r["q"]), float(r["sim_time"]), r["admitted"] == "1", float(r["alpha"])))
+    ledgers = []
+    for r in rows("rounds.csv"):
+        lg = simulation.RoundLedger(
+            int(r["round"]), math.nan, tuple(uploads.get(int(r["round"]), ())), {},
+            math.nan, float(r["test_loss"]), float(r["test_accuracy"]))
+        assert lg.admitted_count == int(r["admitted_count"])
+        ledgers.append(lg)
+    return simulation.settle_rewards(ledgers, clients, market)
+
+
+@pytest.mark.parametrize("preset, overrides, clamped, rejected", [
+    ("desk", ["attack.count=6", "attack.flip_fraction=1.0"], False, True),
+    ("paper-noattack", PAPER_SYNTH + ["rounds=3"], True, False),
+], ids=["desk-attacked", "paper-synth-clamped"])
+def test_settlement_is_rebuilt_from_the_other_artifacts_bytewise(
+        tmp_path, preset, overrides, clamped, rejected):
+    # every field settlement books is a fact another artifact records, so the
+    # books can be audited without a rerun
+    run_dir = tmp_path / "run"
+    experiment.run_async_experiment(config.resolve_config(preset, None, overrides),
+                                    str(run_dir))
+    books = _settle_from_artifacts(run_dir)
+    assert any(row["tau_clamped"] for row in books["clients"]) == clamped
+    assert any(row["rejected"] for row in books["clients"]) == rejected
+    experiment.write_json(books, tmp_path / "rebuilt.json")
+    assert (tmp_path / "rebuilt.json").read_bytes() == \
+        (run_dir / "settlement.json").read_bytes()
 
 
 @pytest.mark.parametrize("algorithm", ["async", "fedavg"])

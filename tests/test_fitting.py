@@ -32,6 +32,25 @@ def test_predict_accuracy_matches_curve():
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_predict_accuracy_takes_probes_outside_the_parameter_ranges():
+    # a simplex probe may make beta4 or beta5 negative, which
+    # AccuracyCurveParams refuses; predict still evaluates the curve there
+    rng = np.random.default_rng(5)
+    inputs = np.column_stack([rng.uniform(0.0, 20000.0, 50), rng.uniform(0.01, 1.0, 50)])
+    for _ in range(20):
+        x = rng.normal(0.0, 2.0, 5)
+        b1, b2, b3, b4, b5 = x
+        e, theta = inputs[:, 0], inputs[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = b1 + b2 * theta - b3 * np.exp(-b4 * (1e-3 * e) ** b5)
+        assert fitting.predict("accuracy_curve", x, inputs).tobytes() == want.tobytes()
+
+
+def test_predict_accuracy_refuses_negative_effort():
+    with pytest.raises(ConfigurationError, match="effort must be >= 0"):
+        fitting.predict("accuracy_curve", np.ones(5), np.array([[-1.0, 0.5]]))
+
+
 def test_predict_quality_matches_formula():
     x = np.array([10.559, 1.803, 0.155])
     z = np.array([[1000.0], [5000.0]])

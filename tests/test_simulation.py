@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from common import make_view, tiny_config
 from contractfl import config, experiment, nn, simulation
-from contractfl.contracts import MarketModel, solve_contract
+from contractfl.contracts import MarketModel
 from contractfl.errors import ConfigurationError
 from contractfl.seeds import STREAM_TRAIN, child_seed
 from contractfl.simulation import (AsyncSimulation, Client, GateParams,
@@ -18,7 +18,6 @@ from contractfl.simulation import (AsyncSimulation, Client, GateParams,
                                    settle_rewards)
 
 MARKET = MarketModel.uniform()
-MENU = solve_contract(MARKET)
 
 
 def easy_client(cid, n=6, flip=False, seed=0):
@@ -366,7 +365,7 @@ def test_poor_upload_rejected_paid_nothing_and_refreshed():
     assert not rec[2].admitted
     assert rec[2].alpha == 0.0
     books = {row["client_id"]: row for row in
-             settle_rewards([ledger], sim.clients, MENU, MARKET)["clients"]}
+             settle_rewards([ledger], sim.clients, MARKET)["clients"]}
     # the reject was paid nothing but billed for its wasted cycle
     assert books[2]["rewards_earned"] == 0.0
     assert books[2]["rewards_withheld"] == bad.reward
@@ -486,7 +485,7 @@ def _finished_sim():
 
 def test_settle_rewards_books_balance():
     sim, ledgers = _finished_sim()
-    result = simulation.settle_rewards(ledgers, sim.clients, MENU, MARKET)
+    result = simulation.settle_rewards(ledgers, sim.clients, MARKET)
     rows = result["clients"]
     assert [r["client_id"] for r in rows] == [0, 1, 2]
     for row, c in zip(rows, sim.clients):
@@ -531,7 +530,7 @@ def test_settle_rewards_books_follow_the_ledgers(data):
                     level_stats={}, val_loss=0.0, test_loss=0.0, test_accuracy=0.0)
         for t, row in enumerate(verdicts)]
     assert [lg.admitted_count for lg in ledgers] == [row.count(True) for row in verdicts]
-    result = settle_rewards(ledgers, clients, MENU, MARKET)
+    result = settle_rewards(ledgers, clients, MARKET)
     for row, c in zip(result["clients"], clients):
         column = [r[c.client_id] for r in verdicts]
         uploads = len(column) - column.count(None)
